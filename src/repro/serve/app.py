@@ -11,7 +11,10 @@ to: each request refreshes the aggregator through
 :func:`~repro.store.read_journal_tail`, which only ever consumes byte
 ranges ending in a newline — a partially-flushed final line is left for
 the next refresh, so responses always reflect whole fsync'd segments
-and never a torn row. Mid-file journal damage surfaces as **503** with
+and never a torn row. Every aggregator-derived payload, ``/probes``
+pages included, is built under the same lock as the refresh, so one
+response never mixes two folds, and a page counts exactly the lines
+``/epochs/<n>`` counts. Mid-file journal damage surfaces as **503** with
 the offending shard named, matching ``repro results``' one-line error;
 the server itself stays up.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Any, Callable, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.campaigns.aggregate import (
@@ -56,6 +59,10 @@ class _BadRequest(Exception):
     """Maps to 400 with the message in the body."""
 
 
+class _NotFound(Exception):
+    """Maps to 404 with the message in the body."""
+
+
 def _int_param(params: dict, name: str, default: int) -> int:
     values = params.get(name)
     if not values:
@@ -64,6 +71,28 @@ def _int_param(params: dict, name: str, default: int) -> int:
         return int(values[-1])
     except ValueError:
         raise _BadRequest(f"{name} must be an integer, got {values[-1]!r}")
+
+
+def _require_epoch(aggregator: StoreAggregator, epoch: int) -> None:
+    if not 0 <= epoch < aggregator.epoch_count():
+        raise _NotFound(f"no such epoch: {epoch}")
+
+
+def _epoch_index(aggregator: StoreAggregator) -> dict:
+    tables = [
+        aggregator.epoch_table(epoch) for epoch in range(aggregator.epoch_count())
+    ]
+    return {
+        "epochs": [
+            {
+                "epoch": table["epoch"],
+                "fleet_size": table["fleet_size"],
+                "measured": table["measured"],
+                "complete": table["complete"],
+            }
+            for table in tables
+        ]
+    }
 
 
 class _StoreRequestHandler(BaseHTTPRequestHandler):
@@ -87,14 +116,20 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _refresh(self) -> StoreAggregator:
+    def _locked(self, build: Callable[[StoreAggregator], Any]) -> Any:
+        """Refresh the shared aggregator and return ``build(aggregator)``,
+        both under the refresh lock.
+
+        The aggregator's cursor, counters and positions are shared across
+        the threading server's request threads: a payload built after
+        releasing the lock could see another request's fold half-way.
+        Callers serialise the returned payload outside the lock.
+        """
         aggregator = type(self).aggregator
         assert aggregator is not None
-        # One refresh at a time: the aggregator's cursor/counters are
-        # shared across the threading server's request threads.
         with type(self).refresh_lock:
             aggregator.refresh()
-        return aggregator
+            return build(aggregator)
 
     # -- routing ------------------------------------------------------------
 
@@ -104,6 +139,8 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             self._route(url.path, parse_qs(url.query))
         except _BadRequest as exc:
             self._reply(400, {"error": str(exc)})
+        except _NotFound as exc:
+            self._reply(404, {"error": str(exc)})
         except (StoreError, OSError) as exc:
             # Damaged or vanished store: the server survives, the
             # response names the problem (e.g. the corrupt shard).
@@ -119,37 +156,20 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             self._reply(200, load_manifest(type(self).store_path))
             return
         if path == "/trend":
-            self._reply(200, self._refresh().trend())
+            self._reply(200, self._locked(lambda aggregator: aggregator.trend()))
             return
         if path == "/epochs":
-            aggregator = self._refresh()
-            tables = [
-                aggregator.epoch_table(epoch)
-                for epoch in range(aggregator.epoch_count())
-            ]
-            self._reply(
-                200,
-                {
-                    "epochs": [
-                        {
-                            "epoch": table["epoch"],
-                            "fleet_size": table["fleet_size"],
-                            "measured": table["measured"],
-                            "complete": table["complete"],
-                        }
-                        for table in tables
-                    ]
-                },
-            )
+            self._reply(200, self._locked(_epoch_index))
             return
         match = _EPOCH_ROUTE.match(path)
         if match:
-            aggregator = self._refresh()
             epoch = int(match.group(1))
-            if not 0 <= epoch < aggregator.epoch_count():
-                self._reply(404, {"error": f"no such epoch: {epoch}"})
-                return
-            self._reply(200, aggregator.epoch_table(epoch))
+
+            def table(aggregator: StoreAggregator) -> dict:
+                _require_epoch(aggregator, epoch)
+                return aggregator.epoch_table(epoch)
+
+            self._reply(200, self._locked(table))
             return
         if path == "/probes":
             epoch = _int_param(params, "epoch", 0)
@@ -157,9 +177,13 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             limit = _int_param(params, "limit", 50)
             if offset < 0 or not 1 <= limit <= 1000:
                 raise _BadRequest("offset must be >= 0 and limit in [1, 1000]")
-            self._reply(
-                200, load_epoch_page(type(self).store_path, epoch, offset, limit)
-            )
+            def page(aggregator: StoreAggregator) -> dict:
+                _require_epoch(aggregator, epoch)
+                return load_epoch_page(
+                    aggregator.path, epoch, offset, limit, aggregator=aggregator
+                )
+
+            self._reply(200, self._locked(page))
             return
         self._reply(404, {"error": f"unknown path: {path}", "endpoints": ENDPOINTS})
 

@@ -20,6 +20,7 @@ from .journal import (
     canonical_value,
     fingerprint,
     read_journal,
+    read_journal_at,
     read_journal_tail,
     study_fingerprint,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "load_stored_records",
     "load_stored_study",
     "read_journal",
+    "read_journal_at",
     "read_journal_tail",
     "study_fingerprint",
     "summarize_store",

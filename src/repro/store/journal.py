@@ -276,7 +276,11 @@ TailCursor = dict
 
 
 def read_journal_tail(
-    directory: str, prefix: str, cursor: Optional[dict] = None
+    directory: str,
+    prefix: str,
+    cursor: Optional[dict] = None,
+    *,
+    positions: Optional[list] = None,
 ) -> tuple[list[dict], dict]:
     """Entries appended since ``cursor``; returns ``(entries, cursor')``.
 
@@ -297,6 +301,11 @@ def read_journal_tail(
     archived shard, a consumed byte range can never change — folding the
     tails of successive calls visits every entry exactly once, in the
     same file-then-line order the full reader uses.
+
+    If ``positions`` is a list, one ``(shard basename, byte offset)``
+    pair per returned entry (where its line starts) is appended to it,
+    in the same order; :func:`read_journal_at` reads those entries back
+    without rescanning their shards.
     """
     cursor = dict(cursor or {})
     entries: list[dict] = []
@@ -332,6 +341,37 @@ def read_journal_tail(
                     f"{path}: undecodable journal line "
                     f"({lineno} lines past byte {offset})"
                 )
+            if positions is not None:
+                positions.append((name, consumed))
             consumed += len(raw) + 1
         cursor[name] = consumed
     return entries, cursor
+
+
+def read_journal_at(directory: str, positions: Iterable) -> list[dict]:
+    """The entries at ``positions`` (from :func:`read_journal_tail`), in
+    the order given.
+
+    Each entry costs one seek, one line read and one decode, however
+    large its shard: consumed byte ranges never change, so a recorded
+    position stays valid for the life of the journal.
+    """
+    entries: list[dict] = []
+    handles: dict = {}
+    try:
+        for name, offset in positions:
+            handle = handles.get(name)
+            if handle is None:
+                handle = handles[name] = open(os.path.join(directory, name), "rb")
+            handle.seek(offset)
+            raw = handle.readline()
+            try:
+                entries.append(json.loads(raw))
+            except ValueError:
+                raise StoreCorruptError(
+                    f"{handle.name}: undecodable journal line at byte {offset}"
+                )
+    finally:
+        for handle in handles.values():
+            handle.close()
+    return entries

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -12,10 +13,13 @@ from repro.campaigns import (
     load_epoch_page,
 )
 from repro.campaigns.aggregate import (
+    _COUNTER_KEYS,
     _indices_from_ranges,
     _ranges_from_indices,
 )
-from repro.store import ResultStore, StoreCorruptError
+from repro.store import ResultStore, StoreCorruptError, StoreError, read_journal
+
+from .conftest import REPLAYED, full_scan_page, page_grid
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +192,95 @@ class TestEpochPage:
 
     def test_unknown_epoch_is_empty(self, campaign_store):
         assert load_epoch_page(campaign_store, 42)["total"] == 0
+
+
+def assert_pages_match_full_scan(path, sizes, aggregator):
+    for epoch, offset, limit in page_grid(sizes):
+        expected = canonical_json(full_scan_page(path, epoch, offset, limit))
+        served = load_epoch_page(path, epoch, offset, limit, aggregator=aggregator)
+        assert canonical_json(served) == expected, (epoch, offset, limit)
+
+
+class TestEpochPageIndex:
+    """Pages read at folded positions equal the original full scan."""
+
+    @pytest.mark.parametrize("layout", ["resumed", "sharded"])
+    def test_pages_match_full_scan(self, page_stores, layout):
+        path = getattr(page_stores, layout)
+        sizes = page_stores.campaign.epoch_sizes()
+        aggregator = StoreAggregator(path)
+        aggregator.refresh()
+        assert_pages_match_full_scan(path, sizes, aggregator)
+        for epoch, offset, limit in page_grid(sizes):
+            offline = load_epoch_page(path, epoch, offset, limit)
+            assert canonical_json(offline) == canonical_json(
+                full_scan_page(path, epoch, offset, limit)
+            )
+
+    def test_stores_cover_replay_and_rotation(self, page_stores):
+        entries = read_journal(os.path.join(page_stores.resumed, "journal"), "records")
+        assert len(entries) == sum(page_stores.campaign.epoch_sizes()) + REPLAYED
+        # The replayed records differ from the ones they repeat.
+        page = load_epoch_page(page_stores.resumed, 0, limit=REPLAYED)
+        replayed = [entry["record"] for entry in entries[-REPLAYED:]]
+        assert [p["record"] for p in page["probes"]] != replayed
+        shards = os.listdir(os.path.join(page_stores.sharded, "journal"))
+        assert len(shards) > 10
+
+    def test_refresh_between_synced_halves(self, page_stores, tmp_path):
+        path = str(tmp_path / "halves")
+        campaign = page_stores.campaign
+        sizes = campaign.epoch_sizes()
+        store = ResultStore(path)
+        store.begin_longitudinal(campaign.fingerprint(), sizes)
+        aggregator = StoreAggregator(path)
+        for epoch, batch in sorted(page_stores.records.items()):
+            pairs = list(enumerate(batch))
+            half = len(pairs) // 2
+            for segment in (pairs[:half], pairs[half:]):
+                store.append_epoch_segment(epoch, segment)
+                store.sync()
+                aggregator.refresh()
+                assert_pages_match_full_scan(path, sizes, aggregator)
+        store.close()
+
+    def test_out_of_order_segments_page_by_index(self, page_stores, tmp_path):
+        path = str(tmp_path / "reversed")
+        campaign = page_stores.campaign
+        sizes = campaign.epoch_sizes()
+        store = ResultStore(path)
+        store.begin_longitudinal(campaign.fingerprint(), sizes)
+        aggregator = StoreAggregator(path)
+        for epoch, batch in sorted(page_stores.records.items()):
+            pairs = list(enumerate(batch))
+            a, b = len(pairs) // 3, 2 * len(pairs) // 3
+            for segment in (pairs[b:], pairs[:a], pairs[a:b]):
+                store.append_epoch_segment(epoch, segment)
+                store.sync()
+                aggregator.refresh()
+                assert_pages_match_full_scan(path, sizes, aggregator)
+        store.close()
+
+    def test_positions_are_never_persisted(self, page_stores, tmp_path):
+        path = str(tmp_path / "persisted")
+        shutil.copytree(page_stores.sharded, path)
+        StoreAggregator(path, persist=True).refresh()
+        with open(os.path.join(path, "tables", "state.json"), encoding="utf-8") as fh:
+            state = json.load(fh)
+        assert set(state) == {"schema", "cursor", "epochs"}
+        for folded in state["epochs"].values():
+            assert set(folded) == {"seen", "online", *_COUNTER_KEYS}
+
+    def test_restored_aggregator_refuses_to_page(self, page_stores, tmp_path):
+        path = str(tmp_path / "restored")
+        shutil.copytree(page_stores.sharded, path)
+        StoreAggregator(path, persist=True).refresh()
+        restored = StoreAggregator(path, persist=True)
+        assert restored.refresh() == 0  # everything came from state.json
+        with pytest.raises(StoreError, match="state.json"):
+            load_epoch_page(path, 0, aggregator=restored)
+        # An unmeasured epoch has nothing to miss.
+        assert restored.epoch_page(5)["total"] == 0
 
 
 class TestPlainStudyStores:

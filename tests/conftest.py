@@ -96,3 +96,12 @@ def open_forwarder_scenario(comcast):
 
 def client_for(scenario) -> MeasurementClient:
     return MeasurementClient(scenario.network, scenario.host)
+
+
+@pytest.fixture(scope="session")
+def page_stores(tmp_path_factory):
+    """Campaign stores for the probe-page parity tests of both
+    tests/campaigns and tests/serve, measured once per session."""
+    from .campaigns.conftest import build_page_stores
+
+    return build_page_stores(tmp_path_factory.mktemp("pages"))

@@ -3,6 +3,8 @@
 import json
 import os
 import shutil
+import sys
+import threading
 import urllib.error
 import urllib.request
 
@@ -17,7 +19,7 @@ from repro.campaigns import (
 from repro.serve import StoreServer
 from repro.store import ResultStore
 
-from ..campaigns.conftest import bundle_data
+from ..campaigns.conftest import bundle_data, full_scan_page, page_grid
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +95,14 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get(server, "/epochs/99")
         assert excinfo.value.code == 404
+
+    @pytest.mark.parametrize("epoch", [99, -1])
+    def test_probes_of_unknown_epoch_404_like_epochs(self, server, epoch):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get(server, f"/probes?epoch={epoch}")
+        with excinfo.value as response:
+            assert response.code == 404
+            assert json.loads(response.read()) == {"error": f"no such epoch: {epoch}"}
 
     @pytest.mark.parametrize(
         "query", ["epoch=zero", "epoch=0&limit=0", "epoch=0&offset=-1"]
@@ -186,3 +196,185 @@ class TestLiveStore:
             _status, body = get_json(server, "/epochs/0")
             assert body["measured"] == len(batch)
         store.close()
+
+
+def assert_served_pages_match_full_scan(server, path, sizes):
+    for epoch, offset, limit in page_grid(sizes):
+        query = f"/probes?epoch={epoch}&offset={offset}&limit={limit}"
+        _status, served = get(server, query)
+        expected = canonical_json(full_scan_page(path, epoch, offset, limit))
+        assert served == expected.encode("utf-8"), query
+
+
+class TestProbePages:
+    """``/probes`` pages equal the original full-journal scan byte for
+    byte, and count what ``/epochs/<n>`` counts."""
+
+    @pytest.mark.parametrize("layout", ["resumed", "sharded"])
+    def test_pages_match_full_scan(self, page_stores, layout):
+        path = getattr(page_stores, layout)
+        with StoreServer(path) as server:
+            assert_served_pages_match_full_scan(
+                server, path, page_stores.campaign.epoch_sizes()
+            )
+
+    def test_pages_between_synced_halves(self, page_stores, tmp_path):
+        path = str(tmp_path / "halves")
+        campaign = page_stores.campaign
+        sizes = campaign.epoch_sizes()
+        store = ResultStore(path)
+        store.begin_longitudinal(campaign.fingerprint(), sizes)
+        with StoreServer(path) as server:
+            for epoch, batch in sorted(page_stores.records.items()):
+                pairs = list(enumerate(batch))
+                half = len(pairs) // 2
+                for segment in (pairs[:half], pairs[half:]):
+                    store.append_epoch_segment(epoch, segment)
+                    store.sync()
+                    assert_served_pages_match_full_scan(server, path, sizes)
+        store.close()
+
+    def test_unterminated_final_line_counts_like_epochs(self, store_path, tmp_path):
+        """A complete final line still waiting for its newline (a partial
+        flush) is in neither the page total nor the epoch table."""
+        path = str(tmp_path / "flushing")
+        shutil.copytree(store_path, path)
+        journal = os.path.join(path, "journal")
+        last = os.path.join(journal, sorted(os.listdir(journal))[-1])
+        with open(last, "rb") as handle:
+            blob = handle.read()
+        with open(last, "wb") as handle:
+            handle.write(blob.rstrip(b"\n"))
+        epoch = json.loads(blob.rstrip(b"\n").rsplit(b"\n", 1)[-1])["e"]
+        with StoreServer(path) as server:
+            _status, table = get_json(server, f"/epochs/{epoch}")
+            _status, page = get_json(server, f"/probes?epoch={epoch}&limit=1000")
+        assert page["total"] == table["measured"] == len(page["probes"])
+        assert table["measured"] == table["fleet_size"] - 1
+
+
+class PausingState(dict):
+    """An epoch's aggregation state that parks the first read of
+    ``online``: the step of ``epoch_table`` after it has counted ``seen``
+    and before it copies the counters."""
+
+    def __init__(self, state, paused, resume):
+        super().__init__(state)
+        self.paused = paused
+        self.resume = resume
+        self.armed = True
+
+    def __getitem__(self, key):
+        if key == "online" and self.armed:
+            self.armed = False
+            self.paused.set()
+            assert self.resume.wait(10)
+        return super().__getitem__(key)
+
+
+class WatchedLock:
+    """A refresh lock that reports a request having to wait for it."""
+
+    def __init__(self, on_wait):
+        self._lock = threading.Lock()
+        self._on_wait = on_wait
+
+    def __enter__(self):
+        if not self._lock.acquire(blocking=False):
+            self._on_wait()
+            self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+class TestRefreshRace:
+    def test_table_is_built_from_one_fold(self, page_stores, tmp_path):
+        """Request A builds /epochs/0 while request B folds a newly synced
+        segment: A must answer from one fold, never a count of one and
+        counters of the next."""
+        path = str(tmp_path / "race")
+        campaign = page_stores.campaign
+        store = ResultStore(path)
+        store.begin_longitudinal(campaign.fingerprint(), campaign.epoch_sizes())
+        pairs = list(enumerate(page_stores.records[0]))
+        half = len(pairs) // 2
+        store.append_epoch_segment(0, pairs[:half])
+        store.sync()
+        paused, resume, b_waits_or_done = (threading.Event() for _ in range(3))
+        bodies = {}
+
+        def request(name):
+            bodies[name] = get_json(server, "/epochs/0")[1]
+
+        def request_b():
+            request("b")
+            b_waits_or_done.set()
+
+        with StoreServer(path) as server:
+            assert get_json(server, "/epochs/0")[1]["measured"] == half
+            handler = server._httpd.RequestHandlerClass
+            handler.refresh_lock = WatchedLock(b_waits_or_done.set)
+            epochs = handler.aggregator._epochs
+            epochs[0] = PausingState(epochs[0], paused, resume)
+            a = threading.Thread(target=request, args=("a",))
+            a.start()
+            assert paused.wait(10)
+            store.append_epoch_segment(0, pairs[half:])
+            store.sync()
+            b = threading.Thread(target=request_b)
+            b.start()
+            assert b_waits_or_done.wait(10)
+            resume.set()
+            a.join(10)
+            b.join(10)
+        store.close()
+        assert sum(bodies["a"]["verdicts"].values()) == bodies["a"]["measured"] == half
+        assert sum(bodies["b"]["verdicts"].values()) == bodies["b"]["measured"] == len(pairs)
+
+    def test_concurrent_readers_during_appends(self, page_stores, tmp_path):
+        """Readers on more threads than cores, with a short switch
+        interval, while synced batches land: every body is one fold."""
+        path = str(tmp_path / "stress")
+        campaign = page_stores.campaign
+        store = ResultStore(path)
+        store.begin_longitudinal(campaign.fingerprint(), campaign.epoch_sizes())
+        pairs = list(enumerate(page_stores.records[0]))
+        done = threading.Event()
+        errors = []
+        bodies = []
+
+        def reader():
+            try:
+                while not done.is_set():
+                    bodies.append(get_json(server, "/epochs/0")[1])
+                    bodies.append(get_json(server, "/probes?epoch=0&limit=1000")[1])
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with StoreServer(path) as server:
+                readers = [threading.Thread(target=reader) for _ in range(4)]
+                for thread in readers:
+                    thread.start()
+                for start in range(0, len(pairs), 15):
+                    store.append_epoch_segment(0, pairs[start : start + 15])
+                    store.sync()
+                done.set()
+                for thread in readers:
+                    thread.join(30)
+                assert not any(thread.is_alive() for thread in readers)
+        finally:
+            sys.setswitchinterval(interval)
+            done.set()
+        store.close()
+        assert not errors and bodies
+        for body in bodies:
+            if "measured" in body:
+                assert sum(body["verdicts"].values()) == body["measured"]
+            else:
+                indices = [probe["index"] for probe in body["probes"]]
+                assert indices == list(range(body["total"]))

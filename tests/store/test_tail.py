@@ -11,6 +11,7 @@ from repro.store import (
     JournalWriter,
     StoreCorruptError,
     read_journal,
+    read_journal_at,
     read_journal_tail,
 )
 
@@ -67,6 +68,57 @@ class TestTailCursor:
     def test_missing_directory_is_empty(self, tmp_path):
         tail, cursor = read_journal_tail(str(tmp_path / "nowhere"), "records")
         assert tail == [] and cursor == {}
+
+
+class TestPositions:
+    def test_positions_leave_results_unchanged_and_read_back(self, tmp_path):
+        writer = JournalWriter(str(tmp_path), "records", records_per_file=4)
+        cursor = plain_cursor = None
+        folded, positions = [], []
+        for batch in range(4):
+            for n in range(3):
+                writer.append({"batch": batch, "n": n})
+            writer.sync()
+            plain, plain_cursor = read_journal_tail(
+                str(tmp_path), "records", plain_cursor
+            )
+            tail, cursor = read_journal_tail(
+                str(tmp_path), "records", cursor, positions=positions
+            )
+            assert (tail, cursor) == (plain, plain_cursor)
+            folded.extend(tail)
+        writer.close()
+        assert len(positions) == len(folded) == 12
+        assert len({name for name, _offset in positions}) == 3
+        assert read_journal_at(str(tmp_path), positions) == folded
+        picked = [positions[7], positions[0], positions[11]]
+        assert read_journal_at(str(tmp_path), picked) == [
+            folded[7], folded[0], folded[11]
+        ]
+
+    def test_blank_and_torn_lines_get_no_position(self, tmp_path):
+        write_lines(
+            tmp_path / "records-0000.jsonl",
+            ['{"i": 0}\n', "\n", '{"i": 1}\n', '{"i": 2, "x"\n'],
+        )
+        positions = []
+        tail, _cursor = read_journal_tail(
+            str(tmp_path), "records", positions=positions
+        )
+        assert tail == [{"i": 0}, {"i": 1}]
+        assert positions == [
+            ("records-0000.jsonl", 0),
+            ("records-0000.jsonl", 10),
+        ]
+
+    def test_damage_at_a_position_raises(self, tmp_path):
+        path = tmp_path / "records-0000.jsonl"
+        write_lines(path, ['{"i": 0}\n'])
+        positions = []
+        read_journal_tail(str(tmp_path), "records", positions=positions)
+        write_lines(path, ["{broken}\n"])
+        with pytest.raises(StoreCorruptError, match="records-0000"):
+            read_journal_at(str(tmp_path), positions)
 
 
 class TestTornTails:
