@@ -182,9 +182,9 @@ def measure_impairment_overhead(fleet: int, seed: int, repeats: int = 3) -> dict
     }
 
 
-#: Serial throughput of the pipeline before the hot-path PR (calendar
-#: scheduler, zero-copy encode, scenario reuse, probe dedup), measured on
-#: this container at fleet=120/seed=2021. The engines mode reports the
+#: Serial throughput of the pipeline before the hot-path work (integer-µs
+#: event clock, zero-copy encode, scenario reuse, probe dedup), measured
+#: on one core at fleet=120/seed=2021. The engines mode reports the
 #: current fast engine against this constant so the speedup is tracked
 #: across history, not just against today's reference engine.
 PRE_PR_BASELINE_PPS = 211.9

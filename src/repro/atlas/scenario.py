@@ -106,9 +106,9 @@ class ScenarioSpec:
     impairment: Optional[LinkProfile] = None
     impairment_seed: int = 0
     trace: bool = False
-    #: ``"fast"`` runs the calendar-queue scheduler and enables the
-    #: resolver answer-template caches; ``"reference"`` is the plain
-    #: heap-scheduler path with every cache off. Both produce
+    #: ``"fast"`` enables the resolver answer-template caches;
+    #: ``"reference"`` runs with every cache off. Both engines share one
+    #: event queue (a binary heap) and produce
     #: byte-identical records/metrics — the reference engine exists so
     #: equivalence is testable and regressions bisectable.
     engine: str = "fast"
@@ -224,7 +224,6 @@ def build_scenario(
         trace=sspec.trace,
         loss_seed=f"impair:{sspec.impairment_seed}:{spec.probe_id}",
         impairment=sspec.impairment,
-        scheduler="calendar" if sspec.engine == "fast" else "heap",
     )
 
     v4_net, wan_v4, v6_net, home_v6 = _home_addresses(spec)

@@ -71,9 +71,10 @@ class StudyConfig:
         exchange; ``None`` keeps the classic single-transmission
         behaviour.
     ``engine``
-        ``"fast"`` (default) runs the calendar-queue scheduler, the
-        resolver answer-template caches and per-shard scenario reuse;
-        ``"reference"`` runs the plain heap/fresh-build path. Records,
+        ``"fast"`` (default) enables the resolver answer-template
+        caches and per-shard scenario reuse; ``"reference"`` runs with
+        every cache off and builds every scenario fresh. Both engines
+        share one event queue (a binary heap). Records,
         metrics and store journals are byte-identical between the two
         (like ``workers``, the engine changes *how*, never *what*, so
         it is excluded from store fingerprints and exports — resumed

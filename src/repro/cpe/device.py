@@ -191,12 +191,13 @@ class CpeDevice(Router):
                 return
             if verdict.action is Action.DNAT:
                 hijacked = verdict.packet
-                self.trace(
-                    "intercept",
-                    hijacked,
-                    f"DNAT {packet.dst} -> {hijacked.dst} "
-                    f"[{verdict.rule.comment if verdict.rule else ''}]",
-                )
+                if self.observing:
+                    self.trace(
+                        "intercept",
+                        hijacked,
+                        f"DNAT {packet.dst} -> {hijacked.dst} "
+                        f"[{verdict.rule.comment if verdict.rule else ''}]",
+                    )
                 if self.forwarder is not None:
                     # Role switch (§3.2): stop forwarding by IP rules,
                     # become a DNS forwarder. Reply claims the original dst.
@@ -219,7 +220,10 @@ class CpeDevice(Router):
             if translated is None:
                 self.trace("drop", packet, "no WAN address")
                 return True
-            self.trace("rewrite", translated, f"SNAT {packet.src} -> {translated.src}")
+            if self.observing:
+                self.trace(
+                    "rewrite", translated, f"SNAT {packet.src} -> {translated.src}"
+                )
             self.forward_by_route(translated)
             return True
         return False  # IPv6: plain routing via forward_by_route
@@ -237,9 +241,10 @@ class CpeDevice(Router):
         if packet.family == 4 and packet.dst == self.wan_v4:
             translated = self.nat.translate_inbound(packet)
             if translated is not None:
-                self.trace(
-                    "rewrite", translated, f"un-SNAT -> {translated.dst}"
-                )
+                if self.observing:
+                    self.trace(
+                        "rewrite", translated, f"un-SNAT -> {translated.dst}"
+                    )
                 self.forward_by_route(translated)
                 return
 

@@ -168,7 +168,8 @@ class ForwarderEngine:
         relay = make_udp(
             source, UPSTREAM_PORT, upstream, DNS_PORT, query.with_id(upstream_id).encode()
         )
-        cpe.trace("forward", relay, f"forwarder -> upstream {upstream}")
+        if cpe.observing:
+            cpe.trace("forward", relay, f"forwarder -> upstream {upstream}")
         cpe.emit_wan(relay)
 
     # -- upstream side ----------------------------------------------------

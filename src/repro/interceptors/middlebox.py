@@ -204,7 +204,8 @@ class MiddleboxRouter(Router):
         self._flows[(packet.src, packet.udp.sport)] = InterceptedFlow(packet.dst)
         hijacked = packet.with_dst(alternate)
         self.intercepted_queries += 1
-        self.trace("intercept", hijacked, f"DNAT {packet.dst} -> {alternate}")
+        if self.observing:
+            self.trace("intercept", hijacked, f"DNAT {packet.dst} -> {alternate}")
         self.forward_by_route(hijacked)
         return True
 
@@ -217,9 +218,12 @@ class MiddleboxRouter(Router):
         if flow is None:
             return False
         spoofed = packet.with_src(flow.original_dst)
-        self.trace(
-            "rewrite", spoofed, f"un-DNAT reply src {packet.src} -> {flow.original_dst}"
-        )
+        if self.observing:
+            self.trace(
+                "rewrite",
+                spoofed,
+                f"un-DNAT reply src {packet.src} -> {flow.original_dst}",
+            )
         self.forward_by_route(spoofed)
         return True
 

@@ -79,6 +79,25 @@ def parse_ip(value: "str | IPAddress") -> IPAddress:
     return hit
 
 
+#: String -> network memo for :func:`parse_network`, the same idiom as
+#: :func:`parse_ip`: every scenario build adds the same few dozen route
+#: prefixes, and ip_network() re-parses each one. Network objects are
+#: immutable, so sharing them is safe. Bounded; cleared when full.
+_NETWORK_CACHE: dict[str, IPNetwork] = {}
+_NETWORK_CACHE_MAX = 4096
+
+
+def parse_network(value: str) -> IPNetwork:
+    """Parse a prefix string (strictly, like ``ipaddress.ip_network``)."""
+    hit = _NETWORK_CACHE.get(value)
+    if hit is None:
+        hit = ipaddress.ip_network(value)
+        if len(_NETWORK_CACHE) >= _NETWORK_CACHE_MAX:
+            _NETWORK_CACHE.clear()
+        _NETWORK_CACHE[value] = hit
+    return hit
+
+
 def is_ipv6(value: "str | IPAddress") -> bool:
     return parse_ip(value).version == 6
 

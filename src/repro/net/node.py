@@ -92,6 +92,9 @@ class Host(Node):
     ) -> None:
         super().__init__(name, asn=asn)
         self._addresses: set[IPAddress] = {parse_ip(a) for a in (addresses or [])}
+        #: family -> source address memo for ``address_for_family``;
+        #: reset by ``invalidate_addresses``.
+        self._family_source: dict[int, Optional[IPAddress]] = {}
         self.gateway = gateway
         self._sockets: dict[int, UdpSocket] = {}
         self._next_port = EPHEMERAL_PORT_BASE
@@ -108,11 +111,22 @@ class Host(Node):
         if self.network is not None:
             self.network.reindex(self)
 
+    def invalidate_addresses(self) -> None:
+        super().invalidate_addresses()
+        self._family_source = {}
+
     def address_for_family(self, family: int) -> Optional[IPAddress]:
+        try:
+            return self._family_source[family]
+        except KeyError:
+            pass
+        source = None
         for address in sorted(self._addresses, key=str):
             if address.version == family:
-                return address
-        return None
+                source = address
+                break
+        self._family_source[family] = source
+        return source
 
     # -- sockets -----------------------------------------------------------
 
@@ -148,7 +162,8 @@ class Host(Node):
                     f"{self.name} has no IPv{dst.version} address to reach {dst}"
                 )
         packet = make_udp(src, sock.port, dst, dport, payload, ttl=ttl)
-        self.trace("send", packet, f"socket {sock.port}")
+        if self.observing:
+            self.trace("send", packet, f"socket {sock.port}")
         if self.gateway is None:
             raise SimulationError(f"{self.name} has no gateway")
         self.send(self.gateway, packet)
@@ -183,4 +198,5 @@ class Host(Node):
                 time=self.network.now if self.network else 0.0,
             )
         )
-        self.trace("deliver", packet, f"socket {packet.udp.dport}")
+        if self.observing:
+            self.trace("deliver", packet, f"socket {packet.udp.dport}")

@@ -104,7 +104,14 @@ class Packet:
         return child
 
     def decrement_ttl(self) -> "Packet":
-        return self._derived(ttl=self.ttl - 1)
+        # Once per router hop: the _derived copy minus its **changes merge.
+        child = Packet.__new__(Packet)
+        state = child.__dict__
+        state.update(self.__dict__)
+        state["ttl"] = self.ttl - 1
+        state["uid"] = next(_packet_counter)
+        state["lineage"] = self.lineage + (self.uid,)
+        return child
 
     def with_dst(self, dst: "str | IPAddress", dport: int | None = None) -> "Packet":
         """DNAT rewrite: new destination address (and optionally port)."""

@@ -13,13 +13,15 @@ Routers implement the plumbing that makes the paper's three techniques
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass
 from typing import Optional
 
-from .addr import IPAddress, IPNetwork, is_bogon, parse_ip
+from .addr import IPAddress, IPNetwork, is_bogon, parse_ip, parse_network
 from .packet import Packet, Protocol, make_icmp_time_exceeded
 from .sim import Node
+
+#: Route-memo miss marker (a cached ``None`` means "no route").
+_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class RoutingTable:
 
     def add(self, prefix: "str | IPNetwork", next_hop: str) -> None:
         if isinstance(prefix, str):
-            prefix = ipaddress.ip_network(prefix)
+            prefix = parse_network(prefix)
         self._lookup_cache.clear()
         route = Route(prefix, next_hop)
         if prefix.prefixlen == prefix.max_prefixlen:
@@ -64,7 +66,7 @@ class RoutingTable:
     def remove(self, prefix: "str | IPNetwork") -> bool:
         """Remove all routes for ``prefix``; True if any existed."""
         if isinstance(prefix, str):
-            prefix = ipaddress.ip_network(prefix)
+            prefix = parse_network(prefix)
         self._lookup_cache.clear()
         if prefix.prefixlen == prefix.max_prefixlen:
             return self._host_routes.pop(prefix.network_address, None) is not None
@@ -151,17 +153,24 @@ class Router(Node):
 
     def forward_by_route(self, packet: Packet) -> None:
         """Plain destination-based forwarding (no inspection)."""
-        if self.drop_bogons and is_bogon(packet.dst):
+        dst = packet.dst
+        if self.drop_bogons and is_bogon(dst):
             self.trace("drop", packet, "bogon destination")
             return
-        next_hop = self.routes.lookup(packet.dst)
+        # The lookup memo answers nearly every hop; skip the call on a hit.
+        next_hop = self.routes._lookup_cache.get(dst, _MISS)
+        if next_hop is _MISS:
+            next_hop = self.routes.lookup(dst)
         if next_hop is None:
             self.trace("drop", packet, "no route")
             return
         network = self.network
-        if network is not None and network.observing:
+        if network is None:
+            self.send(next_hop, packet)  # raises: not attached
+            return
+        if network.observing:
             self.trace("forward", packet, f"-> {next_hop}")
-        self.send(next_hop, packet)
+        network.transmit(self.name, next_hop, packet)
 
     def inspect_transit(self, packet: Packet) -> bool:
         """Hook for middleboxes/CPE. Return True if packet was consumed."""

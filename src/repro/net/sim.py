@@ -13,6 +13,7 @@ the event queue are broken by a sequence number, never by object ids).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -28,7 +29,6 @@ from .impairment import (
     truncate_cut,
 )
 from .packet import Packet
-from .scheduler import make_scheduler
 from .trace import TraceRecorder
 
 #: Default one-way link latency in milliseconds.
@@ -113,6 +113,16 @@ class Node:
             raise SimulationError(f"{self.name} is not attached to a network")
         self.network.transmit(self.name, next_hop, packet)
 
+    @property
+    def observing(self) -> bool:
+        """True when this node's network records trace events or metrics.
+
+        Per-packet call sites check it before formatting a trace detail,
+        so an unobserved run never builds strings nobody records.
+        """
+        network = self.network
+        return network is not None and network.observing
+
     def trace(self, action: str, packet: Packet, detail: str = "") -> None:
         network = self.network
         if network is not None and network.observing:
@@ -134,7 +144,6 @@ class Network:
         trace: bool = False,
         loss_seed: "int | str" = 0,
         impairment: Optional[LinkProfile] = None,
-        scheduler: str = "calendar",
         max_events_per_run: int = MAX_EVENTS_PER_RUN,
     ) -> None:
         # Imported lazily: repro.core pulls in the measurement stack,
@@ -159,10 +168,10 @@ class Network:
         #: (a, b, profile) in install order, for deterministic stream
         #: re-derivation by ``reset_events``.
         self._profile_installs: list[tuple[str, str, LinkProfile]] = []
-        try:
-            self._queue = make_scheduler(scheduler)
-        except ValueError as exc:
-            raise SimulationError(str(exc)) from None
+        #: Pending events as a binary heap of ``(time_us, seq, fn, arg)``
+        #: entries, ordered strictly by ``(time_us, seq)``; ``seq`` is
+        #: unique, so comparisons never reach the callable.
+        self._queue: list[tuple] = []
         self._seq = itertools.count()
         #: Simulation clock in integer microseconds; ``now`` presents it
         #: in float milliseconds, the public unit.
@@ -386,7 +395,9 @@ class Network:
         """
         if self._in_run:
             self._run_scheduled += 1
-        self._queue.push((self._now_us + delay_us, next(self._seq), fn, arg))
+        heapq.heappush(
+            self._queue, (self._now_us + delay_us, next(self._seq), fn, arg)
+        )
 
     def transmit(self, sender: str, receiver: str, packet: Packet) -> None:
         """Move ``packet`` from ``sender`` to adjacent ``receiver``."""
@@ -491,21 +502,17 @@ class Network:
         large pre-scheduled batch would trip).
         """
         queue = self._queue
+        pop = heapq.heappop
         limit_us = None if until is None else round(until * 1000)
         budget = self.max_events_per_run
         processed = 0
         self._run_scheduled = 0
         self._in_run = True
         try:
-            while True:
-                entry = queue.pop_due(limit_us)
-                if entry is None:
-                    break
-                time_us = entry[0]
+            while queue and (limit_us is None or queue[0][0] <= limit_us):
+                time_us, _seq, fn, arg = pop(queue)
                 if time_us > self._now_us:
                     self._now_us = time_us
-                fn = entry[2]
-                arg = entry[3]
                 if arg is None:
                     fn()
                 else:

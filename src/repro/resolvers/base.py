@@ -238,7 +238,10 @@ class DnsServerNode(Node):
         if wrap is not None:
             wire = wrap(wire)
         reply = make_reply(packet, wire)
-        self.trace("send", reply, "dns response" + (f" ({label})" if label else ""))
+        if self.observing:
+            self.trace(
+                "send", reply, "dns response" + (f" ({label})" if label else "")
+            )
         self.emit(reply)
 
     def _cache_store(self, key, value) -> None:

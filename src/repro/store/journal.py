@@ -249,12 +249,16 @@ def read_journal(directory: str, prefix: str) -> list[dict]:
 
     A torn *final* line in any shard file (the one partial write a
     crash mid-append can leave) is silently dropped; an undecodable
-    line anywhere else raises :class:`StoreCorruptError`.
+    line anywhere else raises :class:`StoreCorruptError`. A final line
+    without its newline counts as torn even when it decodes, exactly as
+    in :func:`read_journal_tail`: a resumed run measures that entry
+    again, so both readers see the same journal.
     """
     entries: list[dict] = []
     for path in _shard_paths(directory, prefix):
         with open(path, encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
+            # The piece after the last newline is empty or torn.
+            lines = handle.read().split("\n")[:-1]
         for lineno, line in enumerate(lines):
             if not line.strip():
                 continue

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.atlas.geo import organization_by_name
-from repro.atlas.scenario import build_scenario, resolver_software
+from repro.atlas.scenario import (
+    ScenarioCache,
+    ScenarioSpec,
+    build_scenario,
+    resolver_software,
+)
 from repro.cpe.firmware import dnat_interceptor, honest_router
 from repro.interceptors.policy import intercept_all
 
@@ -39,6 +44,24 @@ class TestAddressing:
         with_v6 = build_scenario(make_spec(org, probe_id=6, has_ipv6=True))
         assert with_v6.cpe_public_v6 is not None
         assert with_v6.host.address_for_family(6) is not None
+
+    def test_reused_host_sources_follow_rehoming(self, org):
+        """Two probes with one signature share a scenario; the second
+        probe's host must send from its own delegated v6 address, not
+        the memoised answer of the first."""
+        cache = ScenarioCache()
+        first = cache.get(ScenarioSpec(make_spec(org, probe_id=11, has_ipv6=True)))
+        first_v6 = first.host.address_for_family(6)
+        second_spec = make_spec(org, probe_id=12, has_ipv6=True)
+        second = cache.get(ScenarioSpec(second_spec))
+        assert second is first and cache.hits == 1
+        fresh = build_scenario(second_spec)
+        assert second.host.address_for_family(6) == fresh.host.address_for_family(6)
+        assert second.host.address_for_family(6) != first_v6
+        assert second.host.address_for_family(4) == fresh.host.address_for_family(4)
+        sock = second.host.open_socket()
+        pkt = sock.sendto(b"x", "2001:4860:4860::8888", 53)
+        assert pkt.src == fresh.host.address_for_family(6)
 
     def test_v6_inside_org_prefix(self, org):
         import ipaddress

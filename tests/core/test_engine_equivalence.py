@@ -1,12 +1,12 @@
-"""Fast-engine vs reference-engine equivalence — the PR's contract.
+"""Fast-engine vs reference-engine equivalence — the engine contract.
 
-The fast engine layers a calendar-queue scheduler, per-personality answer
-templates, scenario reuse and probe dedup under the measurement pipeline.
-None of that may be observable: records, metrics snapshots and store
-journals must be byte-identical to the reference engine (plain heap, no
-caches, every probe measured from a fresh topology) at any worker count,
-clean or impaired. These tests *are* the certification of every shortcut;
-weakening them weakens the contract.
+The fast engine layers per-personality answer templates, scenario reuse
+and probe dedup under the measurement pipeline. None of that may be
+observable: records, metrics snapshots and store journals must be
+byte-identical to the reference engine (no caches, every probe measured
+from a fresh topology; both engines share one heap event queue) at any
+worker count, clean or impaired. These tests *are* the certification of
+every shortcut; weakening them weakens the contract.
 """
 
 import pytest

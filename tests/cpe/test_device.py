@@ -60,7 +60,10 @@ class TestHonestRouter:
         net.recorder.enabled = True
         client_of(sc).exchange("1.1.1.1", make_id_server_query(msg_id=4))
         snat = [e for e in net.recorder.events if "SNAT" in e.detail]
-        assert snat
+        assert [(e.node, e.action, e.detail) for e in snat] == [
+            ("cpe", "rewrite", f"SNAT 192.168.1.100 -> {sc.cpe_public_v4}"),
+            ("cpe", "rewrite", "un-SNAT -> 192.168.1.100"),
+        ]
 
 
 class TestHonestForwarderLanOnly:
@@ -126,6 +129,28 @@ class TestDnatInterceptor:
         sc = scenario_with(org, dnat_interceptor(software=dnsmasq("2.85")))
         result = client_of(sc).exchange("9.9.9.9", make_version_bind_query(msg_id=1))
         assert result.response.txt_strings() == ["dnsmasq-2.85"]
+
+    def test_traced_dnat_and_relay_details(self, org):
+        sc = scenario_with(org, dnat_interceptor())
+        sc.network.recorder.enabled = True
+        client_of(sc).exchange(
+            "9.9.9.9", make_query("www.example.com.", QType.A, msg_id=8)
+        )
+        cpe_events = [
+            (e.action, e.detail)
+            for e in sc.network.recorder.events
+            if e.node == "cpe"
+            and e.action in ("intercept", "forward")
+            and not e.detail.startswith("->")
+        ]
+        upstream = sc.cpe.forwarder.upstream_v4
+        assert cpe_events == [
+            (
+                "intercept",
+                f"DNAT 9.9.9.9 -> 192.168.1.1 [{sc.cpe.model} DNS redirection v4]",
+            ),
+            ("forward", f"forwarder -> upstream {upstream}"),
+        ]
 
     def test_response_source_spoofed_to_target(self, org):
         """The client's stub accepted the answer, so the source must have

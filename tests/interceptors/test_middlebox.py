@@ -63,6 +63,20 @@ class TestRedirect:
         assert not result.timed_out
         assert result.response.a_addresses() == ["93.184.216.34"]
 
+    def test_traced_dnat_details(self, org):
+        sc, client = build(org, [intercept_all()])
+        sc.network.recorder.enabled = True
+        client.exchange("8.8.8.8", make_query("example.com.", QType.A, msg_id=4))
+        alternate = sc.middlebox.alternate_for_family(4)
+        assert [
+            (e.action, e.detail)
+            for e in sc.network.recorder.events
+            if e.node == "middlebox" and e.action in ("intercept", "rewrite")
+        ] == [
+            ("intercept", f"DNAT 8.8.8.8 -> {alternate}"),
+            ("rewrite", f"un-DNAT reply src {alternate} -> 8.8.8.8"),
+        ]
+
     def test_interception_counter(self, org):
         sc, client = build(org, [intercept_all()])
         client.exchange("8.8.8.8", make_query("example.com.", QType.A, msg_id=3))

@@ -62,6 +62,19 @@ class TestAddressing:
         assert str(a.address_for_family(4)) == "10.0.0.1"
         assert str(a.address_for_family(6)) == "2001:db8:1::1"
 
+    def test_address_for_family_follows_add_address(self):
+        """The per-family answer is memoised; adding an address must
+        reset it (lowest address by text wins, as before)."""
+        _net, _a, b = host_pair()
+        assert str(b.address_for_family(4)) == "10.0.0.2"
+        assert b.address_for_family(6) is None
+        b.add_address("10.0.0.1")
+        b.add_address("2001:db8:2::9")
+        assert str(b.address_for_family(4)) == "10.0.0.1"
+        assert str(b.address_for_family(6)) == "2001:db8:2::9"
+        pkt = b.open_socket().sendto(b"x", "10.0.0.9", 53)
+        assert str(pkt.src) == "10.0.0.1"
+
     def test_missing_family_is_none(self):
         _net, _a, b = host_pair()
         assert b.address_for_family(6) is None
@@ -90,6 +103,18 @@ class TestDelivery:
         assert str(dg.src) == "10.0.0.1"
         assert dg.sport == 40001
         assert dg.time == 1.0  # default latency
+
+    def test_traced_socket_details(self):
+        net, a, b = host_pair()
+        net.recorder.enabled = True
+        b.open_socket(6000)
+        a.open_socket(40001).sendto(b"hello", "10.0.0.2", 6000)
+        net.run()
+        assert [
+            (e.node, e.action, e.detail)
+            for e in net.recorder.events
+            if e.action in ("send", "deliver") and e.detail.startswith("socket")
+        ] == [("a", "send", "socket 40001"), ("b", "deliver", "socket 6000")]
 
     def test_unbound_port_drops(self):
         net, a, b = host_pair()

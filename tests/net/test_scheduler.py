@@ -1,126 +1,62 @@
-"""Calendar-queue scheduler vs the reference heap.
+"""Pending-event queue contract of :class:`Network`.
 
-The fast engine's determinism contract rests on one property: given the
-same pushes, :class:`CalendarScheduler` pops the exact sequence
-:class:`HeapScheduler` does. These tests drive both through adversarial
-push/pop interleavings (bucket wraps, far-future overflow, cursor
-rewinds) and assert the sequences match entry for entry.
+Every case runs at two event spacings. ``heap`` packs events a few
+microseconds apart; ``calendar`` spaces them just past a 2**17 µs
+window, so neighbouring events land in different bucket-sized slices
+of simulated time — the spacing a bucketed (calendar) queue has to get
+right and a plain heap must order no differently.
 """
-
-import random
 
 import pytest
 
-from repro.net.scheduler import (
-    CalendarScheduler,
-    HeapScheduler,
-    make_scheduler,
-)
+from repro.net import Network
+
+SPACING_US = {"heap": 1, "calendar": 131_073}
 
 
-def drain(scheduler, limit_us=None):
-    out = []
-    while True:
-        entry = scheduler.pop_due(limit_us)
-        if entry is None:
-            return out
-        out.append(entry)
+@pytest.fixture(params=["heap", "calendar"])
+def unit_us(request):
+    return SPACING_US[request.param]
+
+
+def ms(units, unit_us):
+    return units * unit_us / 1000
 
 
 class TestContract:
-    def test_make_scheduler_kinds(self):
-        assert isinstance(make_scheduler("calendar"), CalendarScheduler)
-        assert isinstance(make_scheduler("heap"), HeapScheduler)
-        with pytest.raises(ValueError):
-            make_scheduler("wheel")
+    def test_orders_by_time_then_seq(self, unit_us):
+        net = Network()
+        order = []
+        net.schedule(ms(5, unit_us), lambda: order.append("b"))
+        net.schedule(ms(1, unit_us), lambda: order.append("c"))
+        net.schedule(ms(5, unit_us), lambda: order.append("a"))
+        net.schedule(ms(100_000, unit_us), lambda: order.append("far"))
+        net.run()
+        assert order == ["c", "b", "a", "far"]
 
-    @pytest.mark.parametrize("kind", ["heap", "calendar"])
-    def test_orders_by_time_then_seq(self, kind):
-        scheduler = make_scheduler(kind)
-        scheduler.push((500, 2, "b", None))
-        scheduler.push((100, 3, "c", None))
-        scheduler.push((500, 1, "a", None))
-        assert [e[2] for e in drain(scheduler)] == ["c", "a", "b"]
+    def test_pop_due_respects_limit(self, unit_us):
+        net = Network()
+        order = []
+        net.schedule(ms(1, unit_us), lambda: order.append("due"))
+        net.schedule(ms(2, unit_us), lambda: order.append("at-limit"))
+        net.schedule(ms(3, unit_us), lambda: order.append("later"))
+        assert net.run(until=ms(2, unit_us)) == 2
+        assert order == ["due", "at-limit"]
+        assert net.pending_events == 1
+        assert net.now == ms(2, unit_us)
+        assert net.run() == 1
+        assert order == ["due", "at-limit", "later"]
+        assert net.pending_events == 0
 
-    @pytest.mark.parametrize("kind", ["heap", "calendar"])
-    def test_pop_due_respects_limit(self, kind):
-        scheduler = make_scheduler(kind)
-        scheduler.push((1000, 1, "x", None))
-        assert scheduler.pop_due(999) is None
-        assert len(scheduler) == 1
-        assert scheduler.pop_due(1000)[2] == "x"
-        assert scheduler.pop_due(None) is None
-
-    @pytest.mark.parametrize("kind", ["heap", "calendar"])
-    def test_clear_empties(self, kind):
-        scheduler = make_scheduler(kind)
+    def test_clear_empties(self, unit_us):
+        net = Network()
+        order = []
         for i in range(10):
-            scheduler.push((i * 100_000, i, i, None))
-        scheduler.clear()
-        assert len(scheduler) == 0
-        assert scheduler.pop_due(None) is None
-
-
-class TestCalendarEdges:
-    def test_far_future_overflow_and_migration(self):
-        """Events beyond the bucket window park in the overflow heap and
-        migrate back as the cursor advances — order still exact."""
-        cal, heap = CalendarScheduler(), HeapScheduler()
-        times = [0, 50, 300_000, 10_000_000, 130_000, 131_073, 262_144]
-        for seq, t in enumerate(times):
-            cal.push((t, seq, seq, None))
-            heap.push((t, seq, seq, None))
-        assert drain(cal) == drain(heap)
-
-    def test_rewind_after_overflow_jump(self):
-        """A push earlier than the cursor (legal after an overflow jump
-        plus a bounded run) must not lose or misorder entries."""
-        cal, heap = CalendarScheduler(), HeapScheduler()
-        cal.push((50_000_000, 0, "far", None))
-        heap.push((50_000_000, 0, "far", None))
-        # Jump the calendar cursor to the far-future event...
-        assert cal.pop_due(1) is None
-        # ...then push an entry far earlier than the cursor.
-        cal.push((7, 1, "early", None))
-        heap.push((7, 1, "early", None))
-        cal.push((40_000_000, 2, "mid", None))
-        heap.push((40_000_000, 2, "mid", None))
-        assert drain(cal) == drain(heap)
-
-    def test_geometry_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            CalendarScheduler(bucket_width_us=100)
-        with pytest.raises(ValueError):
-            CalendarScheduler(bucket_count=300)
-
-    def test_randomised_differential(self):
-        """Seeded fuzz: random interleaving of pushes and bounded pops
-        over both schedulers yields identical pop sequences."""
-        rng = random.Random(1337)
-        cal, heap = CalendarScheduler(), HeapScheduler()
-        seq = 0
-        popped_cal, popped_heap = [], []
-        clock = 0
-        for _ in range(5000):
-            if rng.random() < 0.6 or len(cal) == 0:
-                # Mostly near-future, occasionally far beyond the window.
-                delta = (
-                    rng.randrange(0, 4000)
-                    if rng.random() < 0.9
-                    else rng.randrange(200_000, 5_000_000)
-                )
-                entry = (clock + delta, seq, seq, None)
-                seq += 1
-                cal.push(entry)
-                heap.push(entry)
-            else:
-                limit = clock + rng.randrange(0, 10_000)
-                a = cal.pop_due(limit)
-                b = heap.pop_due(limit)
-                assert a == b
-                if a is not None:
-                    clock = max(clock, a[0])
-                    popped_cal.append(a)
-                    popped_heap.append(b)
-        assert drain(cal) == drain(heap)
-        assert popped_cal == popped_heap
+            net.schedule(ms(i * 100, unit_us), lambda i=i: order.append(i))
+        net.run(until=ms(150, unit_us))
+        assert net.pending_events == 8
+        net.reset_events(0)
+        assert net.pending_events == 0
+        assert net.now == 0.0
+        assert net.run() == 0
+        assert order == [0, 1]

@@ -1,5 +1,8 @@
 """Event loop, links and delivery order."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.net import Host, Network, Node, SimulationError, make_udp
@@ -117,6 +120,37 @@ class TestEventLoop:
         assert net.pending_events == 1
         net.run()
         assert net.pending_events == 0
+
+
+class TestEventQueue:
+    """Ordering under mid-run scheduling; the basic ordering, ``until``
+    and reset contract is in ``test_scheduler.py``."""
+
+    def test_events_scheduled_mid_run_keep_order(self):
+        """Seeded fuzz: events (some re-arming others from inside the
+        loop) dispatch in (time, scheduling order), whatever the mix of
+        near and far delays."""
+        rng = random.Random(1337)
+        net = Network()
+        fired = []
+        expected = []
+        seq = itertools.count()
+
+        def arm(delay_us, depth):
+            key = (net._now_us + delay_us, next(seq))
+            expected.append(key)
+
+            def fire():
+                fired.append(key)
+                if depth and rng.random() < 0.5:
+                    arm(rng.choice((0, 7, 300, 200_000)), depth - 1)
+
+            net.schedule(delay_us / 1000, fire)
+
+        for _ in range(200):
+            arm(rng.choice((0, 1, 256, 131_072, 50_000_000)), 3)
+        net.run()
+        assert fired == sorted(expected)
 
 
 class TestNonFiniteDelays:

@@ -14,6 +14,7 @@ from repro.dnswire.chaosnames import (
     make_id_server_query,
     make_version_bind_query,
 )
+from repro.net.dot import DOT_PORT, wrap_dot
 from repro.resolvers.base import ChaosOutcome, DnsServerNode, chaos_respond
 from repro.resolvers.software import ChaosBehavior, ServerSoftware, dnsmasq, mute, silent_forwarder
 
@@ -75,6 +76,28 @@ class TestServerNode:
         client = wire_up(server)
         result = client.exchange("198.51.100.53", make_version_bind_query(msg_id=9))
         assert not result.timed_out
+
+    def test_traced_response_details(self):
+        server = DnsServerNode(
+            "server",
+            addresses=["198.51.100.53"],
+            software=dnsmasq(),
+            tls_identity="dns.example",
+        )
+        client = wire_up(server)
+        network = client.network
+        network.recorder.enabled = True
+        client.exchange("198.51.100.53", make_version_bind_query(msg_id=3))
+        query = make_version_bind_query(msg_id=4).encode()
+        client.host.open_socket().sendto(
+            wrap_dot(query, "dns.example"), "198.51.100.53", DOT_PORT
+        )
+        network.run()
+        assert [
+            e.detail
+            for e in network.recorder.filter(node="server", action="send")
+            if not e.detail.startswith("->")
+        ] == ["dns response", "dns response (DoT)"]
 
     def test_counts_queries(self):
         server = self.make_server()
