@@ -31,8 +31,6 @@ from .measurement import (
     ExchangeResult,
     ExchangeStatus,
     MeasurementClient,
-    dns_exchange,
-    dot_exchange,
 )
 from .population import (
     CPE_TRUE_SOFTWARE,
@@ -84,9 +82,7 @@ __all__ = [
     "EncryptedExchangeResult",
     "ExchangeResult",
     "ExchangeStatus",
-    "dot_exchange",
     "MeasurementClient",
-    "dns_exchange",
     "ENCRYPTED_TRANSPORTS",
     "TRANSPORTS",
     "resolve",

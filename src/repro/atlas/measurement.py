@@ -11,15 +11,13 @@ Every transport returns the same shape: a subclass of
 :class:`ExchangeResult` (status, rcode, txt_answer, rtt_ms, attempts),
 so callers and metrics hooks never special-case the transport. The
 transport implementations live in the :mod:`repro.atlas.transport`
-registry; this module owns the result shapes, the metrics hook, the
-:class:`MeasurementClient`, and the deprecated ``dns_exchange`` /
-``dot_exchange`` wrappers around the registry.
+registry; this module owns the result shapes, the metrics hook and
+the :class:`MeasurementClient`.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,7 +27,7 @@ from repro.net.addr import IPAddress
 from repro.net.node import ReceivedDatagram, ReceivedIcmp
 from repro.net.packet import DEFAULT_TTL
 
-from .retry import FixedIntervalRetry, RetryPolicy
+from .retry import RetryPolicy
 
 #: How long a probe waits for an answer (simulated milliseconds).
 DEFAULT_TIMEOUT_MS = 5000.0
@@ -59,8 +57,7 @@ class ExchangeResult:
     The unified surface is ``status`` / ``rcode`` / ``txt_answer()`` /
     ``rtt_ms`` / ``attempts``; transport-specific detail lives on the
     :class:`DnsExchangeResult` and :class:`EncryptedExchangeResult`
-    subclasses. ``timed_out`` is kept as a deprecated read-only alias of
-    ``status is ExchangeStatus.TIMEOUT``.
+    subclasses.
     """
 
     query: Message
@@ -76,11 +73,6 @@ class ExchangeResult:
     @property
     def answered(self) -> bool:
         return self.status is ExchangeStatus.ANSWERED
-
-    @property
-    def timed_out(self) -> bool:
-        """Deprecated alias: prefer ``status is ExchangeStatus.TIMEOUT``."""
-        return self.status is ExchangeStatus.TIMEOUT
 
     @property
     def rcode(self) -> Optional[int]:
@@ -136,18 +128,12 @@ class EncryptedExchangeResult(ExchangeResult):
     privacy profile and its DoH/DoQ analogues) reject any session whose
     authenticated identity differs from the one they dialed;
     ``response`` is then None even though bytes arrived — ``status`` is
-    ``IDENTITY_REJECTED`` (the deprecated ``identity_rejected`` alias
-    mirrors it).
+    ``IDENTITY_REJECTED``.
     """
 
     expected_identity: str = ""
     strict: bool = True
     observed_identity: Optional[str] = None
-
-    @property
-    def identity_rejected(self) -> bool:
-        """Deprecated alias: prefer ``status``."""
-        return self.status is ExchangeStatus.IDENTITY_REJECTED
 
     @property
     def identity_ok(self) -> Optional[bool]:
@@ -207,96 +193,18 @@ def _record_exchange(network: Network, result: ExchangeResult) -> None:
         )
 
 
-def dns_exchange(
-    network: Network,
-    host: Host,
-    destination: "str | IPAddress",
-    query: Message,
-    timeout_ms: float = DEFAULT_TIMEOUT_MS,
-    ttl: int = DEFAULT_TTL,
-    retries: int = 0,
-    retry_interval_ms: float = 1000.0,
-    retry_policy: Optional[RetryPolicy] = None,
-) -> DnsExchangeResult:
-    """Deprecated: use :func:`repro.atlas.transport.resolve` (or
-    :func:`repro.atlas.transport.udp53_exchange`) instead."""
-    warnings.warn(
-        "dns_exchange() is deprecated; use repro.atlas.transport.resolve("
-        "client, query, destination, transport='udp53') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .transport import udp53_exchange
-
-    if retry_policy is None:
-        retry_policy = FixedIntervalRetry(retries=retries, interval_ms=retry_interval_ms)
-    return udp53_exchange(
-        network,
-        host,
-        destination,
-        query,
-        timeout_ms=timeout_ms,
-        ttl=ttl,
-        retry=retry_policy,
-    )
-
-
-def dot_exchange(
-    network: Network,
-    host: Host,
-    destination: "str | IPAddress",
-    query: Message,
-    expected_identity: str,
-    strict: bool = True,
-    timeout_ms: float = DEFAULT_TIMEOUT_MS,
-) -> DotExchangeResult:
-    """Deprecated: use :func:`repro.atlas.transport.resolve` (or
-    :func:`repro.atlas.transport.dot_exchange`) instead."""
-    warnings.warn(
-        "dot_exchange() is deprecated; use repro.atlas.transport.resolve("
-        "client, query, destination, transport='dot') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .transport import dot_exchange as modern_dot_exchange
-
-    return modern_dot_exchange(
-        network,
-        host,
-        destination,
-        query,
-        expected_identity=expected_identity,
-        strict=strict,
-        timeout_ms=timeout_ms,
-    )
-
-
 @dataclass
 class MeasurementClient:
     """Convenience wrapper binding a network and a probe host.
 
     ``retry_policy`` applies stub-style retransmission to every UDP
-    exchange — set it when measuring over lossy or impaired paths. The
-    legacy ``retries`` / ``retry_interval_ms`` pair still works and
-    builds a fixed-interval policy.
+    exchange — set it when measuring over lossy or impaired paths.
     """
 
     network: Network
     host: Host
     timeout_ms: float = DEFAULT_TIMEOUT_MS
-    retries: int = 0
-    retry_interval_ms: float = 1000.0
     retry_policy: Optional[RetryPolicy] = None
-
-    def effective_retry_policy(self) -> Optional[RetryPolicy]:
-        """The retry policy ``resolve()`` applies by default."""
-        if self.retry_policy is not None:
-            return self.retry_policy
-        if self.retries:
-            return FixedIntervalRetry(
-                retries=self.retries, interval_ms=self.retry_interval_ms
-            )
-        return None
 
     def resolve(
         self,
@@ -331,7 +239,7 @@ class MeasurementClient:
             query,
             timeout_ms=timeout_ms if timeout_ms is not None else self.timeout_ms,
             ttl=ttl,
-            retry=self.effective_retry_policy(),
+            retry=self.retry_policy,
         )
 
     def can_reach_family(self, family: int) -> bool:

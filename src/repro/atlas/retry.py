@@ -1,11 +1,12 @@
 """Retry policies: how a stub resolver retransmits an unanswered query.
 
-:func:`~repro.atlas.measurement.dns_exchange` historically took a flat
-``retries`` / ``retry_interval_ms`` pair — fixed-interval retransmission,
-which is what the simplest stub resolvers do. Chaos studies over
-impaired links want the behaviour real resolvers actually ship:
-exponential backoff with jitter, so retransmissions both spread out and
-decorrelate.
+:class:`FixedIntervalRetry` is fixed-interval retransmission, which is
+what the simplest stub resolvers do. Chaos studies over impaired links
+want the behaviour real resolvers actually ship:
+:class:`ExponentialBackoffRetry`, exponential backoff with jitter, so
+retransmissions both spread out and decorrelate. A
+:class:`~repro.atlas.measurement.MeasurementClient` applies its
+``retry_policy`` to every UDP/53 exchange.
 
 A policy is a frozen dataclass that answers one question: for a given
 query, what are the delays between consecutive transmissions? The

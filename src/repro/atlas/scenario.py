@@ -15,7 +15,6 @@ physical fact Step 3 of the methodology exploits.
 from __future__ import annotations
 
 import ipaddress
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -182,41 +181,17 @@ def _home_addresses(spec: ProbeSpec):
     return v4_net, wan_v4, v6_net, home_v6
 
 
-#: Sentinel distinguishing "not passed" from False in the deprecated
-#: ``build_scenario(trace=...)`` kwarg shim.
-_UNSET: object = object()
-
-
 def build_scenario(
     spec: "ProbeSpec | ScenarioSpec",
     directory: Optional[NameDirectory] = None,
-    trace=_UNSET,
 ) -> Scenario:
     """Build the full network for one probe.
 
     ``spec`` is a :class:`ScenarioSpec`; a bare
     :class:`~repro.atlas.probe.ProbeSpec` is accepted as shorthand for
-    ``ScenarioSpec(probe=spec)`` (the overwhelmingly common call). The
-    ``trace`` kwarg is deprecated — set it on the :class:`ScenarioSpec`.
+    ``ScenarioSpec(probe=spec)`` (the overwhelmingly common call).
     """
-    if isinstance(spec, ScenarioSpec):
-        if trace is not _UNSET:
-            raise TypeError(
-                "build_scenario() got both a ScenarioSpec and trace=; "
-                "set trace on the ScenarioSpec"
-            )
-        sspec = spec
-    else:
-        if trace is not _UNSET:
-            warnings.warn(
-                "build_scenario(trace=...) is deprecated; pass "
-                "ScenarioSpec(probe=..., trace=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        sspec = ScenarioSpec(
-            probe=spec, trace=False if trace is _UNSET else bool(trace)
-        )
+    sspec = spec if isinstance(spec, ScenarioSpec) else ScenarioSpec(probe=spec)
     spec = sspec.probe
     org = spec.organization
     directory = directory or build_default_directory()

@@ -1,11 +1,9 @@
 """The transport registry: one ``resolve()`` for every DNS transport.
 
-Before this module, each transport forked the exchange path —
-``dns_exchange`` for UDP/53, ``dot_exchange`` for DoT — and every new
-protocol would have forked it again. The registry inverts that: a
-transport is an entry in :data:`TRANSPORTS` mapping its name to an
+A transport is an entry in :data:`TRANSPORTS` mapping its name to an
 exchange function with a uniform signature, and :func:`resolve` is the
-single front door callers use.
+single front door callers use: adding a protocol adds an entry, not a
+second exchange path.
 
 Supported transports:
 
@@ -422,7 +420,7 @@ def resolve(
             f"unknown transport {transport!r}; expected one of {sorted(TRANSPORTS)}"
         )
     if retry is ...:
-        retry = client.effective_retry_policy()
+        retry = client.retry_policy
     return exchange(
         client.network,
         client.host,

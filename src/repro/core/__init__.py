@@ -44,8 +44,6 @@ from .encrypted_probe import (
     EncryptedReport,
     EncryptedStatus,
     EncryptedVerdict,
-    detect_encrypted_all,  # deprecated shim (warns when called)
-    detect_encrypted_provider,  # deprecated shim (warns when called)
     probe_encrypted_all,
     probe_encrypted_provider,
 )
@@ -90,28 +88,6 @@ from .study import (
     run_pilot_study,
 )
 
-#: Deprecated DoT-specific names still reachable from the package; each
-#: access defers to :mod:`repro.core.dot_probe`, which warns.
-_DEPRECATED_DOT_NAMES = frozenset(
-    {
-        "DotProfile",
-        "DotReport",
-        "DotStatus",
-        "DotVerdict",
-        "detect_dot_all",
-        "detect_dot_provider",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_DOT_NAMES:
-        from . import dot_probe
-
-        return getattr(dot_probe, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "LOCATION_QUERIES",
     "PROVIDER_ORDER",
@@ -147,8 +123,6 @@ __all__ = [
     "EncryptedReport",
     "EncryptedStatus",
     "EncryptedVerdict",
-    "detect_encrypted_all",
-    "detect_encrypted_provider",
     "probe_encrypted_all",
     "probe_encrypted_provider",
     "CertCause",
@@ -163,12 +137,6 @@ __all__ = [
     "Detector",
     "DetectorVerdict",
     "get_detector",
-    "DotProfile",
-    "DotReport",
-    "DotStatus",
-    "DotVerdict",
-    "detect_dot_all",
-    "detect_dot_provider",
     "InterceptionLocator",
     "LocatorVerdict",
     "ProbeClassification",

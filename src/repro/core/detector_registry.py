@@ -1,10 +1,10 @@
 """Pluggable detector registry — the PR-8 API redesign.
 
 With two independent interception detectors (the content-heuristic
-locator and the certificate cross-validator) plus the encrypted-probe
-variant, the hard-wired ``InterceptionLocator(...)`` call path stopped
-scaling. This module makes the detectors peers behind one surface, in
-the style of :data:`repro.atlas.transport.TRANSPORTS`:
+locator and the certificate cross-validator), the hard-wired
+``InterceptionLocator(...)`` call path stopped scaling. This module
+makes the detectors peers behind one surface, in the style of
+:data:`repro.atlas.transport.TRANSPORTS`:
 
 - :class:`Detector` — the protocol every entry satisfies:
   ``classify(client, probe, **options)`` returning a verdict-bearing
@@ -16,9 +16,9 @@ the style of :data:`repro.atlas.transport.TRANSPORTS`:
 - :data:`STUDY_DETECTORS` — the values ``StudyConfig(detector=...)``
   accepts (``"both"`` runs heuristic and cert on the same scenario).
 
-The legacy direct entry points (``detect_encrypted_provider`` and
-friends) survive as one-warning ``DeprecationWarning`` shims with no
-in-repo callers.
+The single-provider encrypted probe is not a registry entry: the
+evasion axis calls
+:func:`repro.core.encrypted_probe.probe_encrypted_provider` directly.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ class Detector(Protocol):
     """Uniform detector surface: ``classify(client, probe, **options)``.
 
     ``probe`` is whatever identifies the measurement subject — the
-    :class:`~repro.atlas.probe.ProbeSpec` for the fleet detectors, a
-    :class:`~repro.resolvers.public.Provider` for the single-provider
-    encrypted probe, or ``None`` when the options say everything.
+    :class:`~repro.atlas.probe.ProbeSpec` for the fleet detectors, or
+    ``None`` when the options say everything.
     """
 
     name: str
@@ -111,25 +110,10 @@ class CertDetector:
         )
 
 
-class EncryptedDetector:
-    """Single-provider probe over an encrypted transport; ``probe`` is
-    the :class:`~repro.resolvers.public.Provider` to interrogate and
-    the result's ``status`` is the verdict."""
-
-    name = "encrypted"
-
-    def classify(self, client: MeasurementClient, probe=None, **options):
-        from .encrypted_probe import probe_encrypted_provider
-
-        return probe_encrypted_provider(client, probe, **options)
-
-
-#: The registry. Keys are the ``repro study --detector`` spellings
-#: (plus ``"encrypted"``, which studies reach via the evasion axis).
+#: The registry. Keys are the ``repro study --detector`` spellings.
 DETECTORS: dict[str, Detector] = {
     "heuristic": HeuristicDetector(),
     "cert": CertDetector(),
-    "encrypted": EncryptedDetector(),
 }
 
 #: Detector axes a fleet study accepts: one detector, or both

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import enum
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -141,9 +140,8 @@ def probe_encrypted_provider(
 ) -> EncryptedVerdict:
     """Issue the provider's location query over one encrypted transport.
 
-    This is the implementation behind the ``"encrypted"`` entry of
-    :data:`repro.core.detector_registry.DETECTORS`; study code should
-    dispatch through :func:`repro.core.detector_registry.get_detector`.
+    The study's evasion axis calls this once per provider from
+    :class:`repro.core.classifier.InterceptionLocator`.
     """
     if transport not in ENCRYPTED_TRANSPORTS:
         raise ValueError(
@@ -214,30 +212,3 @@ def probe_encrypted_all(
             )
     return report
 
-
-def detect_encrypted_provider(*args, **kwargs) -> EncryptedVerdict:
-    """Deprecated alias of :func:`probe_encrypted_provider`.
-
-    The detector registry (PR 8) made the encrypted probe one of three
-    peers behind ``get_detector``; the old direct-call name survives as
-    a shim.
-    """
-    warnings.warn(
-        "detect_encrypted_provider() is deprecated; call "
-        'get_detector("encrypted").classify(...) or '
-        "probe_encrypted_provider() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return probe_encrypted_provider(*args, **kwargs)
-
-
-def detect_encrypted_all(*args, **kwargs) -> EncryptedReport:
-    """Deprecated alias of :func:`probe_encrypted_all`."""
-    warnings.warn(
-        "detect_encrypted_all() is deprecated; call "
-        "probe_encrypted_all() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return probe_encrypted_all(*args, **kwargs)

@@ -524,23 +524,3 @@ def _measure_fleet_stored(
     records, metrics = store.collect_study()
     return FleetResult(records=records, metrics=metrics)
 
-
-def run_fleet(
-    specs: Sequence[ProbeSpec],
-    workers: Optional[int] = None,
-    run_transparency: bool = True,
-    progress: Optional[Callable[[int, int], None]] = None,
-    shards_per_worker: int = DEFAULT_SHARDS_PER_WORKER,
-    mp_context=None,
-) -> list["ProbeRecord"]:
-    """Record-only compatibility wrapper around :func:`measure_fleet`."""
-    from repro.core.study import StudyConfig
-
-    config = StudyConfig(workers=workers, run_transparency=run_transparency)
-    return measure_fleet(
-        specs,
-        config,
-        progress=progress,
-        shards_per_worker=shards_per_worker,
-        mp_context=mp_context,
-    ).records

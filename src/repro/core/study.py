@@ -14,7 +14,6 @@ worker count.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -42,8 +41,7 @@ STUDY_TRANSPORTS: tuple[str, ...] = ("udp53", "dot", "doh", "doq")
 class StudyConfig:
     """Everything a pilot-study run needs to know.
 
-    Replaces the ever-growing ``run_pilot_study`` kwargs list. The old
-    kwargs still work through a shim that emits ``DeprecationWarning``.
+    Replaces the ever-growing ``run_pilot_study`` kwargs list.
 
     ``workers``
         Worker processes for the fleet (``None`` = one per core,
@@ -475,20 +473,12 @@ def measure_probe(
     return classification
 
 
-#: Sentinel distinguishing "kwarg not passed" from any real value in the
-#: deprecated ``run_pilot_study`` kwargs shim.
-_UNSET: object = object()
-
-
 def run_pilot_study(
     specs: Iterable[ProbeSpec],
     config: Optional[StudyConfig] = None,
     *,
     store=None,
     progress: Optional[Callable[[int, int], None]] = None,
-    run_transparency=_UNSET,
-    workers=_UNSET,
-    seed=_UNSET,
 ) -> StudyResult:
     """Measure every probe; return the full record set.
 
@@ -507,35 +497,9 @@ def run_pilot_study(
     atomic ``study.json`` export. An exhausted probe budget raises
     :class:`~repro.store.StoreInterrupted`; mismatched inputs raise
     :class:`~repro.store.StoreMismatchError`.
-
-    The pre-``StudyConfig`` kwargs (``run_transparency``, ``workers``,
-    ``seed``) still work but emit ``DeprecationWarning``; they cannot be
-    combined with ``config``.
     """
     from repro.core.parallel import measure_fleet
 
-    legacy = {
-        name: value
-        for name, value in (
-            ("run_transparency", run_transparency),
-            ("workers", workers),
-            ("seed", seed),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        if config is not None:
-            raise TypeError(
-                f"run_pilot_study() got both config= and deprecated kwargs "
-                f"{sorted(legacy)}; pass everything via StudyConfig"
-            )
-        warnings.warn(
-            f"run_pilot_study({', '.join(sorted(legacy))}=...) kwargs are "
-            "deprecated; pass config=StudyConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        config = StudyConfig(**legacy)
     if config is None:
         config = StudyConfig()
 

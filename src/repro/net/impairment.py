@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from typing import Optional
 
 #: Supported jitter distributions. ``uniform`` draws in
 #: ``[0, jitter_ms]``; ``exponential`` draws with mean ``jitter_ms``,
@@ -119,15 +118,14 @@ class LinkProfile:
 class ImpairedLink:
     """Per-direction impairment state: the profile plus its RNG stream.
 
-    ``rng=None`` marks a link configured through the deprecated
-    loss-only shims (``connect(loss=...)`` / ``set_link_loss``): those
-    keep drawing from the network-wide ``loss_rng``, preserving the
-    pre-profile semantics (including tests that script that RNG).
+    ``rng`` is the direction's own stream (see :func:`link_stream`);
+    every impairment draw for packets crossing this direction comes
+    from it. Tests script a link's decisions by replacing it.
     """
 
     __slots__ = ("profile", "rng", "active")
 
-    def __init__(self, profile: LinkProfile, rng: Optional[random.Random]) -> None:
+    def __init__(self, profile: LinkProfile, rng: random.Random) -> None:
         self.profile = profile
         self.rng = rng
         #: Cached ``not profile.is_null`` — checked on every transmit, so

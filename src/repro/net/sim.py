@@ -17,7 +17,6 @@ import heapq
 import itertools
 import math
 import random
-import warnings
 from typing import Callable, Optional
 
 from .addr import IPAddress, parse_ip
@@ -185,10 +184,10 @@ class Network:
         self._run_scheduled = 0
         self.recorder = TraceRecorder(enabled=trace)
         self._address_index: dict[IPAddress, str] = {}
-        #: Deterministic randomness for link impairments: legacy
-        #: loss-shim links draw from it directly; profile-API links
-        #: derive their own per-direction streams from it at install
-        #: time (see :mod:`repro.net.impairment`).
+        #: Seed source for link impairments: each profile install draws
+        #: one token from it, and every link direction then draws from
+        #: its own stream derived from that token (see
+        #: :mod:`repro.net.impairment`). Nothing draws from it per packet.
         self.loss_rng = random.Random(loss_seed)
         if impairment is not None and not isinstance(impairment, LinkProfile):
             raise SimulationError(
@@ -254,7 +253,6 @@ class Network:
         a: str,
         b: str,
         latency_ms: float = DEFAULT_LATENCY_MS,
-        loss: "float | None" = None,
         profile: Optional[LinkProfile] = None,
     ) -> None:
         """Create a bidirectional link between nodes ``a`` and ``b``.
@@ -265,8 +263,6 @@ class Network:
         ``Network(impairment=...)`` applies. Each direction gets its own
         RNG stream derived from the network's seeded ``loss_rng`` so
         runs stay reproducible.
-
-        ``loss`` is deprecated: use ``profile=LinkProfile(loss=...)``.
         """
         for name in (a, b):
             if name not in self.nodes:
@@ -276,17 +272,6 @@ class Network:
         latency_us = round(latency_ms * 1000)
         self._latency_us[(a, b)] = latency_us
         self._latency_us[(b, a)] = latency_us
-        if loss is not None:
-            if profile is not None:
-                raise SimulationError("pass either loss= or profile=, not both")
-            warnings.warn(
-                "Network.connect(loss=...) is deprecated; use "
-                "connect(profile=LinkProfile(loss=...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self._install_legacy_loss(a, b, loss)
-            return
         effective = profile if profile is not None else self.default_impairment
         if effective is not None:
             self._install_profile(a, b, effective)
@@ -295,17 +280,15 @@ class Network:
         self, a: str, b: str, profile: Optional[LinkProfile]
     ) -> None:
         """Attach ``profile`` to an existing link (both directions), or
-        clear its impairments with ``None``. Fault injection after
-        topology build — the profile-API successor to ``set_link_loss``.
+        clear its impairments with ``None``: fault injection after
+        topology build. Either endpoint order names the same link.
         """
         if (a, b) not in self._links:
             raise SimulationError(f"no link {a} <-> {b}")
         if profile is None:
             self._impaired.pop((a, b), None)
             self._impaired.pop((b, a), None)
-            self._profile_installs = [
-                entry for entry in self._profile_installs if entry[:2] != (a, b)
-            ]
+            self._forget_installs(a, b)
             return
         if not isinstance(profile, LinkProfile):
             raise SimulationError(
@@ -318,42 +301,28 @@ class Network:
         state = self._impaired.get((a, b))
         return None if state is None else state.profile
 
-    def set_link_loss(self, a: str, b: str, loss: float) -> None:
-        """Deprecated: use :meth:`set_link_profile` with a loss-only
-        :class:`LinkProfile`. Kept as a shim for existing callers."""
-        warnings.warn(
-            "Network.set_link_loss is deprecated; use "
-            "set_link_profile(a, b, LinkProfile(loss=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if (a, b) not in self._links:
-            raise SimulationError(f"no link {a} <-> {b}")
-        self._install_legacy_loss(a, b, loss)
-
-    def _install_legacy_loss(self, a: str, b: str, loss: float) -> None:
-        """Loss-only shim semantics: validate like the old API and keep
-        drawing from the shared ``loss_rng`` at transmit time (tests
-        exist that reseed or replace that RNG after configuring loss)."""
-        if not 0.0 <= loss < 1.0:
-            raise SimulationError(f"loss must be in [0, 1): {loss}")
-        if not loss:
-            self._impaired.pop((a, b), None)
-            self._impaired.pop((b, a), None)
-            return
-        profile = LinkProfile(loss=loss)
-        self._impaired[(a, b)] = ImpairedLink(profile, None)
-        self._impaired[(b, a)] = ImpairedLink(profile, None)
-
     def _install_profile(self, a: str, b: str, profile: LinkProfile) -> None:
         """Install ``profile`` on both directions with dedicated RNG
         streams. The seed token is drawn from ``loss_rng`` once per
         install, so distinct links (and distinct ``loss_seed`` values)
         get independent, reproducible impairment schedules."""
-        self._profile_installs = [
-            entry for entry in self._profile_installs if entry[:2] != (a, b)
-        ]
+        self._forget_installs(a, b)
         self._profile_installs.append((a, b, profile))
+        self._derive_streams(a, b, profile)
+
+    def _forget_installs(self, a: str, b: str) -> None:
+        """Drop the recorded installs of link ``a <-> b``, whichever
+        endpoint order they were made in, so ``reset_events`` cannot
+        re-install a profile that was since replaced or cleared."""
+        self._profile_installs = [
+            entry
+            for entry in self._profile_installs
+            if entry[:2] != (a, b) and entry[:2] != (b, a)
+        ]
+
+    def _derive_streams(self, a: str, b: str, profile: LinkProfile) -> None:
+        """Give both directions of ``a <-> b`` their own stream, derived
+        from one fresh ``loss_rng`` token."""
         token = self.loss_rng.getrandbits(64)
         for sender, receiver in ((a, b), (b, a)):
             self._impaired[(sender, receiver)] = ImpairedLink(
@@ -434,7 +403,7 @@ class Network:
         contract in :mod:`repro.net.impairment`).
         """
         profile = state.profile
-        rng = state.rng if state.rng is not None else self.loss_rng
+        rng = state.rng
         observing = self.observing
         if profile.loss and rng.random() < profile.loss:
             if observing:
@@ -560,8 +529,4 @@ class Network:
         if self._profile_installs:
             self._impaired.clear()
             for a, b, profile in self._profile_installs:
-                token = self.loss_rng.getrandbits(64)
-                for sender, receiver in ((a, b), (b, a)):
-                    self._impaired[(sender, receiver)] = ImpairedLink(
-                        profile, link_stream(token, sender, receiver)
-                    )
+                self._derive_streams(a, b, profile)

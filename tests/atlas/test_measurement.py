@@ -3,7 +3,7 @@
 import pytest
 
 from repro.atlas.geo import organization_by_name
-from repro.atlas.measurement import MeasurementClient
+from repro.atlas.measurement import ExchangeStatus, MeasurementClient
 from repro.atlas.retry import FixedIntervalRetry
 from repro.atlas.transport import udp53_exchange
 from repro.atlas.scenario import ScenarioSpec, build_scenario
@@ -12,12 +12,9 @@ from repro.dnswire import QType, make_query
 from repro.dnswire.chaosnames import make_id_server_query
 from repro.interceptors.policy import InterceptMode, intercept_all
 from repro.net import make_udp
+from repro.net.impairment import LinkProfile
 
 from tests.conftest import make_spec
-
-# These tests intentionally exercise the legacy loss/trace spellings;
-# the shims themselves are covered in tests/test_deprecation_shims.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 @pytest.fixture
@@ -35,7 +32,7 @@ class TestValidation:
         result = udp53_exchange(
             clean.network, clean.host, "1.1.1.1", make_id_server_query(msg_id=1)
         )
-        assert not result.timed_out
+        assert result.status is not ExchangeStatus.TIMEOUT
         assert result.rtt_ms is not None and result.rtt_ms > 0
 
     def test_rejects_wrong_id(self, clean):
@@ -102,7 +99,7 @@ class TestValidation:
         )
         sc.network.inject("host", fake, delay_ms=10.0)
         result = udp53_exchange(sc.network, sc.host, "198.51.100.99", query)
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
         assert len(result.rejected) == 1
 
 
@@ -114,7 +111,7 @@ class TestTimeouts:
             "203.0.113.99",
             make_query("example.com.", QType.A, msg_id=1),
         )
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
         assert result.response is None
         assert result.rcode is None
 
@@ -154,14 +151,22 @@ class TestReplication:
 
 
 class ScriptedLossRng:
-    """Deterministic stand-in for ``Network.loss_rng``: scripted values
-    first (0.0 = drop when the link is lossy, 1.0 = pass), then pass."""
+    """Deterministic stand-in for one link direction's impairment stream
+    (``ImpairedLink.rng``): scripted values first (0.0 = drop when the
+    link is lossy, 1.0 = pass), then pass."""
 
     def __init__(self, values):
         self.values = list(values)
 
     def random(self):
         return self.values.pop(0) if self.values else 1.0
+
+
+def script_upstream_drop(network):
+    """Drop the first cpe -> access crossing and nothing else."""
+    network.set_link_profile("cpe", "access", LinkProfile(loss=0.5))
+    network._impaired[("cpe", "access")].rng = ScriptedLossRng([0.0])
+    network._impaired[("access", "cpe")].rng = ScriptedLossRng([])
 
 
 class TestRetries:
@@ -188,7 +193,7 @@ class TestRetries:
             timeout_ms=5000.0,
             retry=FixedIntervalRetry(retries=3, interval_ms=500.0),
         )
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
         assert len(result.rejected) == 1
         transmissions = [
             e
@@ -202,10 +207,10 @@ class TestRetries:
         """When the answer responds to a retransmission, RTT must be
         measured from that send — not inflated by the retry interval."""
         sc = build_scenario(make_spec(org, probe_id=902))
-        # Re-declare the upstream link as lossy and script the loss RNG
-        # so exactly the first crossing (the original query) is dropped.
-        sc.network.connect("cpe", "access", 4.0, loss=0.5)
-        sc.network.loss_rng = ScriptedLossRng([0.0])
+        # Make the upstream link lossy and script its per-direction
+        # streams so exactly the first upstream crossing (the original
+        # query) is dropped and every answer gets through.
+        script_upstream_drop(sc.network)
         result = udp53_exchange(
             sc.network,
             sc.host,
@@ -213,7 +218,8 @@ class TestRetries:
             make_id_server_query(msg_id=77),
             retry=FixedIntervalRetry(retries=2, interval_ms=500.0),
         )
-        assert not result.timed_out
+        assert result.status is not ExchangeStatus.TIMEOUT
+        assert result.attempts == 2  # the scripted drop cost one send
         assert result.response is not None
         # Path RTT is ~53ms; the buggy first-send arithmetic reported
         # ~553ms (one full retry interval too much).
@@ -224,8 +230,7 @@ class TestRetries:
         """Junk early + loss on the first send: the exchange must keep
         retrying past the junk and accept the genuine late answer."""
         sc = build_scenario(make_spec(org, probe_id=903))
-        sc.network.connect("cpe", "access", 4.0, loss=0.5)
-        sc.network.loss_rng = ScriptedLossRng([0.0])
+        script_upstream_drop(sc.network)
         query = make_id_server_query(msg_id=88)
         sock_port = sc.host._next_port
         junk = make_udp(
@@ -239,7 +244,8 @@ class TestRetries:
             query,
             retry=FixedIntervalRetry(retries=2, interval_ms=500.0),
         )
-        assert not result.timed_out
+        assert result.status is not ExchangeStatus.TIMEOUT
+        assert result.attempts == 2  # the scripted drop cost one send
         assert len(result.rejected) == 1
         assert len(result.accepted) == 1
         assert result.rtt_ms is not None and result.rtt_ms < 500.0
@@ -249,7 +255,7 @@ class TestRetries:
         result = udp53_exchange(
             clean.network, clean.host, "1.1.1.1", make_id_server_query(msg_id=99)
         )
-        assert not result.timed_out
+        assert result.status is not ExchangeStatus.TIMEOUT
         assert result.rtt_ms is not None and result.rtt_ms > 0
 
     def test_accepted_answer_stops_retrying(self, org):
@@ -262,7 +268,7 @@ class TestRetries:
             make_id_server_query(msg_id=101),
             retry=FixedIntervalRetry(retries=5, interval_ms=100.0),
         )
-        assert not result.timed_out
+        assert result.status is not ExchangeStatus.TIMEOUT
         transmissions = [
             e
             for e in sc.network.recorder.events
@@ -285,9 +291,30 @@ class TestClientWrapper:
         result = client.exchange(
             "203.0.113.99", make_query("example.com.", QType.A, msg_id=9)
         )
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
 
     def test_txt_answer_helper(self, clean):
         client = MeasurementClient(clean.network, clean.host)
         result = client.exchange("1.1.1.1", make_id_server_query(msg_id=5))
         assert result.txt_answer() is not None
+
+    @pytest.mark.parametrize(
+        "transport, options",
+        [
+            ("udp53", {}),
+            ("dot", {"expected_identity": "dns.google"}),
+            ("doh", {"expected_identity": "dns.google", "method": "GET"}),
+            ("doq", {"expected_identity": "dns.google"}),
+        ],
+    )
+    def test_resolve_answers_over_every_transport(self, clean, transport, options):
+        client = MeasurementClient(clean.network, clean.host)
+        result = client.resolve(
+            make_id_server_query(msg_id=3), "8.8.8.8", transport, **options
+        )
+        assert result.status is ExchangeStatus.ANSWERED
+
+    def test_resolve_rejects_unknown_transport(self, clean):
+        client = MeasurementClient(clean.network, clean.host)
+        with pytest.raises(ValueError, match="unknown transport"):
+            client.resolve(make_id_server_query(msg_id=4), "8.8.8.8", "gopher")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.atlas.geo import organization_by_name
+from repro.atlas.measurement import ExchangeStatus
 from repro.atlas.transport import udp53_exchange
 from repro.atlas.retry import (
     ExponentialBackoffRetry,
@@ -87,7 +88,7 @@ class TestDeadlineBoundaries:
         result = udp53_exchange(
             sc.network, sc.host, "198.51.100.99", query, timeout_ms=1000.0
         )
-        assert not result.timed_out
+        assert result.status is not ExchangeStatus.TIMEOUT
         assert result.rtt_ms == 1000.0
 
     def test_retransmission_never_scheduled_past_deadline(self, org):
@@ -104,7 +105,7 @@ class TestDeadlineBoundaries:
             timeout_ms=1000.0,
             retry=FixedIntervalRetry(retries=5, interval_ms=600.0),
         )
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
         assert result.attempts == 2
         transmissions = [
             e
@@ -116,7 +117,7 @@ class TestDeadlineBoundaries:
 
     def test_policy_plugs_into_exchange(self, org):
         """An ExponentialBackoffRetry drives the same retransmission
-        machinery as the legacy fixed-interval pair."""
+        machinery as FixedIntervalRetry."""
         sc = build_scenario(ScenarioSpec(probe=make_spec(org, probe_id=912), trace=True))
         policy = ExponentialBackoffRetry(
             retries=3, base_ms=200.0, factor=2.0, jitter=0.0
@@ -129,7 +130,7 @@ class TestDeadlineBoundaries:
             timeout_ms=5000.0,
             retry=policy,
         )
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
         assert result.attempts == 4  # original + all three backoff sends
 
 
@@ -149,7 +150,7 @@ class TestDuplicationAccounting:
         result = udp53_exchange(
             sc.network, sc.host, "1.1.1.1", make_id_server_query(msg_id=60)
         )
-        assert not result.timed_out
+        assert result.status is not ExchangeStatus.TIMEOUT
         assert result.attempts == 1  # no retransmission happened
         assert len(result.accepted) >= 2  # the duplicate did arrive
         assert not result.replicated  # ...but identical copies don't count

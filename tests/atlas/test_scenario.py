@@ -123,6 +123,26 @@ class TestTopology:
         assert sc.cpe.model == "custom"
 
 
+class TestScenarioSpecInput:
+    @pytest.mark.filterwarnings("error")
+    def test_bare_probe_spec_is_shorthand(self, org):
+        """A bare ProbeSpec builds exactly what ``ScenarioSpec(probe=...)``
+        builds, silently."""
+        spec = make_spec(org, probe_id=800)
+        bare = build_scenario(spec)
+        assert bare.scenario_spec == ScenarioSpec(probe=spec)
+        assert not bare.network.recorder.enabled
+        wrapped = build_scenario(ScenarioSpec(probe=spec))
+        assert bare.cpe_public_v4 == wrapped.cpe_public_v4
+        assert sorted(bare.network.nodes) == sorted(wrapped.network.nodes)
+
+    def test_scenario_spec_trace_enables_recorder(self, org):
+        scenario = build_scenario(
+            ScenarioSpec(probe=make_spec(org, probe_id=801), trace=True)
+        )
+        assert scenario.network.recorder.enabled
+
+
 class TestResolverSoftwareRegistry:
     def test_known_keys(self):
         for key in (

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 from repro.atlas.geo import organization_by_name
-from repro.atlas.measurement import MeasurementClient
+from repro.atlas.measurement import ExchangeStatus, MeasurementClient
 from repro.atlas.scenario import build_scenario
 from repro.core.encrypted_probe import (
     EncryptedProfile,
@@ -87,7 +87,7 @@ class TestDotCapableInterceptor:
             rng=random.Random(3),
         )
         assert verdict.status is EncryptedStatus.HIJACK_DEFEATED
-        assert verdict.exchange.identity_rejected
+        assert verdict.exchange.status is ExchangeStatus.IDENTITY_REJECTED
         assert verdict.exchange.response is None
 
     def test_observed_identity_is_not_target(self, org):
@@ -199,7 +199,7 @@ class TestCpeEncryptedPostures:
             rng=random.Random(12),
         )
         assert strict.status is EncryptedStatus.HIJACK_DEFEATED
-        assert strict.exchange.identity_rejected
+        assert strict.exchange.status is ExchangeStatus.IDENTITY_REJECTED
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_optin_xb6_cannot_touch_encrypted(self, org, transport):

@@ -267,7 +267,7 @@ class TestExchangeResultSurface:
             "8.8.8.8", make_query("o-o.myaddr.l.google.com.", QType.TXT, msg_id=7)
         )
         assert result.status is ExchangeStatus.ANSWERED
-        assert result.answered and not result.timed_out
+        assert result.answered and result.status is not ExchangeStatus.TIMEOUT
         assert result.transport == "udp"
         assert result.attempts >= 1
         assert result.rtt_ms is not None and result.rtt_ms > 0
@@ -279,7 +279,7 @@ class TestExchangeResultSurface:
             "198.51.100.77", make_query("example.com.", QType.A, msg_id=8)
         )
         assert result.status is ExchangeStatus.TIMEOUT
-        assert result.timed_out and not result.answered
+        assert result.status is ExchangeStatus.TIMEOUT and not result.answered
         assert result.rcode is None
 
     def test_dot_answered_shape(self, comcast):
@@ -295,7 +295,7 @@ class TestExchangeResultSurface:
         )
         assert result.transport == "dot"
         assert result.status is ExchangeStatus.ANSWERED
-        assert not result.identity_rejected
+        assert result.status is not ExchangeStatus.IDENTITY_REJECTED
         assert result.rtt_ms is not None and result.rtt_ms > 0
 
 

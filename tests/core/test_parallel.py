@@ -6,8 +6,8 @@ from repro.atlas.geo import organization_by_name
 from repro.atlas.population import generate_population
 from repro.core.parallel import (
     FleetShard,
+    measure_fleet,
     merge_shard_records,
-    run_fleet,
     shard_fleet,
 )
 from repro.core.study import StudyConfig, run_pilot_study
@@ -64,30 +64,34 @@ class TestMerge:
         assert [r.probe_id for r in records] == [s.probe_id for s in specs]
 
 
+def _records(specs, workers, **kwargs):
+    return measure_fleet(specs, StudyConfig(workers=workers), **kwargs).records
+
+
 class TestRunFleet:
     def test_parallel_matches_serial(self, fleet):
-        serial = run_fleet(fleet, workers=1)
-        parallel = run_fleet(fleet, workers=4)
+        serial = _records(fleet, 1)
+        parallel = _records(fleet, 4)
         assert parallel == serial
 
     def test_progress_aggregated_across_workers(self, fleet):
         calls = []
-        run_fleet(fleet, workers=3, progress=lambda d, t: calls.append((d, t)))
+        _records(fleet, 3, progress=lambda d, t: calls.append((d, t)))
         assert calls[-1] == (len(fleet), len(fleet))
         dones = [d for d, _t in calls]
         assert dones == sorted(dones)  # monotone non-decreasing
         assert all(t == len(fleet) for _d, t in calls)
 
     def test_empty_fleet(self):
-        assert run_fleet([], workers=4) == []
+        assert _records([], 4) == []
 
     def test_invalid_worker_count(self, fleet):
         with pytest.raises(ValueError):
-            run_fleet(fleet, workers=0)
+            _records(fleet, 0)
 
     def test_workers_capped_by_fleet_size(self, fleet):
         # More workers than probes must still work (and stay identical).
-        assert run_fleet(fleet[:2], workers=8) == run_fleet(fleet[:2], workers=1)
+        assert _records(fleet[:2], 8) == _records(fleet[:2], 1)
 
 
 class TestStudyDispatch:
@@ -114,16 +118,3 @@ class TestStudyDispatch:
 
         study = run_pilot_study(fleet[:2], StudyConfig(seed=456))
         assert json.loads(study_to_json(study))["seed"] == 456
-
-    def test_legacy_kwargs_shim(self, fleet):
-        """Pre-redesign keyword calls still work, but warn."""
-        with pytest.warns(DeprecationWarning, match="StudyConfig"):
-            study = run_pilot_study(fleet[:2], workers=1, seed=77)
-        assert study.seed == 77
-        assert study.records == run_pilot_study(
-            fleet[:2], StudyConfig(workers=1, seed=77)
-        ).records
-
-    def test_config_and_legacy_kwargs_conflict(self, fleet):
-        with pytest.raises(TypeError):
-            run_pilot_study(fleet[:2], StudyConfig(), seed=77)

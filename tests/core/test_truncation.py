@@ -63,7 +63,7 @@ class TestTransport:
         """A truncated answer is a definite reply from the right source;
         it must not be conflated with silence."""
         result = self.truncating_exchange(org, probe_id=941)
-        assert not result.timed_out
+        assert result.status is not ExchangeStatus.TIMEOUT
 
 
 class TestClassifier:

@@ -7,7 +7,7 @@ These tests exercise the exact distinctions the paper's Step 2 relies on
 import pytest
 
 from repro.atlas.geo import organization_by_name
-from repro.atlas.measurement import MeasurementClient
+from repro.atlas.measurement import ExchangeStatus, MeasurementClient
 from repro.atlas.scenario import build_scenario
 from repro.cpe.firmware import (
     dnat_interceptor,
@@ -47,12 +47,12 @@ class TestHonestRouter:
         result = client_of(sc).exchange(
             sc.cpe_public_v4, make_version_bind_query(msg_id=2)
         )
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
 
     def test_lan_gateway_port53_closed(self, org):
         sc = scenario_with(org, honest_router())
         result = client_of(sc).exchange("192.168.1.1", make_version_bind_query(msg_id=3))
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
 
     def test_snat_applied(self, org):
         sc = scenario_with(org, honest_router())
@@ -84,7 +84,7 @@ class TestHonestForwarderLanOnly:
         result = client_of(sc).exchange(
             sc.cpe_public_v4, make_version_bind_query(msg_id=3)
         )
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
 
     def test_external_queries_untouched(self, org):
         sc = scenario_with(org, honest_forwarder())
@@ -107,7 +107,7 @@ class TestOpenWanForwarder:
         result = client_of(sc).exchange(
             sc.cpe_public_v4, make_version_bind_query(msg_id=2)
         )
-        assert not result.timed_out  # src validation passed: src == WAN IP
+        assert result.status is not ExchangeStatus.TIMEOUT  # src validation passed: src == WAN IP
 
     def test_queries_to_resolvers_untouched(self, org):
         sc = scenario_with(org, open_wan_forwarder())
@@ -157,7 +157,7 @@ class TestDnatInterceptor:
         been forged to 9.9.9.9 (otherwise validation would reject it)."""
         sc = scenario_with(org, dnat_interceptor())
         result = client_of(sc).exchange("9.9.9.9", make_version_bind_query(msg_id=2))
-        assert not result.timed_out
+        assert result.status is not ExchangeStatus.TIMEOUT
 
     def test_wan_ip_answers_same_string(self, org):
         sc = scenario_with(org, dnat_interceptor(software=dnsmasq("2.85")))

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.atlas.geo import organization_by_name
-from repro.atlas.measurement import MeasurementClient
-from repro.atlas.scenario import build_scenario
+from repro.atlas.measurement import ExchangeStatus, MeasurementClient
+from repro.atlas.scenario import ScenarioSpec, build_scenario
 from repro.cpe.firmware import dnat_interceptor, honest_forwarder
 from repro.cpe.forwarder import ForwarderEngine, UPSTREAM_PORT
 from repro.dnswire import QType, RCode, make_query
@@ -12,10 +12,6 @@ from repro.dnswire.chaosnames import make_version_bind_query
 from repro.resolvers.software import dnsmasq, silent_forwarder
 
 from tests.conftest import make_spec
-
-# These tests intentionally exercise the legacy loss/trace spellings;
-# the shims themselves are covered in tests/test_deprecation_shims.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 @pytest.fixture
@@ -142,7 +138,10 @@ class TestRelayValidation:
         """Send a client query through the interceptor and stop the sim
         at the first instant the upstream relay is pending."""
         sc = build_scenario(
-            make_spec(org, probe_id=202, firmware=dnat_interceptor()), trace=trace
+            ScenarioSpec(
+                probe=make_spec(org, probe_id=202, firmware=dnat_interceptor()),
+                trace=trace,
+            )
         )
         sock = sc.host.open_socket()
         sock.sendto(
@@ -224,23 +223,26 @@ class TestRelayValidation:
 
 class TestSpoofing:
     def test_hijacked_reply_claims_original_destination(self, org):
-        """Validated by the stub accepting it: dns_exchange rejects any
-        response whose source differs from the queried address."""
+        """Validated by the stub accepting it: the UDP exchange rejects
+        any response whose source differs from the queried address."""
         sc, client = build(org, dnat_interceptor())
         for target in ("8.8.8.8", "1.1.1.1", "9.9.9.9", "208.67.222.222"):
             result = client.exchange(
                 target, make_query("example.com.", QType.A, msg_id=7)
             )
-            assert not result.timed_out, target
+            assert result.status is not ExchangeStatus.TIMEOUT, target
 
     def test_direct_query_not_spoofed(self, org):
         sc, client = build(org, dnat_interceptor())
         result = client.exchange(sc.cpe_public_v4, make_version_bind_query(msg_id=8))
-        assert not result.timed_out
+        assert result.status is not ExchangeStatus.TIMEOUT
 
     def test_trace_marks_spoofed_replies(self, org):
         sc = build_scenario(
-            make_spec(org, probe_id=201, firmware=dnat_interceptor()), trace=True
+            ScenarioSpec(
+                probe=make_spec(org, probe_id=201, firmware=dnat_interceptor()),
+                trace=True,
+            )
         )
         client = MeasurementClient(sc.network, sc.host)
         client.exchange("8.8.8.8", make_query("example.com.", QType.A, msg_id=9))

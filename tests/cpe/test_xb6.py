@@ -3,7 +3,7 @@
 import pytest
 
 from repro.atlas.geo import organization_by_name
-from repro.atlas.measurement import MeasurementClient
+from repro.atlas.measurement import ExchangeStatus, MeasurementClient
 from repro.net import Host, Network, Router
 from repro.cpe.xb6 import RDKB_FIREWALL_EXCERPT, build_xb6, describe_mechanism
 from repro.dnswire import QType, make_query
@@ -90,7 +90,7 @@ class TestHealthyXb6:
         result = client.exchange("9.9.9.9", make_version_bind_query(msg_id=4))
         # Nothing upstream serves 9.9.9.9 in this minimal slice: timeout,
         # exactly what a clean path to a missing node looks like.
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
 
     def test_replacing_cpe_stops_interception(self):
         """The paper's observation: swapping the CPE suffices."""
@@ -100,4 +100,4 @@ class TestHealthyXb6:
         hijacked = MeasurementClient(buggy_net, buggy_host).exchange("8.8.8.8", q)
         clean = MeasurementClient(clean_net, clean_host).exchange("8.8.8.8", q)
         assert hijacked.response is not None
-        assert clean.timed_out  # no Google node here: nothing spoofs it
+        assert clean.status is ExchangeStatus.TIMEOUT  # no Google node here: nothing spoofs it

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.atlas.geo import organization_by_name
-from repro.atlas.measurement import MeasurementClient
+from repro.atlas.measurement import ExchangeStatus, MeasurementClient
 from repro.atlas.scenario import build_scenario
 from repro.core.detector import InterceptionStatus, detect_all, detect_provider
 from repro.dnswire import DNS_PORT, QClass, QType, RCode, decode_or_none, txt_record
@@ -142,7 +142,7 @@ class TestGarbageInterceptor:
         result = udp53_exchange(
             sc.network, sc.host, "1.1.1.1", make_id_server_query(msg_id=3)
         )
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
         assert result.rejected  # the junk arrived and was discarded
 
 

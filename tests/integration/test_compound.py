@@ -19,14 +19,10 @@ from repro.core.encrypted_probe import (
 from repro.cpe.firmware import dnat_interceptor
 from repro.interceptors.encrypted import PASS_THROUGH
 from repro.interceptors.policy import allow_only, intercept_all
+from repro.net.impairment import LinkProfile
 from repro.resolvers.public import PROVIDER_SPECS, Provider
 
 from tests.conftest import make_spec
-
-# These tests intentionally exercise the legacy loss/trace spellings;
-# the shims themselves are covered in tests/test_deprecation_shims.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 @pytest.fixture
 def org():
@@ -89,7 +85,7 @@ class TestCampaignUnderConditions:
         spec = make_spec(org, probe_id=2402)
         sc = build_scenario(spec)
         sc.network.loss_rng.seed(5)
-        sc.network.set_link_loss("cpe", "access", 0.999)
+        sc.network.set_link_profile("cpe", "access", LinkProfile(loss=0.999))
         rows = Campaign(
             [MeasurementDefinition(msm_id=1, target="8.8.8.8", qname="x.example.")]
         ).run_on_scenario(sc)

@@ -2,31 +2,25 @@
 
 import random
 
-import pytest
-
 from repro.atlas.geo import organization_by_name
 from repro.atlas.measurement import MeasurementClient
+from repro.atlas.retry import FixedIntervalRetry
 from repro.atlas.scenario import build_scenario
 from repro.core.classifier import InterceptionLocator, LocatorVerdict
 from repro.cpe.firmware import xb6_profile
 from repro.interceptors.policy import intercept_all
+from repro.net.impairment import LinkProfile
 
 from tests.conftest import make_spec
-
-# These tests intentionally exercise the legacy loss/trace spellings;
-# the shims themselves are covered in tests/test_deprecation_shims.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 def classify_lossy(spec, loss, retries, loss_seed=1):
     scenario = build_scenario(spec)
     scenario.network.loss_rng.seed(loss_seed)
-    scenario.network.set_link_loss("cpe", "access", loss)
+    scenario.network.set_link_profile("cpe", "access", LinkProfile(loss=loss))
     client = MeasurementClient(
         scenario.network,
         scenario.host,
-        retries=retries,
-        retry_interval_ms=400.0,
+        retry_policy=FixedIntervalRetry(retries=retries, interval_ms=400.0),
     )
     locator = InterceptionLocator(
         client,

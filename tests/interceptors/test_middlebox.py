@@ -3,7 +3,7 @@
 import pytest
 
 from repro.atlas.geo import organization_by_name
-from repro.atlas.measurement import MeasurementClient
+from repro.atlas.measurement import ExchangeStatus, MeasurementClient
 from repro.atlas.scenario import build_scenario
 from repro.dnswire import QType, RCode, make_query
 from repro.dnswire.chaosnames import make_id_server_query, make_version_bind_query
@@ -60,7 +60,7 @@ class TestRedirect:
         result = client.exchange(
             "8.8.8.8", make_query("www.example.com.", QType.A, msg_id=2)
         )
-        assert not result.timed_out
+        assert result.status is not ExchangeStatus.TIMEOUT
         assert result.response.a_addresses() == ["93.184.216.34"]
 
     def test_traced_dnat_details(self, org):
@@ -106,7 +106,7 @@ class TestRedirect:
         result = client.exchange(
             "192.0.2.53", make_query("www.example.com.", QType.A, msg_id=6)
         )
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
 
 
 class TestBlock:
@@ -121,14 +121,14 @@ class TestBlock:
     def test_block_spoofs_source(self, org):
         sc, client = build(org, [intercept_all(mode=InterceptMode.BLOCK)])
         result = client.exchange("1.1.1.1", make_id_server_query(msg_id=2))
-        assert not result.timed_out  # stub validation passed
+        assert result.status is not ExchangeStatus.TIMEOUT  # stub validation passed
 
 
 class TestDrop:
     def test_timeout(self, org):
         sc, client = build(org, [intercept_all(mode=InterceptMode.DROP)])
         result = client.exchange("1.1.1.1", make_id_server_query(msg_id=1))
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
 
 
 class TestReplicate:

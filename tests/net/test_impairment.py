@@ -167,33 +167,31 @@ class TestDeterminism:
         with pytest.raises(SimulationError):
             net.set_link_profile("a", "ghost", LinkProfile(loss=0.1))
 
-    def test_connect_rejects_loss_and_profile_together(self):
-        net = Network()
-        net.add_node(Host("a", addresses=["10.0.0.1"]))
-        net.add_node(Host("b", addresses=["10.0.0.2"]))
-        with pytest.raises(SimulationError):
-            net.connect("a", "b", loss=0.1, profile=LinkProfile(loss=0.1))
+    def test_set_link_profile_clears_reversed_pair(self):
+        """Naming the link in the other endpoint order clears the same
+        link, and a probe reset must not bring the cleared profile back."""
+        net, a, b = pair(profile=LinkProfile(loss=0.99), seed=1)
+        net.set_link_profile("b", "a", None)
+        net.reset_events(1)
+        assert net.link_profile("a", "b") is None
+        assert net.link_profile("b", "a") is None
+        assert len(blast(net, a, b)) == 50
 
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestLegacyShimEquivalence:
-    def test_legacy_loss_matches_scripted_rng_semantics(self):
-        """``connect(loss=)`` keeps drawing from the shared
-        ``network.loss_rng`` so callers that re-seed or replace it after
-        connecting still steer the losses."""
-        net, a, b = pair(seed=5)
-        net.connect("a", "b", loss=0.5)
-        link = net._impaired[("a", "b")]
-        assert isinstance(link, ImpairedLink)
-        assert link.rng is None  # legacy mode: shared stream at transmit
-        net.loss_rng.seed(99)
-        first = len(blast(net, a, b))
-        net2, a2, b2 = pair(seed=5)
-        net2.connect("a", "b", loss=0.5)
-        net2.loss_rng.seed(99)
-        assert len(blast(net2, a2, b2)) == first
+    def test_set_link_profile_replaces_reversed_pair(self):
+        """A replacement installed under the reversed name survives a
+        reset as the only profile on the link."""
+        net, *_ = pair(profile=LinkProfile(loss=0.99), seed=1)
+        replacement = LinkProfile(loss=0.25)
+        net.set_link_profile("b", "a", replacement)
+        net.reset_events(1)
+        assert net.link_profile("a", "b") is replacement
+        assert net.link_profile("b", "a") is replacement
+        assert len(net._profile_installs) == 1
 
     def test_profile_mode_uses_dedicated_stream(self):
         net, a, b = pair(profile=LinkProfile(loss=0.5), seed=5)
-        link = net._impaired[("a", "b")]
-        assert link.rng is not None
+        forward = net._impaired[("a", "b")]
+        backward = net._impaired[("b", "a")]
+        assert isinstance(forward, ImpairedLink)
+        assert forward.rng is not backward.rng
+        assert net.loss_rng not in (forward.rng, backward.rng)

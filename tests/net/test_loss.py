@@ -3,17 +3,15 @@
 import pytest
 
 from repro.atlas.geo import organization_by_name
+from repro.atlas.measurement import ExchangeStatus
 from repro.atlas.retry import FixedIntervalRetry
 from repro.atlas.transport import udp53_exchange
 from repro.atlas.scenario import build_scenario
 from repro.dnswire.chaosnames import make_id_server_query
 from repro.net import Host, Network, SimulationError, make_udp
+from repro.net.impairment import LinkProfile
 
 from tests.conftest import make_spec
-
-# These tests intentionally exercise the legacy loss/trace spellings;
-# the shims themselves are covered in tests/test_deprecation_shims.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def lossy_pair(loss, seed=0):
@@ -22,7 +20,7 @@ def lossy_pair(loss, seed=0):
     b = Host("b", addresses=["10.0.0.2"], gateway="a")
     net.add_node(a)
     net.add_node(b)
-    net.connect("a", "b", loss=loss)
+    net.connect("a", "b", profile=LinkProfile(loss=loss))
     return net, a, b
 
 
@@ -58,18 +56,18 @@ class TestLinkLoss:
         net = Network()
         net.add_node(Host("a", addresses=["10.0.0.1"]))
         net.add_node(Host("b", addresses=["10.0.0.2"]))
-        with pytest.raises(SimulationError):
-            net.connect("a", "b", loss=1.5)
+        with pytest.raises(ValueError):
+            net.connect("a", "b", profile=LinkProfile(loss=1.5))
 
     def test_set_link_loss_after_creation(self):
         net, a, b = lossy_pair(0.0, seed=3)
-        net.set_link_loss("a", "b", 0.999)
+        net.set_link_profile("a", "b", LinkProfile(loss=0.999))
         sock = b.open_socket(6000)
         for port in range(40001, 40031):
             a.open_socket(port).sendto(b"x", "10.0.0.2", 6000)
         net.run()
         assert len(sock.inbox) < 5
-        net.set_link_loss("a", "b", 0.0)
+        net.set_link_profile("a", "b", None)
         a.open_socket(41000).sendto(b"y", "10.0.0.2", 6000)
         net.run()
         assert any(d.payload == b"y" for d in sock.inbox)
@@ -77,7 +75,7 @@ class TestLinkLoss:
     def test_set_loss_unknown_link_rejected(self):
         net, *_ = lossy_pair(0.0)
         with pytest.raises(SimulationError):
-            net.set_link_loss("a", "ghost", 0.5)
+            net.set_link_profile("a", "ghost", LinkProfile(loss=0.5))
 
     def test_losses_traced(self):
         net, a, b = lossy_pair(0.99, seed=2)
@@ -93,7 +91,7 @@ class TestRetransmission:
         org = organization_by_name("Comcast")
         sc = build_scenario(make_spec(org, probe_id=seed))
         sc.network.loss_rng.seed(seed)
-        sc.network.set_link_loss("cpe", "access", loss)
+        sc.network.set_link_profile("cpe", "access", LinkProfile(loss=loss))
         return sc
 
     def test_retries_recover_from_loss(self):
@@ -111,7 +109,7 @@ class TestRetransmission:
                 make_id_server_query(msg_id=seed),
                 retry=FixedIntervalRetry(retries=8, interval_ms=400.0),
             )
-            with_retries += 0 if result.timed_out else 1
+            with_retries += 0 if result.status is ExchangeStatus.TIMEOUT else 1
 
             sc2 = self.make_lossy_scenario(0.4, seed + 100)
             result2 = udp53_exchange(
@@ -121,7 +119,7 @@ class TestRetransmission:
                 make_id_server_query(msg_id=seed),
                 retry=None,
             )
-            without_retries += 0 if result2.timed_out else 1
+            without_retries += 0 if result2.status is ExchangeStatus.TIMEOUT else 1
         assert with_retries > without_retries
         assert with_retries >= 10
 
@@ -147,5 +145,5 @@ class TestRetransmission:
             make_id_server_query(msg_id=1),
             retry=FixedIntervalRetry(retries=3),
         )
-        assert not result.timed_out
+        assert result.status is not ExchangeStatus.TIMEOUT
         assert result.rtt_ms < 200.0  # answered on the first attempt

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.atlas.measurement import ExchangeStatus
 from repro.dnswire import (
     Message,
     QClass,
@@ -75,7 +76,7 @@ class TestServerNode:
         server = self.make_server()
         client = wire_up(server)
         result = client.exchange("198.51.100.53", make_version_bind_query(msg_id=9))
-        assert not result.timed_out
+        assert result.status is not ExchangeStatus.TIMEOUT
 
     def test_traced_response_details(self):
         server = DnsServerNode(
@@ -138,7 +139,7 @@ class TestServerNode:
         server = self.make_server(software=mute())
         client = wire_up(server)
         result = client.exchange("198.51.100.53", make_version_bind_query(msg_id=1))
-        assert result.timed_out
+        assert result.status is ExchangeStatus.TIMEOUT
 
     def test_plain_server_refuses_forward(self):
         """A non-forwarder with FORWARD behaviour refuses instead of

@@ -57,6 +57,7 @@ class TestPackageSurface:
             "repro.analysis",
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_all_exports_resolve(self, module_name):
         import importlib
 
