@@ -607,10 +607,10 @@ class ScenarioCache:
         self.misses = 0
         #: Probe-dedup memo used by :func:`repro.core.parallel.measure_shard`
         #: (fast engine, clean links, metrics off): records keyed by
-        #: ``(signature, responds_v4, responds_v6, online, run_transparency,
-    #: transport, evasion)``.
-        #: It lives here because its lifetime must match the cache's — one
-        #: per worker or per serial run, never shared across configs.
+        #: ``(signature, responds_v4, responds_v6, online)``. It lives here
+        #: because its lifetime must match the cache's — one per worker or
+        #: per serial run, never shared across configs — which is why the
+        #: key carries no config field.
         self.record_memo: dict = {}
 
     def get(self, sspec: ScenarioSpec, directory=None) -> Scenario:

@@ -261,39 +261,11 @@ def cmd_study(args: argparse.Namespace) -> int:
     if args.chaos_trials and not args.impair:
         print("--chaos-trials requires --impair", file=sys.stderr)
         return 2
-    if args.evasion and args.detector == "cert":
-        print(
-            "--evasion needs the heuristic locator in the loop; use "
-            "--detector heuristic or both",
-            file=sys.stderr,
-        )
-        return 2
     if args.agreement_json and args.detector != "both":
         print("--agreement-json requires --detector both", file=sys.stderr)
         return 2
-    if args.fingerprint and args.detector == "cert":
-        print(
-            "--fingerprint needs the heuristic locator in the loop; use "
-            "--detector heuristic or both",
-            file=sys.stderr,
-        )
-        return 2
     if args.fingerprint_json and not (args.fingerprint or args.load):
         print("--fingerprint-json requires --fingerprint", file=sys.stderr)
-        return 2
-    if args.evasion and args.transport == "udp53":
-        print(
-            "--evasion needs an encrypted transport: add --transport "
-            "dot/doh/doq",
-            file=sys.stderr,
-        )
-        return 2
-    if args.transport != "udp53" and not args.evasion and not args.load:
-        print(
-            f"--transport {args.transport} without --evasion would measure "
-            "nothing; add --evasion",
-            file=sys.stderr,
-        )
         return 2
     for flag, name in ((args.resume, "--resume"), (args.probe_budget, "--probe-budget")):
         if flag and not args.store:
@@ -309,6 +281,22 @@ def cmd_study(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    workers = args.workers if args.workers != 0 else None
+    try:
+        config = StudyConfig(
+            workers=workers,
+            seed=args.seed,
+            metrics=bool(args.metrics),
+            trace=args.trace,
+            # --load ignores --transport; with --evasion the pair is checked.
+            transport=args.transport if args.evasion or not args.load else "udp53",
+            evasion=args.evasion,
+            detector=args.detector,
+            fingerprint=args.fingerprint,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.load:
         if args.impair:
             print("--impair cannot be combined with --load", file=sys.stderr)
@@ -319,18 +307,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         print(f"loaded {len(study.records)} records from {args.load}", file=sys.stderr)
     else:
         specs = generate_population(size=args.size, seed=args.seed)
-        workers = args.workers if args.workers != 0 else None
         suffix = "" if workers == 1 else f" across {workers or 'auto'} workers"
-        config = StudyConfig(
-            workers=workers,
-            seed=args.seed,
-            metrics=bool(args.metrics),
-            trace=args.trace,
-            transport=args.transport,
-            evasion=args.evasion,
-            detector=args.detector,
-            fingerprint=args.fingerprint,
-        )
         if args.chaos_trials:
             return _run_chaos_study(args, specs, config)
         print(

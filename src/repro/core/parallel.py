@@ -5,10 +5,10 @@ its own clock, its own per-probe RNG seeded from ``probe_id`` — which is
 exactly the per-vantage-point parallelism real measurement platforms
 exploit (the paper's RIPE Atlas pilot ran ~10k probes concurrently).
 This module chunks a fleet of :class:`~repro.atlas.probe.ProbeSpec`\\ s
-into :class:`FleetShard`\\ s, measures each shard in a pool of worker
-processes, and merges the resulting
-:class:`~repro.core.study.ProbeRecord`\\ s back in the original fleet
-order.
+into :class:`FleetShard`\\ s, measures each shard in-process or in a
+pool of worker processes, and hands every finished shard to one sink:
+memory (records merged back in fleet order) or a
+:class:`~repro.store.ResultStore` journal.
 
 Determinism guarantee: because each worker builds the same read-only
 :class:`~repro.resolvers.directory.NameDirectory`, and every probe is
@@ -28,7 +28,7 @@ import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from repro.atlas.probe import ProbeSpec
 
@@ -41,19 +41,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study imports us)
 #: Shards handed out per worker; >1 smooths load imbalance (an offline
 #: probe is ~free, an intercepted dual-stack probe is ~20 exchanges) and
 #: gives the progress callback finer granularity.
-DEFAULT_SHARDS_PER_WORKER = 4
+SHARDS_PER_WORKER = 4
 
-#: Segment size for the in-process (``workers=1``) path when a result
-#: store journals the run: small enough that an interruption loses
-#: little work, large enough that fsync batching stays off the hot path.
+#: Segment size for the in-process (``workers=1``) path: small enough
+#: that an interruption of a journaled run loses little work, large
+#: enough that fsync batching stays off the hot path.
 SERIAL_SEGMENT_PROBES = 32
 
 
 @dataclass(frozen=True)
 class FleetShard:
-    """A contiguous slice of the fleet plus its original positions."""
+    """A slice of the fleet plus its original positions."""
 
-    shard_id: int
     indices: tuple[int, ...]
     specs: tuple[ProbeSpec, ...]
 
@@ -78,27 +77,33 @@ def default_worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def shard_fleet(specs: Sequence[ProbeSpec], shards: int) -> list[FleetShard]:
+def shard_fleet(
+    specs: Sequence[ProbeSpec],
+    shards: int,
+    indices: Optional[Sequence[int]] = None,
+) -> list[FleetShard]:
     """Split ``specs`` into at most ``shards`` contiguous, near-equal slices.
 
-    Order is preserved: concatenating the shards' specs reproduces the
-    input, and each shard remembers the original index of every spec so
-    :func:`merge_shard_records` can restore fleet order exactly.
+    ``indices`` gives each spec's fleet position (default: its position
+    in ``specs``); a resumed study's remaining work need not be
+    contiguous. Order is preserved: concatenating the shards' specs
+    reproduces the input, and each shard remembers the fleet index of
+    every spec so :func:`merge_shard_records` can restore fleet order
+    exactly.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
+    if indices is None:
+        indices = range(len(specs))
     count = min(shards, len(specs))
     out: list[FleetShard] = []
     base, extra = divmod(len(specs), count) if count else (0, 0)
     start = 0
-    for shard_id in range(count):
-        size = base + (1 if shard_id < extra else 0)
-        stop = start + size
+    for position in range(count):
+        stop = start + base + (1 if position < extra else 0)
         out.append(
             FleetShard(
-                shard_id=shard_id,
-                indices=tuple(range(start, stop)),
-                specs=tuple(specs[start:stop]),
+                indices=tuple(indices[start:stop]), specs=tuple(specs[start:stop])
             )
         )
         start = stop
@@ -110,6 +115,7 @@ def shard_fleet(specs: Sequence[ProbeSpec], shards: int) -> list[FleetShard]:
 #: Per-process state: the shared read-only NameDirectory is built once
 #: per worker (not once per probe — zone construction dominates small
 #: probes) and the whole StudyConfig rides along from the initializer.
+#: The keys are :func:`measure_shard`'s keyword arguments.
 _worker_state: dict = {}
 
 
@@ -128,98 +134,78 @@ def _init_worker(config: "StudyConfig") -> None:
 
 def measure_shard(
     shard: FleetShard,
-    run_transparency: Optional[bool] = None,
     directory=None,
     config: Optional["StudyConfig"] = None,
     scenario_cache=None,
 ) -> list[tuple[int, "ProbeRecord"]]:
-    """Measure one shard; returns ``(original_index, record)`` pairs.
+    """Measure one shard as ``config`` says (default
+    :class:`~repro.core.study.StudyConfig`); returns
+    ``(original_index, record)`` pairs. Study-level metrics report into
+    the ambient registry (see :func:`repro.core.metrics.use_registry`).
 
-    Runs in a worker process (reading state planted by ``_init_worker``)
-    but is also callable in-process — tests and the ``workers=1`` path
-    use it directly by passing ``config``/``directory``. A bare
-    ``run_transparency`` is still honoured for older callers and
-    overrides the config's value. Study-level metrics report into the
-    ambient registry (see :func:`repro.core.metrics.use_registry`).
-
-    ``scenario_cache`` amortises topology construction across the
-    shard's probes; ``None`` falls back to the worker-process cache or,
-    in-process, a cache local to this call. Records are byte-identical
-    either way.
+    ``directory`` and ``scenario_cache`` default to a fresh directory
+    and a cache local to this call; fleet runs pass one of each for the
+    whole run (a worker process's come from its initializer). The cache
+    amortises topology construction across probes; records are
+    byte-identical either way.
 
     Probe dedup: two online probes with the same scenario signature and
     the same ``responds_v4``/``responds_v6`` masks are *the same
     measurement* — every answer template the pipeline compares is a
-    pure function of those inputs, and the per-probe values the record
-    does carry (``probe_id``, organization facts, ``true_location``)
-    come straight from the spec. Under the fast engine, with clean
-    links, no retry policy and metrics off, the shard therefore
-    measures each distinct key once and substitutes the identity fields
-    for its siblings. The reference engine never dedups, which is what
-    lets the equivalence tests certify the shortcut.
+    pure function of those inputs and the config, and the per-probe
+    values the record does carry (``probe_id``, organization facts,
+    ``true_location``) come straight from the spec. Under the fast
+    engine, with clean links, no retry policy and metrics off, the
+    shard therefore measures each distinct key once and substitutes the
+    identity fields for its siblings. The reference engine never
+    dedups, which is what lets the equivalence tests certify the
+    shortcut.
     """
-    from dataclasses import replace
+    if config is None:
+        from repro.core.study import StudyConfig
 
-    from repro.core.study import classification_to_record, measure_probe
-
+        config = StudyConfig()
     if directory is None:
-        directory = _worker_state.get("directory")
-    if directory is None:  # in-process call without explicit directory
         from repro.resolvers.directory import build_default_directory
 
         directory = build_default_directory()
-    if config is None:
-        config = _worker_state.get("config")
-    if scenario_cache is None:
-        scenario_cache = _worker_state.get("scenario_cache")
     if scenario_cache is None:
         from repro.atlas.scenario import ScenarioCache
 
         scenario_cache = ScenarioCache(directory=directory)
-    if run_transparency is None:
-        run_transparency = config.run_transparency if config is not None else True
-    impairment = config.impairment if config is not None else None
-    impairment_seed = config.impairment_seed if config is not None else 0
-    retry = config.retry if config is not None else None
-    engine = config.engine if config is not None else "fast"
-    transport = config.transport if config is not None else "udp53"
-    evasion = config.evasion if config is not None else False
-    detector = config.detector if config is not None else "heuristic"
-    fingerprint = config.fingerprint if config is not None else False
+    return list(_measure_pairs(shard, directory, config, scenario_cache))
+
+
+def _measure_pairs(
+    shard: FleetShard, directory, config: "StudyConfig", scenario_cache
+) -> Iterator[tuple[int, "ProbeRecord"]]:
+    """:func:`measure_shard`'s loop, one ``(index, record)`` at a time."""
+    from dataclasses import replace
+
+    from repro.atlas.scenario import ScenarioSpec, scenario_signature
+    from repro.core.study import classification_to_record, measure_probe
+
     registry = active_registry()
     # Dedup is only sound when nothing per-probe beyond the memo key can
     # influence the record: impairment streams and retry jitter are
     # probe_id-seeded, and metrics runs must emit every probe's pipeline
-    # events for snapshot determinism.
+    # events for snapshot determinism. The memo lives as long as the
+    # cache, i.e. one config, so the key needs no config fields.
     memo = None
     if (
-        engine == "fast"
-        and impairment is None
-        and retry is None
-        and (config is None or not config.metrics)
-        and scenario_cache is not None
+        config.engine == "fast"
+        and config.impairment is None
+        and config.retry is None
+        and not config.metrics
         and directory is scenario_cache.directory
     ):
-        from repro.atlas.scenario import ScenarioSpec, scenario_signature
-
         memo = scenario_cache.record_memo
-    pairs = []
     for index, spec in zip(shard.indices, shard.specs):
-        key = None
+        key = record = None
         if memo is not None:
-            signature = scenario_signature(ScenarioSpec(probe=spec, engine=engine))
+            signature = scenario_signature(ScenarioSpec(probe=spec))
             if signature is not None:
-                key = (
-                    signature,
-                    spec.responds_v4,
-                    spec.responds_v6,
-                    spec.online,
-                    run_transparency,
-                    transport,
-                    evasion,
-                    detector,
-                    fingerprint,
-                )
+                key = (signature, spec.responds_v4, spec.responds_v6, spec.online)
                 cached = memo.get(key)
                 if cached is not None:
                     record = replace(
@@ -230,38 +216,15 @@ def measure_shard(
                         country=spec.country,
                         true_location=spec.true_location().value,
                     )
-                    pairs.append((index, record))
-                    registry.inc("study.probes.measured")
-                    if not record.online:
-                        registry.inc("study.probes.offline")
-                    if registry.probe_events:
-                        registry.event(
-                            "probe",
-                            probe_id=record.probe_id,
-                            online=record.online,
-                            verdict=record.verdict,
-                            transparency=record.transparency,
-                            replication_seen=record.replication_seen,
-                        )
-                    continue
-        classification = measure_probe(
-            spec,
-            run_transparency=run_transparency,
-            directory=directory,
-            impairment=impairment,
-            impairment_seed=impairment_seed,
-            retry=retry,
-            engine=engine,
-            scenario_cache=scenario_cache,
-            transport=transport,
-            evasion=evasion,
-            detector=detector,
-            fingerprint=fingerprint,
-        )
-        record = classification_to_record(spec, classification, detector=detector)
-        if key is not None:
-            memo[key] = record
-        pairs.append((index, record))
+        if record is None:
+            classification = measure_probe(
+                spec, config, directory=directory, scenario_cache=scenario_cache
+            )
+            record = classification_to_record(
+                spec, classification, detector=config.detector
+            )
+            if key is not None:
+                memo[key] = record
         registry.inc("study.probes.measured")
         if not record.online:
             registry.inc("study.probes.offline")
@@ -274,21 +237,21 @@ def measure_shard(
                 transparency=record.transparency,
                 replication_seen=record.replication_seen,
             )
-    return pairs
+        yield index, record
 
 
 def _measure_shard_job(
     shard: FleetShard,
-) -> tuple[int, list[tuple[int, "ProbeRecord"]], Optional[MetricsSnapshot]]:
+) -> tuple[list[tuple[int, "ProbeRecord"]], Optional[MetricsSnapshot]]:
     """Pool entry point: measure a shard, optionally under a fresh
     per-shard registry, and ship the snapshot home with the records."""
-    config = _worker_state.get("config")
-    if config is None or not config.metrics:
-        return shard.shard_id, measure_shard(shard), None
+    config = _worker_state["config"]
+    if not config.metrics:
+        return measure_shard(shard, **_worker_state), None
     registry = MetricsRegistry(trace=config.trace)
     with use_registry(registry):
-        pairs = measure_shard(shard)
-    return shard.shard_id, pairs, registry.snapshot()
+        pairs = measure_shard(shard, **_worker_state)
+    return pairs, registry.snapshot()
 
 
 # -- driver side ------------------------------------------------------------
@@ -308,219 +271,137 @@ def merge_shard_records(
     return [record for _index, record in flat]
 
 
-def _resolve_workers(config: "StudyConfig", total: int) -> int:
-    workers = config.workers
-    if workers is None:
-        workers = default_worker_count()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return min(workers, max(1, total))
+def _measure_serial(
+    shards: Sequence[FleetShard],
+    config: "StudyConfig",
+    sink: Callable,
+    advance: Callable[[int], None],
+) -> None:
+    """Measure in-process, one segment (and metrics registry) per shard,
+    advancing progress after every probe."""
+    if not shards:
+        return
+    from repro.atlas.scenario import ScenarioCache
+    from repro.resolvers.directory import build_default_directory
+
+    directory = build_default_directory()
+    # One cache across all segments: reused scenarios re-capture the
+    # ambient registry per probe, so each segment's metrics still land
+    # in that segment's own snapshot.
+    scenario_cache = ScenarioCache(directory=directory)
+    for shard in shards:
+        registry = MetricsRegistry(trace=config.trace) if config.metrics else None
+        pairs = []
+        with use_registry(registry) if registry is not None else nullcontext():
+            for pair in _measure_pairs(shard, directory, config, scenario_cache):
+                pairs.append(pair)
+                advance(1)
+        sink(pairs, registry.snapshot() if registry is not None else None)
+
+
+def _measure_pool(
+    shards: Sequence[FleetShard],
+    config: "StudyConfig",
+    workers: int,
+    sink: Callable,
+    advance: Callable[[int], None],
+) -> None:
+    """Measure in a process pool, sinking shards as they complete."""
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(config,)
+    ) as pool:
+        pending = {pool.submit(_measure_shard_job, shard) for shard in shards}
+        while pending:
+            completed, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in completed:
+                pairs, snapshot = future.result()
+                sink(pairs, snapshot)
+                advance(len(pairs))
 
 
 def measure_fleet(
     specs: Sequence[ProbeSpec],
     config: "StudyConfig",
     progress: Optional[Callable[[int, int], None]] = None,
-    shards_per_worker: int = DEFAULT_SHARDS_PER_WORKER,
-    mp_context=None,
     store: Optional["ResultStore"] = None,
 ) -> FleetResult:
     """Measure the whole fleet as :class:`~repro.core.study.StudyConfig`
     says; return records in fleet order plus the merged metrics.
 
     ``config.workers=None`` uses one worker per available core;
-    ``workers=1`` measures in-process (no pool, no pickling). Progress
-    callbacks are aggregated across workers: ``progress(done, total)``
-    fires in the driver process each time a shard completes, with
-    ``done`` counting probes (not shards) measured so far.
+    ``workers=1`` measures in-process (no pool, no pickling) and calls
+    ``progress(done, total)`` after every probe; a pool calls it in the
+    parent process each time a shard completes, with ``done`` counting
+    probes (not shards) measured so far.
 
     With a :class:`~repro.store.ResultStore`, completed segments stream
     into its journal as they finish, already-journaled probes are
     skipped, and the returned result is reconstructed *from the
     journal* — byte-identical to a store-less run for any worker count
-    and any interruption point (see :mod:`repro.store`).
+    and any interruption point (see :mod:`repro.store`). Raises
+    :class:`~repro.store.StoreInterrupted` when the store's probe budget
+    runs out before the fleet is covered; the journal then holds
+    everything measured so far, ready for a resumed run.
     """
-    if store is not None:
-        return _measure_fleet_stored(
-            specs, config, store,
-            progress=progress,
-            shards_per_worker=shards_per_worker,
-            mp_context=mp_context,
-        )
     specs = list(specs)
     total = len(specs)
-    workers = _resolve_workers(config, total)
-
-    if workers == 1 or total == 0:
-        from repro.atlas.scenario import ScenarioCache
-        from repro.resolvers.directory import build_default_directory
-
-        registry = MetricsRegistry(trace=config.trace) if config.metrics else None
-        with use_registry(registry) if registry is not None else nullcontext():
-            directory = build_default_directory()
-            scenario_cache = ScenarioCache(directory=directory)
-            records: list["ProbeRecord"] = []
-            for index, spec in enumerate(specs):
-                shard = FleetShard(0, (index,), (spec,))
-                records.extend(
-                    record
-                    for _i, record in measure_shard(
-                        shard,
-                        directory=directory,
-                        config=config,
-                        scenario_cache=scenario_cache,
-                    )
-                )
-                if progress is not None:
-                    progress(index + 1, total)
-        return FleetResult(
-            records=records,
-            metrics=registry.snapshot() if registry is not None else None,
-        )
-
-    shards = shard_fleet(specs, workers * max(1, shards_per_worker))
-    shard_records: list[Sequence[tuple[int, "ProbeRecord"]]] = []
-    #: shard_id -> snapshot, merged in shard (= fleet) order at the end.
-    shard_snapshots: dict[int, MetricsSnapshot] = {}
+    indices = list(range(total))
     done = 0
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=mp_context,
-        initializer=_init_worker,
-        initargs=(config,),
-    ) as pool:
-        pending = {pool.submit(_measure_shard_job, shard): shard for shard in shards}
-        while pending:
-            completed, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in completed:
-                shard = pending.pop(future)
-                shard_id, pairs, snapshot = future.result()
-                shard_records.append(pairs)
-                if snapshot is not None:
-                    shard_snapshots[shard_id] = snapshot
-                done += len(shard)
-                if progress is not None:
-                    progress(done, total)
-    metrics = None
-    if config.metrics:
-        metrics = MetricsSnapshot.merge_all(
-            shard_snapshots[shard_id] for shard_id in sorted(shard_snapshots)
-        )
-    return FleetResult(records=merge_shard_records(shard_records), metrics=metrics)
+    truncated = False
+    if store is not None:
+        journaled = store.begin_study(config, specs)
+        indices = [index for index in indices if index not in journaled]
+        done = len(journaled)
+        if store.probe_budget is not None and len(indices) > store.probe_budget:
+            indices = indices[: store.probe_budget]
+            truncated = True
+        if progress is not None and indices:
+            progress(done, total)
 
+    def advance(count: int) -> None:
+        nonlocal done
+        done += count
+        if progress is not None:
+            progress(done, total)
 
-def _shard_pairs(
-    pairs: Sequence[tuple[int, ProbeSpec]], shards: int
-) -> list[FleetShard]:
-    """Like :func:`shard_fleet`, but over ``(fleet_index, spec)`` pairs —
-    the remaining work of a resumed study, whose indices need not be
-    contiguous."""
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    count = min(shards, len(pairs))
-    out: list[FleetShard] = []
-    base, extra = divmod(len(pairs), count) if count else (0, 0)
-    start = 0
-    for shard_id in range(count):
-        stop = start + base + (1 if shard_id < extra else 0)
-        chunk = pairs[start:stop]
-        out.append(
-            FleetShard(
-                shard_id=shard_id,
-                indices=tuple(index for index, _spec in chunk),
-                specs=tuple(spec for _index, spec in chunk),
+    workers = min(config.workers or default_worker_count(), max(1, len(indices)))
+    pending = [specs[index] for index in indices]
+
+    def measure(sink: Callable) -> None:
+        if workers == 1:
+            shards = shard_fleet(
+                pending, max(1, len(pending) // SERIAL_SEGMENT_PROBES), indices
             )
-        )
-        start = stop
-    return out
+            _measure_serial(shards, config, sink, advance)
+        else:
+            shards = shard_fleet(pending, workers * SHARDS_PER_WORKER, indices)
+            _measure_pool(shards, config, workers, sink, advance)
 
+    if store is None:
+        shard_records: list[list[tuple[int, "ProbeRecord"]]] = []
+        #: first fleet index -> snapshot, merged in fleet order at the end.
+        snapshots: dict[int, MetricsSnapshot] = {}
 
-def _measure_fleet_stored(
-    specs: Sequence[ProbeSpec],
-    config: "StudyConfig",
-    store: "ResultStore",
-    progress: Optional[Callable[[int, int], None]] = None,
-    shards_per_worker: int = DEFAULT_SHARDS_PER_WORKER,
-    mp_context=None,
-) -> FleetResult:
-    """The journaled fleet path: skip done probes, stream segments into
-    the store, rebuild the result from the journal.
+        def collect(pairs, snapshot) -> None:
+            shard_records.append(pairs)
+            if snapshot is not None:
+                snapshots[pairs[0][0]] = snapshot
 
-    Raises :class:`~repro.store.StoreInterrupted` when the store's
-    probe budget runs out before the fleet is covered — the journal
-    then holds everything measured so far, ready for a resumed run.
-    """
+        measure(collect)
+        metrics = None
+        if config.metrics:
+            metrics = MetricsSnapshot.merge_all(
+                snapshots[first] for first in sorted(snapshots)
+            )
+        return FleetResult(records=merge_shard_records(shard_records), metrics=metrics)
+
     from repro.store import StoreInterrupted
 
-    specs = list(specs)
-    total = len(specs)
-    done = store.begin_study(config, specs)
-    remaining = [(i, specs[i]) for i in range(total) if i not in done]
-    truncated = False
-    if store.probe_budget is not None and len(remaining) > store.probe_budget:
-        remaining = remaining[: store.probe_budget]
-        truncated = True
-    workers = _resolve_workers(config, len(remaining))
-    completed = len(done)
-    if progress is not None and remaining:
-        progress(completed, total)
-
     try:
-        if remaining and workers == 1:
-            from repro.atlas.scenario import ScenarioCache
-            from repro.resolvers.directory import build_default_directory
-
-            directory = build_default_directory()
-            # One cache across all segments: reused scenarios re-capture
-            # the ambient registry per probe, so each segment's metrics
-            # still land in that segment's own snapshot.
-            scenario_cache = ScenarioCache(directory=directory)
-            for shard in _shard_pairs(
-                remaining, max(1, len(remaining) // SERIAL_SEGMENT_PROBES)
-            ):
-                registry = (
-                    MetricsRegistry(trace=config.trace) if config.metrics else None
-                )
-                context = (
-                    use_registry(registry) if registry is not None else nullcontext()
-                )
-                with context:
-                    pairs = measure_shard(
-                        shard,
-                        directory=directory,
-                        config=config,
-                        scenario_cache=scenario_cache,
-                    )
-                store.append_segment(
-                    pairs, registry.snapshot() if registry is not None else None
-                )
-                completed += len(pairs)
-                if progress is not None:
-                    progress(completed, total)
-        elif remaining:
-            shards = _shard_pairs(remaining, workers * max(1, shards_per_worker))
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=mp_context,
-                initializer=_init_worker,
-                initargs=(config,),
-            ) as pool:
-                pending = {
-                    pool.submit(_measure_shard_job, shard): shard for shard in shards
-                }
-                while pending:
-                    ready, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in ready:
-                        shard = pending.pop(future)
-                        _shard_id, pairs, snapshot = future.result()
-                        store.append_segment(pairs, snapshot)
-                        completed += len(shard)
-                        if progress is not None:
-                            progress(completed, total)
+        measure(store.append_segment)
     finally:
         store.sync()
     if truncated:
-        raise StoreInterrupted(completed, total)
+        raise StoreInterrupted(done, total)
     records, metrics = store.collect_study()
     return FleetResult(records=records, metrics=metrics)
-

@@ -21,7 +21,7 @@ from repro.atlas.measurement import MeasurementClient
 from repro.atlas.population import PROVIDERS
 from repro.atlas.probe import InterceptorLocation, ProbeSpec
 from repro.atlas.retry import RetryPolicy
-from repro.atlas.scenario import Scenario, ScenarioSpec, build_scenario
+from repro.atlas.scenario import ScenarioSpec, build_scenario
 from repro.net.impairment import LinkProfile
 from repro.resolvers.public import Provider
 
@@ -41,7 +41,8 @@ STUDY_TRANSPORTS: tuple[str, ...] = ("udp53", "dot", "doh", "doq")
 class StudyConfig:
     """Everything a pilot-study run needs to know.
 
-    Replaces the ever-growing ``run_pilot_study`` kwargs list.
+    One value travels whole from :func:`run_pilot_study` through the
+    fleet executor and its workers down to :func:`measure_probe`.
 
     ``workers``
         Worker processes for the fleet (``None`` = one per core,
@@ -368,60 +369,44 @@ def classification_to_record(
 
 def measure_probe(
     spec: ProbeSpec,
-    scenario: Optional[Scenario] = None,
-    run_transparency: bool = True,
+    config: Optional[StudyConfig] = None,
+    *,
     directory=None,
-    impairment: Optional[LinkProfile] = None,
-    impairment_seed: int = 0,
-    retry: Optional[RetryPolicy] = None,
-    engine: str = "fast",
     scenario_cache=None,
-    transport: str = "udp53",
-    evasion: bool = False,
-    detector: str = "heuristic",
-    fingerprint: bool = False,
 ) -> Optional[ProbeClassification]:
-    """Run the full pipeline for one probe; None when the probe is offline.
+    """Run the full pipeline for one probe as ``config`` says (default
+    :class:`StudyConfig`); None when the probe is offline.
 
     ``directory`` lets callers share one authoritative
     :class:`~repro.resolvers.directory.NameDirectory` across probes —
     safe because the pipeline only reads it, and it saves rebuilding the
-    zones ten thousand times in a fleet study.
+    zones ten thousand times in a fleet study. ``scenario_cache`` (a
+    :class:`~repro.atlas.scenario.ScenarioCache`) lets fleet executors
+    reuse one topology across a shard; results are byte-identical with
+    or without it.
 
-    ``impairment``/``impairment_seed``/``retry``/``engine`` mirror the
-    :class:`StudyConfig` knobs; they are ignored when an explicit
-    ``scenario`` is passed (the scenario's own spec already decided).
-    ``scenario_cache`` (a :class:`~repro.atlas.scenario.ScenarioCache`)
-    lets fleet executors reuse one topology across a shard; results are
-    byte-identical with or without it.
-
-    ``transport``/``evasion`` mirror the :class:`StudyConfig` pair: with
-    ``evasion=True`` the locator retries every intercepted provider over
-    ``transport`` in the opportunistic profile after the plaintext
-    pipeline finishes.
-
-    ``detector`` picks the registry detector(s): ``"heuristic"``,
-    ``"cert"``, or ``"both"`` (heuristic first, then certificate
-    cross-validation over the same scenario and RNG stream).
-
-    ``fingerprint`` runs the ambiguity-probe software fingerprint after
-    the detectors, when the locator found an interception to aim at.
+    ``config.detector`` picks the registry detector(s); with ``"both"``
+    the heuristic locator runs first, then certificate cross-validation
+    over the same scenario and RNG stream. The locator runs the evasion
+    pass itself; the ambiguity fingerprint follows when the locator
+    found an interception to aim at.
     """
     if not spec.online:
         return None
-    if scenario is None:
-        sspec = ScenarioSpec(
-            probe=spec,
-            impairment=impairment,
-            impairment_seed=impairment_seed,
-            engine=engine,
-        )
-        if scenario_cache is not None:
-            scenario = scenario_cache.get(sspec, directory=directory)
-        else:
-            scenario = build_scenario(sspec, directory=directory)
+    if config is None:
+        config = StudyConfig()
+    sspec = ScenarioSpec(
+        probe=spec,
+        impairment=config.impairment,
+        impairment_seed=config.impairment_seed,
+        engine=config.engine,
+    )
+    if scenario_cache is not None:
+        scenario = scenario_cache.get(sspec, directory=directory)
+    else:
+        scenario = build_scenario(sspec, directory=directory)
     client = MeasurementClient(
-        scenario.network, scenario.host, retry_policy=retry
+        scenario.network, scenario.host, retry_policy=config.retry
     )
     rng = random.Random(spec.probe_id * 7919 + 13)
 
@@ -434,7 +419,7 @@ def measure_probe(
 
     families = (4, 6) if spec.has_ipv6 else (4,)
     classification: Optional[ProbeClassification] = None
-    if detector in ("heuristic", "both"):
+    if config.detector in ("heuristic", "both"):
         classification = get_detector("heuristic").classify(
             client,
             spec,
@@ -442,11 +427,11 @@ def measure_probe(
             cpe_public_v6=scenario.cpe_public_v6,
             families=families,
             rng=rng,
-            run_transparency=run_transparency,
+            run_transparency=config.run_transparency,
             skip=skip,
-            evasion_transport=transport if evasion else None,
+            evasion_transport=config.transport if config.evasion else None,
         )
-    if detector in ("cert", "both"):
+    if config.detector in ("cert", "both"):
         cert_result = get_detector("cert").classify(
             client,
             spec,
@@ -461,7 +446,7 @@ def measure_probe(
             classification.cert = cert_result.cert
     assert classification is not None
     if (
-        fingerprint
+        config.fingerprint
         and classification.intercepted
         and classification.analysis_family is not None
     ):

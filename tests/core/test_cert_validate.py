@@ -49,7 +49,7 @@ from tests.conftest import make_spec
 
 
 def measure_both(spec):
-    classification = measure_probe(spec, detector="both")
+    classification = measure_probe(spec, StudyConfig(detector="both"))
     return classification_to_record(spec, classification, detector="both")
 
 

@@ -99,7 +99,9 @@ class TestGracefulDegradation:
         """With a full retransmission budget spent, the same silence is
         evidence of a measurement gap, not of cleanliness: the verdict
         becomes INCONCLUSIVE and names the starved step."""
-        record = measure_probe(self.drop_google_spec(930), retry=default_chaos_retry())
+        record = measure_probe(
+            self.drop_google_spec(930), StudyConfig(retry=default_chaos_retry())
+        )
         assert record.verdict is LocatorVerdict.INCONCLUSIVE
         assert record.inconclusive_steps == ("detect",)
         assert not record.intercepted

@@ -46,6 +46,15 @@ class TestShardFleet:
     def test_empty_fleet(self):
         assert shard_fleet([], 4) == []
 
+    def test_explicit_indices(self, fleet):
+        # A resumed study's remaining work: non-contiguous fleet indices.
+        indices = [1, 4, 5, 9, 12]
+        shards = shard_fleet([fleet[i] for i in indices], 2, indices)
+        assert [shard.indices for shard in shards] == [(1, 4, 5), (9, 12)]
+        assert [spec for shard in shards for spec in shard.specs] == [
+            fleet[i] for i in indices
+        ]
+
     def test_invalid_shard_count(self, fleet):
         with pytest.raises(ValueError):
             shard_fleet(fleet, 0)
@@ -118,3 +127,36 @@ class TestStudyDispatch:
 
         study = run_pilot_study(fleet[:2], StudyConfig(seed=456))
         assert json.loads(study_to_json(study))["seed"] == 456
+
+
+class TestStoredFleet:
+    """A journaled run measures with the same serial and pool loops."""
+
+    @staticmethod
+    def exported(study):
+        from repro.analysis.export import study_to_json
+
+        return study_to_json(study), study.metrics.to_json()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_stored_matches_storeless(self, fleet, workers, tmp_path):
+        from repro.store import ResultStore
+
+        config = StudyConfig(workers=workers, seed=77, metrics=True)
+        storeless = run_pilot_study(fleet, config)
+        stored = run_pilot_study(fleet, config, store=ResultStore(str(tmp_path)))
+        assert self.exported(stored) == self.exported(storeless)
+
+    def test_serial_stored_progress_per_probe(self, tmp_path):
+        from repro.store import ResultStore
+
+        specs = generate_population(size=40, seed=78)
+        calls = []
+        run_pilot_study(
+            specs,
+            StudyConfig(workers=1),
+            store=ResultStore(str(tmp_path)),
+            progress=lambda done, total: calls.append((done, total)),
+        )
+        # One report of the journaled count, then one per probe.
+        assert calls == [(done, len(specs)) for done in range(len(specs) + 1)]

@@ -102,6 +102,48 @@ class TestStudyPersistence:
             assert json.load(handle)["seed"] == 9
 
 
+#: Flag combinations StudyConfig rejects, with ``--load`` or without.
+_REJECTED_AXES = {
+    "evasion-cert": ["--evasion", "--transport", "doh", "--detector", "cert"],
+    "fingerprint-cert": ["--fingerprint", "--detector", "cert"],
+    "evasion-udp53": ["--evasion"],
+}
+
+
+class TestStudyConfigValidation:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("study") / "records.json")
+        assert main(["study", "--size", "4", "--seed", "3", "--save", path]) == 0
+        return path
+
+    @staticmethod
+    def assert_one_line_error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [*_REJECTED_AXES.values(), ["--transport", "dot"]],
+        ids=[*_REJECTED_AXES, "transport-without-evasion"],
+    )
+    def test_rejected(self, flags, capsys):
+        assert main(["study", "--size", "4", *flags]) == 2
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "flags", _REJECTED_AXES.values(), ids=list(_REJECTED_AXES)
+    )
+    def test_rejected_under_load(self, flags, saved, capsys):
+        capsys.readouterr()
+        assert main(["study", "--load", saved, *flags]) == 2
+        self.assert_one_line_error(capsys)
+
+    def test_load_ignores_transport(self, saved, capsys):
+        assert main(["study", "--load", saved, "--transport", "dot"]) == 0
+
+
 class TestStudyWorkers:
     def test_parallel_study_output_identical(self, tmp_path, capsys):
         serial = str(tmp_path / "serial.json")
