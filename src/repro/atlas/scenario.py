@@ -593,8 +593,10 @@ def reset_scenario(scenario: Scenario, sspec: ScenarioSpec) -> Scenario:
 class ScenarioCache:
     """A small LRU of built scenarios, reset-and-reused per probe.
 
-    One cache per worker (or per serial run) amortises topology
-    construction across a shard. Only the fast engine uses it —
+    One cache per worker (or per serial path) of a
+    :class:`~repro.core.parallel.FleetSession` amortises topology
+    construction across a study or a whole campaign run. Only the fast
+    engine uses it —
     ``get`` on a reference-engine spec, an unhashable signature, or a
     directory other than the cache's own always builds fresh.
     """
@@ -609,8 +611,9 @@ class ScenarioCache:
         #: (fast engine, clean links, metrics off): records keyed by
         #: ``(signature, responds_v4, responds_v6, online)``. It lives here
         #: because its lifetime must match the cache's — one per worker or
-        #: per serial run, never shared across configs — which is why the
-        #: key carries no config field.
+        #: serial path of a FleetSession, i.e. one study or one campaign
+        #: run, never shared across configs — which is why the key
+        #: carries no config field.
         self.record_memo: dict = {}
 
     def get(self, sspec: ScenarioSpec, directory=None) -> Scenario:

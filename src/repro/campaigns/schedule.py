@@ -48,6 +48,7 @@ from repro.interceptors.policy import InterceptMode, intercept_all
 from repro.store.journal import canonical_value, fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.parallel import FleetSession
     from repro.core.study import ProbeRecord, StudyConfig
     from repro.store import ResultStore
 
@@ -338,15 +339,35 @@ class LongitudinalCampaign:
         resumable journal. ``epoch_done(epoch)`` fires after an epoch is
         fully journaled — the campaign runner folds aggregation tables
         there, incrementally.
+
+        The whole call is one :class:`~repro.core.parallel.FleetSession`:
+        the worker pool, scenario cache and dedup memo are built on the
+        first epoch, serve every later one and are closed when the call
+        returns or raises. A second call starts cold.
         """
-        from repro.core.parallel import measure_fleet
+        from repro.core.parallel import FleetSession
 
         config = self._study_config(workers)
+        with FleetSession(config) as session:
+            return self._run_epochs(config, session, store, progress, epoch_done)
+
+    def _run_epochs(
+        self,
+        config: "StudyConfig",
+        session: "FleetSession",
+        store: Optional["ResultStore"],
+        progress: Optional[Callable[[int, int], None]],
+        epoch_done: Optional[Callable[[int], None]],
+    ) -> "dict[int, list[ProbeRecord]]":
+        """:meth:`run` inside its session. ``measure_fleet`` stays one
+        call per epoch, looked up at each call."""
+        from repro.core import parallel
+
         if store is None:
             epochs: dict[int, list[ProbeRecord]] = {}
             for epoch in range(self.schedule.epochs):
-                epochs[epoch] = measure_fleet(
-                    self.epoch_fleet(epoch), config
+                epochs[epoch] = parallel.measure_fleet(
+                    self.epoch_fleet(epoch), config, session=session
                 ).records
                 if epoch_done is not None:
                     epoch_done(epoch)
@@ -387,8 +408,8 @@ class LongitudinalCampaign:
                     if len(remaining) > budget_left:
                         remaining = remaining[:budget_left]
                         truncated = True
-                records = measure_fleet(
-                    [spec for _index, spec in remaining], config
+                records = parallel.measure_fleet(
+                    [spec for _index, spec in remaining], config, session=session
                 ).records
                 store.append_epoch_segment(
                     epoch,

@@ -8,7 +8,10 @@ This module chunks a fleet of :class:`~repro.atlas.probe.ProbeSpec`\\ s
 into :class:`FleetShard`\\ s, measures each shard in-process or in a
 pool of worker processes, and hands every finished shard to one sink:
 memory (records merged back in fleet order) or a
-:class:`~repro.store.ResultStore` journal.
+:class:`~repro.store.ResultStore` journal. A :class:`FleetSession`
+holds what a run of fleet measurements under one config shares — the
+serial path's directory and scenario cache, or the worker pool — so a
+campaign's epochs reuse scenarios and dedup against earlier epochs.
 
 Determinism guarantee: because each worker builds the same read-only
 :class:`~repro.resolvers.directory.NameDirectory`, and every probe is
@@ -115,6 +118,7 @@ def shard_fleet(
 #: Per-process state: the shared read-only NameDirectory is built once
 #: per worker (not once per probe — zone construction dominates small
 #: probes) and the whole StudyConfig rides along from the initializer.
+#: It lives as long as the worker, i.e. one :class:`FleetSession`.
 #: The keys are :func:`measure_shard`'s keyword arguments.
 _worker_state: dict = {}
 
@@ -126,7 +130,8 @@ def _init_worker(config: "StudyConfig") -> None:
     _worker_state["directory"] = build_default_directory()
     _worker_state["config"] = config
     # One scenario cache per worker process: shards reuse topologies
-    # across probes (fast engine only; a no-op for the reference engine).
+    # across probes and across the session's fleets (fast engine only;
+    # a no-op for the reference engine).
     _worker_state["scenario_cache"] = ScenarioCache(
         directory=_worker_state["directory"]
     )
@@ -144,8 +149,9 @@ def measure_shard(
     the ambient registry (see :func:`repro.core.metrics.use_registry`).
 
     ``directory`` and ``scenario_cache`` default to a fresh directory
-    and a cache local to this call; fleet runs pass one of each for the
-    whole run (a worker process's come from its initializer). The cache
+    and a cache local to this call; fleet runs pass their
+    :class:`FleetSession`'s, which live for one study or one campaign
+    run (a worker process's come from its initializer). The cache
     amortises topology construction across probes; records are
     byte-identical either way.
 
@@ -179,7 +185,11 @@ def measure_shard(
 def _measure_pairs(
     shard: FleetShard, directory, config: "StudyConfig", scenario_cache
 ) -> Iterator[tuple[int, "ProbeRecord"]]:
-    """:func:`measure_shard`'s loop, one ``(index, record)`` at a time."""
+    """:func:`measure_shard`'s loop, one ``(index, record)`` at a time.
+
+    The dedup memo is ``scenario_cache.record_memo``, so it lives as
+    long as the cache: one :class:`FleetSession`, which serves one
+    config — which is why the memo key needs no config fields."""
     from dataclasses import replace
 
     from repro.atlas.scenario import ScenarioSpec, scenario_signature
@@ -189,8 +199,7 @@ def _measure_pairs(
     # Dedup is only sound when nothing per-probe beyond the memo key can
     # influence the record: impairment streams and retry jitter are
     # probe_id-seeded, and metrics runs must emit every probe's pipeline
-    # events for snapshot determinism. The memo lives as long as the
-    # cache, i.e. one config, so the key needs no config fields.
+    # events for snapshot determinism.
     memo = None
     if (
         config.engine == "fast"
@@ -271,9 +280,64 @@ def merge_shard_records(
     return [record for _index, record in flat]
 
 
+class FleetSession:
+    """The measurement state shared by :func:`measure_fleet` calls under
+    one :class:`~repro.core.study.StudyConfig`: the serial path's
+    directory and scenario cache (whose dedup memo rides along) or the
+    pool path's worker processes, each built on first use and closed on
+    exit. On an error exit, queued shards are cancelled.
+
+    A study is one session; a campaign run is one session across all
+    its epochs, so later epochs reuse the scenarios and memoised records
+    of earlier ones. The memo key carries no config field, which is why
+    a session is bound to the one config it was opened with.
+    """
+
+    def __init__(self, config: "StudyConfig") -> None:
+        self.config = config
+        self._scenario_cache = None
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def __enter__(self) -> "FleetSession":
+        return self
+
+    def __exit__(self, exc_type, *exc_info) -> None:
+        self.close(cancel=exc_type is not None)
+
+    def close(self, cancel: bool = False) -> None:
+        """Drop the serial state and shut the pool down, cancelling any
+        queued shards when ``cancel``."""
+        pool, self._pool = self._pool, None
+        self._scenario_cache = None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=cancel)
+
+    def scenario_cache(self):
+        """The serial path's scenario cache; its ``directory`` is the
+        session's :class:`~repro.resolvers.directory.NameDirectory`."""
+        if self._scenario_cache is None:
+            from repro.atlas.scenario import ScenarioCache
+            from repro.resolvers.directory import build_default_directory
+
+            self._scenario_cache = ScenarioCache(
+                directory=build_default_directory()
+            )
+        return self._scenario_cache
+
+    def pool(self, workers: int) -> ProcessPoolExecutor:
+        """The session's worker pool; the first call sizes it."""
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(self.config,),
+            )
+        return self._pool
+
+
 def _measure_serial(
     shards: Sequence[FleetShard],
-    config: "StudyConfig",
+    session: FleetSession,
     sink: Callable,
     advance: Callable[[int], None],
 ) -> None:
@@ -281,14 +345,12 @@ def _measure_serial(
     advancing progress after every probe."""
     if not shards:
         return
-    from repro.atlas.scenario import ScenarioCache
-    from repro.resolvers.directory import build_default_directory
-
-    directory = build_default_directory()
+    config = session.config
     # One cache across all segments: reused scenarios re-capture the
     # ambient registry per probe, so each segment's metrics still land
     # in that segment's own snapshot.
-    scenario_cache = ScenarioCache(directory=directory)
+    scenario_cache = session.scenario_cache()
+    directory = scenario_cache.directory
     for shard in shards:
         registry = MetricsRegistry(trace=config.trace) if config.metrics else None
         pairs = []
@@ -301,22 +363,21 @@ def _measure_serial(
 
 def _measure_pool(
     shards: Sequence[FleetShard],
-    config: "StudyConfig",
+    session: FleetSession,
     workers: int,
     sink: Callable,
     advance: Callable[[int], None],
 ) -> None:
-    """Measure in a process pool, sinking shards as they complete."""
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(config,)
-    ) as pool:
-        pending = {pool.submit(_measure_shard_job, shard) for shard in shards}
-        while pending:
-            completed, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in completed:
-                pairs, snapshot = future.result()
-                sink(pairs, snapshot)
-                advance(len(pairs))
+    """Measure in the session's process pool, sinking shards as they
+    complete."""
+    pool = session.pool(workers)
+    pending = {pool.submit(_measure_shard_job, shard) for shard in shards}
+    while pending:
+        completed, pending = wait(pending, return_when=FIRST_COMPLETED)
+        for future in completed:
+            pairs, snapshot = future.result()
+            sink(pairs, snapshot)
+            advance(len(pairs))
 
 
 def measure_fleet(
@@ -324,9 +385,18 @@ def measure_fleet(
     config: "StudyConfig",
     progress: Optional[Callable[[int, int], None]] = None,
     store: Optional["ResultStore"] = None,
+    *,
+    session: Optional[FleetSession] = None,
 ) -> FleetResult:
     """Measure the whole fleet as :class:`~repro.core.study.StudyConfig`
     says; return records in fleet order plus the merged metrics.
+
+    ``session`` (a :class:`FleetSession` opened on this very ``config``)
+    carries the pool, scenario cache and dedup memo over from earlier
+    calls; without one, the call opens and closes its own. A session
+    opened on any other config raises :class:`ValueError`: memoised
+    records would otherwise be served to a config they were not
+    measured under.
 
     ``config.workers=None`` uses one worker per available core;
     ``workers=1`` measures in-process (no pool, no pickling) and calls
@@ -343,6 +413,8 @@ def measure_fleet(
     runs out before the fleet is covered; the journal then holds
     everything measured so far, ready for a resumed run.
     """
+    if session is not None and session.config is not config:
+        raise ValueError("session was opened for a different StudyConfig")
     specs = list(specs)
     total = len(specs)
     indices = list(range(total))
@@ -368,14 +440,16 @@ def measure_fleet(
     pending = [specs[index] for index in indices]
 
     def measure(sink: Callable) -> None:
-        if workers == 1:
-            shards = shard_fleet(
-                pending, max(1, len(pending) // SERIAL_SEGMENT_PROBES), indices
-            )
-            _measure_serial(shards, config, sink, advance)
-        else:
-            shards = shard_fleet(pending, workers * SHARDS_PER_WORKER, indices)
-            _measure_pool(shards, config, workers, sink, advance)
+        scope = FleetSession(config) if session is None else nullcontext(session)
+        with scope as active:
+            if workers == 1:
+                shards = shard_fleet(
+                    pending, max(1, len(pending) // SERIAL_SEGMENT_PROBES), indices
+                )
+                _measure_serial(shards, active, sink, advance)
+            else:
+                shards = shard_fleet(pending, workers * SHARDS_PER_WORKER, indices)
+                _measure_pool(shards, active, workers, sink, advance)
 
     if store is None:
         shard_records: list[list[tuple[int, "ProbeRecord"]]] = []

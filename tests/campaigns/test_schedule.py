@@ -1,5 +1,9 @@
 """The recurring campaign engine: epoch fleets, determinism, resume."""
 
+import dataclasses
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
 import pytest
 
 from repro.campaigns import (
@@ -9,7 +13,9 @@ from repro.campaigns import (
     LongitudinalCampaign,
     PolicyFlip,
     bundle_from_dict,
+    load_catalog,
 )
+from repro.core import parallel, study
 from repro.store import ResultStore, StoreInterrupted
 
 from .conftest import bundle_data, journal_bytes
@@ -193,3 +199,141 @@ class TestRunDeterminism:
         campaign = LongitudinalCampaign(small_bundle)
         total = sum(campaign.epoch_sizes())
         assert calls[-1] == (total, total)
+
+
+# -- one measurement session per run -------------------------------------------
+
+#: Every scheduled bundle of the catalog, shrunk so the whole set runs
+#: serially in seconds while later epochs still repeat earlier scenarios.
+SCHEDULED = [
+    bundle
+    for bundle in load_catalog(str(Path(__file__).resolve().parents[2] / "scenarios"))
+    if bundle.schedule.epochs > 1
+]
+SESSION_POPULATION = 48
+
+
+def shrunk(bundle, **study_fields):
+    return dataclasses.replace(
+        bundle,
+        population=dataclasses.replace(bundle.population, size=SESSION_POPULATION),
+        study=dataclasses.replace(bundle.study, **study_fields),
+    )
+
+
+@pytest.fixture
+def measured(monkeypatch):
+    """How many probes the serial path has really measured (dedup hits
+    and other workers' probes are not counted)."""
+    calls = [0]
+    measure_probe = study.measure_probe
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return measure_probe(*args, **kwargs)
+
+    monkeypatch.setattr(study, "measure_probe", counting)
+    return calls
+
+
+def run_counting(campaign, measured, **kwargs):
+    """``campaign.run(**kwargs)`` plus its measurements per epoch."""
+    marks = [measured[0]]
+    records = campaign.run(
+        epoch_done=lambda _epoch: marks.append(measured[0]), **kwargs
+    )
+    return records, [after - before for before, after in zip(marks, marks[1:])]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every pool the fleet executor builds, each remembering how it
+    was shut down (``None`` while it is still open)."""
+    built = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.shutdown_cancel = None
+            built.append(self)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            self.shutdown_cancel = cancel_futures
+            super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    return built
+
+
+class TestSessionPerRun:
+    @pytest.mark.parametrize("bundle", SCHEDULED, ids=lambda bundle: bundle.name)
+    def test_later_epochs_reuse_earlier_measurements(self, bundle, measured):
+        campaign = LongitudinalCampaign(shrunk(bundle))
+        records, session_calls = run_counting(campaign, measured, workers=1)
+
+        # The same epoch fleets, one single-use session each.
+        config = campaign._study_config(1)
+        loop_records, loop_calls = {}, []
+        for epoch in range(campaign.schedule.epochs):
+            before = measured[0]
+            loop_records[epoch] = parallel.measure_fleet(
+                campaign.epoch_fleet(epoch), config
+            ).records
+            loop_calls.append(measured[0] - before)
+        reference = LongitudinalCampaign(shrunk(bundle, engine="reference")).run(
+            workers=1
+        )
+
+        assert records == loop_records == reference
+        assert session_calls[0] == loop_calls[0]
+        if config.retry is None and config.impairment is None:
+            assert sum(session_calls[1:]) < sum(loop_calls[1:])
+            assert all(a <= b for a, b in zip(session_calls, loop_calls))
+        else:  # retries and impairment turn dedup off
+            assert session_calls == loop_calls
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["memory", "store"])
+    def test_one_pool_per_run(self, small_bundle, tmp_path, pools, stored):
+        campaign = LongitudinalCampaign(small_bundle)
+        store = ResultStore(str(tmp_path / "s")) if stored else None
+        epochs = campaign.run(store=store, workers=2)
+        assert len(epochs) == small_bundle.schedule.epochs == 3
+        assert len(pools) == 1
+        assert pools[0].shutdown_cancel is False
+
+    def test_pool_closed_on_budget_interrupt(self, small_bundle, tmp_path, pools):
+        campaign = LongitudinalCampaign(small_bundle)
+        budget = len(campaign.epoch_fleet(0)) + 10  # ends inside epoch 1
+        with pytest.raises(StoreInterrupted):
+            campaign.run(
+                store=ResultStore(str(tmp_path / "s"), probe_budget=budget),
+                workers=2,
+            )
+        assert len(pools) == 1
+        assert pools[0].shutdown_cancel is True
+
+    def test_pool_closed_when_epoch_done_raises(self, small_bundle, tmp_path, pools):
+        def fail_at_epoch_one(epoch):
+            if epoch == 1:
+                raise RuntimeError("observer failed")
+
+        with pytest.raises(RuntimeError, match="observer failed"):
+            LongitudinalCampaign(small_bundle).run(
+                store=ResultStore(str(tmp_path / "s")),
+                workers=2,
+                epoch_done=fail_at_epoch_one,
+            )
+        assert len(pools) == 1
+        assert pools[0].shutdown_cancel is True
+
+    def test_second_run_starts_cold(self, small_bundle, pools, measured):
+        campaign = LongitudinalCampaign(small_bundle)
+        first, first_calls = run_counting(campaign, measured, workers=1)
+        second, second_calls = run_counting(campaign, measured, workers=1)
+        assert second == first
+        assert second_calls[0] == first_calls[0] > 0
+        assert pools == []
+        campaign.run(workers=2)
+        campaign.run(workers=2)
+        assert len(pools) == 2
+        assert all(pool.shutdown_cancel is False for pool in pools)

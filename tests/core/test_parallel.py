@@ -1,10 +1,13 @@
 """The sharded multi-process fleet executor."""
 
+import dataclasses
+
 import pytest
 
 from repro.atlas.geo import organization_by_name
 from repro.atlas.population import generate_population
 from repro.core.parallel import (
+    FleetSession,
     FleetShard,
     measure_fleet,
     merge_shard_records,
@@ -101,6 +104,30 @@ class TestRunFleet:
     def test_workers_capped_by_fleet_size(self, fleet):
         # More workers than probes must still work (and stay identical).
         assert _records(fleet[:2], 8) == _records(fleet[:2], 1)
+
+
+class TestFleetSession:
+    def test_reused_session_matches_single_use(self, fleet):
+        config = StudyConfig(workers=1)
+        with FleetSession(config) as session:
+            first = measure_fleet(fleet, config, session=session).records
+            again = measure_fleet(fleet[::-1], config, session=session).records
+        assert first == _records(fleet, 1)
+        assert again == first[::-1]
+
+    def test_session_is_bound_to_its_config(self, fleet):
+        # The dedup memo's key has no config field: records memoised
+        # under one config must never answer for another.
+        config = StudyConfig(workers=1)
+        with FleetSession(config) as session:
+            measure_fleet(fleet, config, session=session)
+            others = (
+                dataclasses.replace(config),
+                StudyConfig(workers=1, detector="both"),
+            )
+            for other in others:
+                with pytest.raises(ValueError, match="different StudyConfig"):
+                    measure_fleet(fleet, other, session=session)
 
 
 class TestStudyDispatch:
