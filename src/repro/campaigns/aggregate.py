@@ -33,9 +33,10 @@ from __future__ import annotations
 import json
 import os
 from array import array
-from typing import Any, Optional
+from typing import Optional
 
-from repro.ioutil import atomic_write_text
+# canonical_json lives in repro.ioutil; it stays importable from here.
+from repro.ioutil import atomic_write_text, canonical_json
 from repro.store import (
     JOURNAL_DIR,
     RECORDS_PREFIX,
@@ -63,15 +64,6 @@ _COUNTER_KEYS = (
     "cert_verdicts",
     "agreement",
 )
-
-
-def canonical_json(payload: Any) -> str:
-    """The one serialisation every table/endpoint uses.
-
-    Sorted keys, two-space indent, trailing newline — so the serve API
-    and the offline CLI can be compared with ``cmp``, byte for byte.
-    """
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _empty_epoch_state() -> dict:

@@ -509,7 +509,7 @@ def cmd_results(args: argparse.Namespace) -> int:
 def cmd_scenarios(args: argparse.Namespace) -> int:
     """Browse the scenario catalog: list names or show one bundle."""
     from repro.campaigns import ScenarioError, find_bundle, load_catalog
-    from repro.campaigns.aggregate import canonical_json
+    from repro.ioutil import canonical_json
 
     try:
         if args.scenarios_action == "show":
@@ -537,7 +537,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         StoreAggregator,
         find_bundle,
     )
-    from repro.campaigns.aggregate import canonical_json
+    from repro.ioutil import canonical_json
     from repro.store import ResultStore, StoreError, StoreInterrupted
 
     if args.campaign_action == "run":

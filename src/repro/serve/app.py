@@ -36,11 +36,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 from urllib.parse import parse_qs, urlparse
 
-from repro.campaigns.aggregate import (
-    StoreAggregator,
-    canonical_json,
-    load_epoch_page,
-)
+from repro.campaigns.aggregate import StoreAggregator, load_epoch_page
+from repro.ioutil import canonical_json
 from repro.store import StoreError, load_manifest
 
 _EPOCH_ROUTE = re.compile(r"^/epochs/(\d+)$")
@@ -137,6 +134,11 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         url = urlparse(self.path)
         try:
             self._route(url.path, parse_qs(url.query))
+        except (BrokenPipeError, ConnectionResetError):
+            # The client went away mid-reply. Both are OSErrors, so this
+            # clause must come first: a 503 would only hit the same
+            # dead socket and raise again.
+            pass
         except _BadRequest as exc:
             self._reply(400, {"error": str(exc)})
         except _NotFound as exc:
@@ -145,8 +147,6 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             # Damaged or vanished store: the server survives, the
             # response names the problem (e.g. the corrupt shard).
             self._reply(503, {"error": str(exc)})
-        except BrokenPipeError:  # pragma: no cover - client went away
-            pass
 
     def _route(self, path: str, params: dict) -> None:
         if path == "/":

@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, canonical_json
 
 from .journal import (
     JournalWriter,
@@ -122,7 +122,7 @@ class ResultStore:
     def _write_manifest(self, manifest: dict) -> None:
         atomic_write_text(
             self.manifest_path,
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+            canonical_json(manifest),
             create_parents=True,
         )
         self._manifest = manifest

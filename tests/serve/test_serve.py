@@ -7,6 +7,7 @@ import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +16,12 @@ from repro.campaigns import (
     StoreAggregator,
     bundle_from_dict,
     canonical_json,
+    find_bundle,
+    load_epoch_page,
 )
 from repro.serve import StoreServer
-from repro.store import ResultStore
+from repro.serve.app import ENDPOINTS, _StoreRequestHandler
+from repro.store import ResultStore, load_manifest
 
 from ..campaigns.conftest import bundle_data, full_scan_page, page_grid
 
@@ -111,6 +115,105 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get(server, f"/probes?{query}")
         assert excinfo.value.code == 400
+
+
+def stdlib_json(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def smoke_store(tmp_path_factory):
+    scenarios = Path(__file__).resolve().parents[2] / "scenarios"
+    path = str(tmp_path_factory.mktemp("serve-smoke") / "store")
+    bundle = find_bundle("ci-smoke", str(scenarios))
+    LongitudinalCampaign(bundle).run(store=ResultStore(path))
+    return path
+
+
+class TestBodiesMatchStdlib:
+    """Served bytes equal the stdlib's encoding of the same payload, built
+    offline: a wrong ``canonical_json`` cannot pass by agreeing with itself."""
+
+    def expected(self, store_path: str) -> dict:
+        aggregator = StoreAggregator(store_path, persist=False)
+        aggregator.refresh()
+        epochs = range(aggregator.epoch_count())
+        tables = [aggregator.epoch_table(epoch) for epoch in epochs]
+        brief = ("epoch", "fleet_size", "measured", "complete")
+        index = {"epochs": [{key: table[key] for key in brief} for table in tables]}
+        payloads = {
+            "/": {"store": store_path, "endpoints": ENDPOINTS},
+            "/manifest": load_manifest(store_path),
+            "/epochs": index,
+            "/trend": aggregator.trend(),
+        }
+        for epoch in epochs:
+            payloads[f"/epochs/{epoch}"] = tables[epoch]
+            payloads[f"/probes?epoch={epoch}&limit=1000"] = load_epoch_page(
+                store_path, epoch, 0, 1000
+            )
+        return {path: stdlib_json(payload) for path, payload in payloads.items()}
+
+    def test_ok_bodies(self, smoke_store):
+        expected = self.expected(smoke_store)
+        assert len(expected) == 8  # two epochs
+        with StoreServer(smoke_store) as server:
+            for path, body in expected.items():
+                assert get(server, path) == (200, body), path
+
+    @pytest.mark.parametrize(
+        "path, code, payload",
+        [
+            (
+                "/probes?epoch=0&limit=0",
+                400,
+                {"error": "offset must be >= 0 and limit in [1, 1000]"},
+            ),
+            ("/nope", 404, {"error": "unknown path: /nope", "endpoints": ENDPOINTS}),
+        ],
+    )
+    def test_error_bodies(self, smoke_store, path, code, payload):
+        with StoreServer(smoke_store) as server:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                get(server, path)
+        with excinfo.value as response:
+            assert response.code == code
+            assert response.read() == stdlib_json(payload)
+
+
+class _GoneClient:
+    """A response stream whose client hung up: every write fails."""
+
+    def __init__(self, error):
+        self.error = error
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        raise self.error("client went away")
+
+
+class TestClientGone:
+    @pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])
+    @pytest.mark.parametrize("path", ["/", "/trend", "/probes?epoch=0&limit=5"])
+    def test_no_reply_after_the_client_hangs_up(self, store_path, error, path):
+        handler_class = type(
+            "Handler",
+            (_StoreRequestHandler,),
+            {
+                "store_path": store_path,
+                "aggregator": StoreAggregator(store_path, persist=False),
+                "refresh_lock": threading.Lock(),
+            },
+        )
+        handler = handler_class.__new__(handler_class)
+        handler.path = path
+        handler.command = "GET"
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = f"GET {path} HTTP/1.1"
+        handler.wfile = _GoneClient(error)
+        handler.do_GET()  # returns: no 503 written into the dead socket
+        assert handler.wfile.writes == 1
 
 
 class TestDamagedStore:
