@@ -595,8 +595,9 @@ class ScenarioCache:
 
     One cache per worker (or per serial path) of a
     :class:`~repro.core.parallel.FleetSession` amortises topology
-    construction across a study or a whole campaign run. Only the fast
-    engine uses it —
+    construction across a study or a whole campaign run. It caches
+    scenarios, not records: the probe-dedup memo lives on the session,
+    in the parent process. Only the fast engine uses it —
     ``get`` on a reference-engine spec, an unhashable signature, or a
     directory other than the cache's own always builds fresh.
     """
@@ -607,14 +608,6 @@ class ScenarioCache:
         self._cache: "dict[tuple, Scenario]" = {}
         self.hits = 0
         self.misses = 0
-        #: Probe-dedup memo used by :func:`repro.core.parallel.measure_shard`
-        #: (fast engine, clean links, metrics off): records keyed by
-        #: ``(signature, responds_v4, responds_v6, online)``. It lives here
-        #: because its lifetime must match the cache's — one per worker or
-        #: serial path of a FleetSession, i.e. one study or one campaign
-        #: run, never shared across configs — which is why the key
-        #: carries no config field.
-        self.record_memo: dict = {}
 
     def get(self, sspec: ScenarioSpec, directory=None) -> Scenario:
         if directory is not None:

@@ -10,8 +10,10 @@ pool of worker processes, and hands every finished shard to one sink:
 memory (records merged back in fleet order) or a
 :class:`~repro.store.ResultStore` journal. A :class:`FleetSession`
 holds what a run of fleet measurements under one config shares — the
-serial path's directory and scenario cache, or the worker pool — so a
-campaign's epochs reuse scenarios and dedup against earlier epochs.
+probe-dedup memo, the serial path's directory and scenario cache, and
+the worker pool — so a campaign's epochs reuse scenarios and dedup
+against earlier epochs. Dedup happens in the parent process: a pool is
+sent only the measurements nobody in the session has made yet.
 
 Determinism guarantee: because each worker builds the same read-only
 :class:`~repro.resolvers.directory.NameDirectory`, and every probe is
@@ -30,7 +32,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from repro.atlas.probe import ProbeSpec
@@ -113,6 +115,55 @@ def shard_fleet(
     return out
 
 
+# -- probe dedup -------------------------------------------------------------
+#
+# Two online probes with the same scenario signature and the same
+# ``responds_v4``/``responds_v6`` masks are *the same measurement*: every
+# answer template the pipeline compares is a pure function of those
+# inputs and the config, and the per-probe values the record does carry
+# (``probe_id``, organization facts, ``true_location``) come straight
+# from the spec. The parent process therefore has each distinct key
+# measured once per session and substitutes the identity fields for its
+# siblings. The reference engine never dedups, which is what lets the
+# equivalence tests certify the shortcut.
+
+
+def _dedup_sound(config: "StudyConfig") -> bool:
+    """Whether nothing per-probe beyond the dedup key can influence a
+    record: impairment streams and retry jitter are probe_id-seeded, and
+    metrics runs must emit every probe's pipeline events for snapshot
+    determinism."""
+    return (
+        config.engine == "fast"
+        and config.impairment is None
+        and config.retry is None
+        and not config.metrics
+    )
+
+
+def _dedup_key(spec: ProbeSpec) -> Optional[tuple]:
+    """The measurement ``spec`` stands for, or None when its scenario
+    signature is unhashable (such a probe is always measured)."""
+    from repro.atlas.scenario import ScenarioSpec, scenario_signature
+
+    signature = scenario_signature(ScenarioSpec(probe=spec))
+    if signature is None:
+        return None
+    return (signature, spec.responds_v4, spec.responds_v6, spec.online)
+
+
+def _as_sibling(record: "ProbeRecord", spec: ProbeSpec) -> "ProbeRecord":
+    """``record``, a measurement of ``spec``'s dedup key, as ``spec``'s own."""
+    return replace(
+        record,
+        probe_id=spec.probe_id,
+        organization=spec.organization.name,
+        asn=spec.asn,
+        country=spec.country,
+        true_location=spec.true_location().value,
+    )
+
+
 # -- worker side -----------------------------------------------------------
 
 #: Per-process state: the shared read-only NameDirectory is built once
@@ -149,23 +200,13 @@ def measure_shard(
     the ambient registry (see :func:`repro.core.metrics.use_registry`).
 
     ``directory`` and ``scenario_cache`` default to a fresh directory
-    and a cache local to this call; fleet runs pass their
-    :class:`FleetSession`'s, which live for one study or one campaign
-    run (a worker process's come from its initializer). The cache
-    amortises topology construction across probes; records are
-    byte-identical either way.
+    and a cache local to this call; a worker process passes its own,
+    built once by its initializer. The cache amortises topology
+    construction across probes; records are byte-identical either way.
 
-    Probe dedup: two online probes with the same scenario signature and
-    the same ``responds_v4``/``responds_v6`` masks are *the same
-    measurement* — every answer template the pipeline compares is a
-    pure function of those inputs and the config, and the per-probe
-    values the record does carry (``probe_id``, organization facts,
-    ``true_location``) come straight from the spec. Under the fast
-    engine, with clean links, no retry policy and metrics off, the
-    shard therefore measures each distinct key once and substitutes the
-    identity fields for its siblings. The reference engine never
-    dedups, which is what lets the equivalence tests certify the
-    shortcut.
+    Every probe of the shard is measured: probe dedup happens in the
+    parent process (:class:`FleetSession`), which sends a pool only the
+    measurements nobody in the session has made yet.
     """
     if config is None:
         from repro.core.study import StudyConfig
@@ -183,48 +224,28 @@ def measure_shard(
 
 
 def _measure_pairs(
-    shard: FleetShard, directory, config: "StudyConfig", scenario_cache
+    shard: FleetShard,
+    directory,
+    config: "StudyConfig",
+    scenario_cache,
+    memo: Optional[dict] = None,
 ) -> Iterator[tuple[int, "ProbeRecord"]]:
     """:func:`measure_shard`'s loop, one ``(index, record)`` at a time.
 
-    The dedup memo is ``scenario_cache.record_memo``, so it lives as
-    long as the cache: one :class:`FleetSession`, which serves one
-    config — which is why the memo key needs no config fields."""
-    from dataclasses import replace
-
-    from repro.atlas.scenario import ScenarioSpec, scenario_signature
+    With ``memo`` (the serial path's :attr:`FleetSession.memo`), a probe
+    whose :func:`_dedup_key` is memoised becomes a sibling of that record
+    instead of a measurement, and every new measurement is memoised, in
+    fleet order."""
     from repro.core.study import classification_to_record, measure_probe
 
     registry = active_registry()
-    # Dedup is only sound when nothing per-probe beyond the memo key can
-    # influence the record: impairment streams and retry jitter are
-    # probe_id-seeded, and metrics runs must emit every probe's pipeline
-    # events for snapshot determinism.
-    memo = None
-    if (
-        config.engine == "fast"
-        and config.impairment is None
-        and config.retry is None
-        and not config.metrics
-        and directory is scenario_cache.directory
-    ):
-        memo = scenario_cache.record_memo
     for index, spec in zip(shard.indices, shard.specs):
         key = record = None
         if memo is not None:
-            signature = scenario_signature(ScenarioSpec(probe=spec))
-            if signature is not None:
-                key = (signature, spec.responds_v4, spec.responds_v6, spec.online)
-                cached = memo.get(key)
-                if cached is not None:
-                    record = replace(
-                        cached,
-                        probe_id=spec.probe_id,
-                        organization=spec.organization.name,
-                        asn=spec.asn,
-                        country=spec.country,
-                        true_location=spec.true_location().value,
-                    )
+            key = _dedup_key(spec)
+            cached = memo.get(key) if key is not None else None
+            if cached is not None:
+                record = _as_sibling(cached, spec)
         if record is None:
             classification = measure_probe(
                 spec, config, directory=directory, scenario_cache=scenario_cache
@@ -282,10 +303,10 @@ def merge_shard_records(
 
 class FleetSession:
     """The measurement state shared by :func:`measure_fleet` calls under
-    one :class:`~repro.core.study.StudyConfig`: the serial path's
-    directory and scenario cache (whose dedup memo rides along) or the
-    pool path's worker processes, each built on first use and closed on
-    exit. On an error exit, queued shards are cancelled.
+    one :class:`~repro.core.study.StudyConfig`: the probe-dedup
+    :attr:`memo`, the serial path's directory and scenario cache, and
+    the pool path's worker processes, each built on first use and closed
+    on exit. On an error exit, queued shards are cancelled.
 
     A study is one session; a campaign run is one session across all
     its epochs, so later epochs reuse the scenarios and memoised records
@@ -295,6 +316,9 @@ class FleetSession:
 
     def __init__(self, config: "StudyConfig") -> None:
         self.config = config
+        #: Records by :func:`_dedup_key`, for both paths; None when
+        #: dedup is unsound under ``config``.
+        self.memo: Optional[dict] = {} if _dedup_sound(config) else None
         self._scenario_cache = None
         self._pool: Optional[ProcessPoolExecutor] = None
 
@@ -324,11 +348,12 @@ class FleetSession:
             )
         return self._scenario_cache
 
-    def pool(self, workers: int) -> ProcessPoolExecutor:
-        """The session's worker pool; the first call sizes it."""
+    def pool(self) -> ProcessPoolExecutor:
+        """The session's worker pool, sized by the config (not by any
+        one call's pending probes)."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=workers,
+                max_workers=self.config.workers or default_worker_count(),
                 initializer=_init_worker,
                 initargs=(self.config,),
             )
@@ -355,27 +380,78 @@ def _measure_serial(
         registry = MetricsRegistry(trace=config.trace) if config.metrics else None
         pairs = []
         with use_registry(registry) if registry is not None else nullcontext():
-            for pair in _measure_pairs(shard, directory, config, scenario_cache):
+            for pair in _measure_pairs(
+                shard, directory, config, scenario_cache, session.memo
+            ):
                 pairs.append(pair)
                 advance(1)
         sink(pairs, registry.snapshot() if registry is not None else None)
 
 
 def _measure_pool(
-    shards: Sequence[FleetShard],
+    indices: Sequence[int],
+    specs: Sequence[ProbeSpec],
     session: FleetSession,
-    workers: int,
+    shards: int,
     sink: Callable,
     advance: Callable[[int], None],
 ) -> None:
     """Measure in the session's process pool, sinking shards as they
-    complete."""
-    pool = session.pool(workers)
-    pending = {pool.submit(_measure_shard_job, shard) for shard in shards}
+    complete.
+
+    Walking the probes in fleet order, one whose dedup key is memoised
+    resolves at once, the first with a new key becomes a *leader*, and a
+    later one with that key waits for its leader. Only leaders go to the
+    pool (every probe, with dedup off); a finished shard memoises its
+    leaders' records and sinks them together with their siblings."""
+    memo = session.memo
+    resolved: list[tuple[int, "ProbeRecord"]] = []
+    leader_indices: list[int] = []
+    leader_specs: list[ProbeSpec] = []
+    #: dedup key -> the probes waiting for that key's leader.
+    waiting: dict[tuple, list[tuple[int, ProbeSpec]]] = {}
+    #: leader index -> its dedup key.
+    leader_keys: dict[int, tuple] = {}
+    for index, spec in zip(indices, specs):
+        key = _dedup_key(spec) if memo is not None else None
+        if key is not None:
+            cached = memo.get(key)
+            if cached is not None:
+                resolved.append((index, _as_sibling(cached, spec)))
+                continue
+            siblings = waiting.get(key)
+            if siblings is not None:
+                siblings.append((index, spec))
+                continue
+            waiting[key] = []
+            leader_keys[index] = key
+        leader_indices.append(index)
+        leader_specs.append(spec)
+
+    pending = set()
+    if leader_specs:
+        pool = session.pool()
+        pending = {
+            pool.submit(_measure_shard_job, shard)
+            for shard in shard_fleet(leader_specs, shards, leader_indices)
+        }
+    if resolved:
+        sink(resolved, None)
+        advance(len(resolved))
     while pending:
         completed, pending = wait(pending, return_when=FIRST_COMPLETED)
         for future in completed:
             pairs, snapshot = future.result()
+            siblings = []
+            for index, record in pairs:
+                key = leader_keys.get(index)
+                if key is not None:
+                    memo[key] = record
+                    siblings.extend(
+                        (sibling, _as_sibling(record, spec))
+                        for sibling, spec in waiting.pop(key)
+                    )
+            pairs += siblings
             sink(pairs, snapshot)
             advance(len(pairs))
 
@@ -401,8 +477,9 @@ def measure_fleet(
     ``config.workers=None`` uses one worker per available core;
     ``workers=1`` measures in-process (no pool, no pickling) and calls
     ``progress(done, total)`` after every probe; a pool calls it in the
-    parent process each time a shard completes, with ``done`` counting
-    probes (not shards) measured so far.
+    parent process once for the probes the memo resolves and then each
+    time a shard completes, with ``done`` counting probes (not shards)
+    measured so far.
 
     With a :class:`~repro.store.ResultStore`, completed segments stream
     into its journal as they finish, already-journaled probes are
@@ -448,8 +525,14 @@ def measure_fleet(
                 )
                 _measure_serial(shards, active, sink, advance)
             else:
-                shards = shard_fleet(pending, workers * SHARDS_PER_WORKER, indices)
-                _measure_pool(shards, active, workers, sink, advance)
+                _measure_pool(
+                    indices,
+                    pending,
+                    active,
+                    workers * SHARDS_PER_WORKER,
+                    sink,
+                    advance,
+                )
 
     if store is None:
         shard_records: list[list[tuple[int, "ProbeRecord"]]] = []

@@ -247,15 +247,21 @@ def run_counting(campaign, measured, **kwargs):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Every pool the fleet executor builds, each remembering how it
-    was shut down (``None`` while it is still open)."""
+    """Every pool the fleet executor builds, each remembering the size
+    of every shard it was given and how it was shut down (``None``
+    while it is still open)."""
     built = []
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.shard_sizes = []
             self.shutdown_cancel = None
             built.append(self)
+
+        def submit(self, fn, shard, /, *args, **kwargs):
+            self.shard_sizes.append(len(shard))
+            return super().submit(fn, shard, *args, **kwargs)
 
         def shutdown(self, wait=True, *, cancel_futures=False):
             self.shutdown_cancel = cancel_futures
@@ -337,3 +343,74 @@ class TestSessionPerRun:
         campaign.run(workers=2)
         assert len(pools) == 2
         assert all(pool.shutdown_cancel is False for pool in pools)
+
+
+def submitted(pools) -> int:
+    """How many specs the fleet executor's pools were sent."""
+    return sum(sum(pool.shard_sizes) for pool in pools)
+
+
+class TestPoolSeesDistinctMeasurements:
+    """Dedup lives in the driver: a pool is only sent measurements that
+    nobody in the session has made yet."""
+
+    @pytest.mark.parametrize("bundle", SCHEDULED, ids=lambda bundle: bundle.name)
+    def test_pool_submits_what_a_serial_run_measures(self, bundle, pools, measured):
+        campaign = LongitudinalCampaign(shrunk(bundle))
+        serial = campaign.run(workers=1)
+        assert pools == []
+        pooled = campaign.run(workers=2)
+        assert pooled == serial
+        assert len(pools) == 1
+        assert submitted(pools) == measured[0] > 0
+
+    def test_one_key_fleet_submits_one_spec(self, pools):
+        from repro.atlas.geo import organization_by_name
+
+        from tests.conftest import make_spec
+
+        org = organization_by_name("Comcast")
+        fleet = [make_spec(org, probe_id=700 + i) for i in range(12)]
+        records = parallel.measure_fleet(fleet, study.StudyConfig(workers=3)).records
+        assert pools[0].shard_sizes == [1]
+        assert [record.probe_id for record in records] == [
+            spec.probe_id for spec in fleet
+        ]
+        assert records == parallel.measure_fleet(
+            fleet, study.StudyConfig(workers=1, engine="reference")
+        ).records
+
+
+def _dedup_off_configs():
+    from repro.atlas.retry import ExponentialBackoffRetry
+    from repro.net.impairment import impairment_profile
+
+    return {
+        "metrics": {"metrics": True},
+        "impairment": {
+            "impairment": impairment_profile("residential"),
+            "impairment_seed": 5,
+        },
+        "retry": {"retry": ExponentialBackoffRetry(retries=2, seed=5)},
+    }
+
+
+class TestDedupOffPoolPath:
+    @pytest.mark.parametrize("name", sorted(_dedup_off_configs()))
+    def test_pool_submits_every_probe(self, name, pools):
+        from repro.atlas.population import generate_population
+
+        fields = _dedup_off_configs()[name]
+        fleet = generate_population(size=40, seed=31)
+        serial = parallel.measure_fleet(
+            fleet, study.StudyConfig(workers=1, seed=31, **fields)
+        )
+        pooled = parallel.measure_fleet(
+            fleet, study.StudyConfig(workers=2, seed=31, **fields)
+        )
+        assert submitted(pools) == len(fleet)
+        assert pooled.records == serial.records
+        if name == "metrics":
+            assert pooled.metrics.to_json() == serial.metrics.to_json()
+        else:
+            assert pooled.metrics is serial.metrics is None

@@ -129,6 +129,16 @@ class TestFleetSession:
                 with pytest.raises(ValueError, match="different StudyConfig"):
                     measure_fleet(fleet, other, session=session)
 
+    def test_pool_sized_by_config_not_first_call(self, fleet):
+        # A resumed campaign's first epoch may have only a few probes
+        # left; the pool must still serve every later epoch at full size.
+        config = StudyConfig(workers=3)
+        with FleetSession(config) as session:
+            measure_fleet(fleet[:2], config, session=session)
+            assert session._pool._max_workers == 3
+            records = measure_fleet(fleet, config, session=session).records
+        assert records == _records(fleet, 1)
+
 
 class TestStudyDispatch:
     def test_parallel_study_identical_to_serial(self, fleet):
