@@ -161,6 +161,10 @@ class StoreAggregator:
         self._dirty: set[int] = set()
         self._manifest: Optional[dict] = None
         self._loaded = False
+        #: Moves whenever a refresh loads a different manifest or folds
+        #: an entry: every table and page is a pure function of the two,
+        #: so a caller may keep what it built until the version moves.
+        self.version = 0
 
     # -- persisted state ----------------------------------------------------
 
@@ -241,19 +245,30 @@ class StoreAggregator:
         """Fold every segment appended since the last refresh; return
         how many new entries were folded.
 
+        Bumps :attr:`version` if the manifest differs from the one the
+        last refresh loaded, or if any entry was folded. The manifest is
+        compared before the journal is read, so a refresh that raises
+        after loading a new manifest still moves the version.
+
         Raises :class:`~repro.store.StoreCorruptError` on mid-file
-        journal damage — callers (the serve layer) map that to 503, not
-        a crash.
+        journal damage, or when a shard already read has shrunk or
+        vanished — callers (the serve layer) map that to 503, not a
+        crash.
         """
         if not self._loaded:
             self._load_state()
-        self._manifest = load_manifest(self.path)
+        manifest = load_manifest(self.path)
+        if manifest != self._manifest:
+            self._manifest = manifest
+            self.version += 1
         positions: list = []
         entries, self._cursor = read_journal_tail(
             self.journal_path, RECORDS_PREFIX, self._cursor, positions=positions
         )
         for entry, position in zip(entries, positions):
             self._fold(entry, position)
+        if entries:
+            self.version += 1
         if self.persist:
             self._persist_tables()
         return len(entries)

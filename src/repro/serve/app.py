@@ -11,12 +11,22 @@ to: each request refreshes the aggregator through
 :func:`~repro.store.read_journal_tail`, which only ever consumes byte
 ranges ending in a newline — a partially-flushed final line is left for
 the next refresh, so responses always reflect whole fsync'd segments
-and never a torn row. Every aggregator-derived payload, ``/probes``
-pages included, is built under the same lock as the refresh, so one
-response never mixes two folds, and a page counts exactly the lines
-``/epochs/<n>`` counts. Mid-file journal damage surfaces as **503** with
-the offending shard named, matching ``repro results``' one-line error;
-the server itself stays up.
+and never a torn row. Every aggregator-derived body, ``/probes`` pages
+included, is built and encoded under the same lock as the refresh, so
+one response never mixes two folds, and a page counts exactly the lines
+``/epochs/<n>`` counts.
+
+Between journal appends those bodies are a pure function of the
+manifest and the fold, and a dashboard keeps asking for the same ones.
+So the encoded bytes are kept, keyed by the validated query, until the
+aggregator's :attr:`~repro.campaigns.StoreAggregator.version` moves (a
+new manifest or a folded entry); the cache is cleared when an insert
+would take it past :data:`BODY_CACHE_MAX_BYTES`. Error bodies and the
+fold-free ``/`` and ``/manifest`` are never cached. A cached body cannot
+go stale without the journal being damaged, and the refresh before every
+lookup turns damage — a mid-file bad line, or a shard already read that
+has shrunk or vanished — into a **503** with the offending shard named,
+matching ``repro results``' one-line error; the server itself stays up.
 
 Endpoints (all GET):
 
@@ -32,6 +42,7 @@ from __future__ import annotations
 
 import re
 import threading
+from collections.abc import Hashable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 from urllib.parse import parse_qs, urlparse
@@ -41,6 +52,11 @@ from repro.ioutil import canonical_json
 from repro.store import StoreError, load_manifest
 
 _EPOCH_ROUTE = re.compile(r"^/epochs/(\d+)$")
+
+#: Bound on the total bytes of cached bodies. Like the address caches
+#: of :mod:`repro.net.addr`, the cache is cleared when an insert would
+#: pass it; a body larger than the bound is served but not kept.
+BODY_CACHE_MAX_BYTES = 8 * 1024 * 1024
 
 ENDPOINTS = {
     "/": "this index",
@@ -98,6 +114,13 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
     store_path: str = ""
     aggregator: Optional[StoreAggregator] = None
     refresh_lock: threading.Lock = threading.Lock()
+    #: Encoded bodies by query key, built at aggregator version
+    #: ``bodies_version`` and ``bodies_size`` bytes in all. Replaced,
+    #: never mutated, on the first request, so handler classes never
+    #: share one.
+    bodies: dict = {}
+    bodies_version: int = -1
+    bodies_size: int = 0
 
     # -- plumbing -----------------------------------------------------------
 
@@ -105,7 +128,11 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         pass  # request logging off — tests and CI want quiet servers
 
     def _reply(self, status: int, payload) -> None:
-        body = canonical_json(payload).encode("utf-8")
+        """Send ``payload``: a JSON document, or a body already encoded."""
+        if isinstance(payload, bytes):
+            body = payload
+        else:
+            body = canonical_json(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
@@ -113,20 +140,34 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _locked(self, build: Callable[[StoreAggregator], Any]) -> Any:
-        """Refresh the shared aggregator and return ``build(aggregator)``,
-        both under the refresh lock.
+    def _body(self, key: Hashable, build: Callable[[StoreAggregator], Any]) -> bytes:
+        """Refresh the shared aggregator and return the encoded body of
+        ``build(aggregator)``, from the cache when ``key`` is there.
 
-        The aggregator's cursor, counters and positions are shared across
-        the threading server's request threads: a payload built after
-        releasing the lock could see another request's fold half-way.
-        Callers serialise the returned payload outside the lock.
+        All of it runs under the refresh lock. The aggregator's cursor,
+        counters and positions are shared across the threading server's
+        request threads: a payload built after releasing the lock could
+        see another request's fold half-way. A miss therefore builds and
+        encodes under the lock too; a ``build`` that raises caches
+        nothing.
         """
-        aggregator = type(self).aggregator
+        handler = type(self)
+        aggregator = handler.aggregator
         assert aggregator is not None
-        with type(self).refresh_lock:
+        with handler.refresh_lock:
             aggregator.refresh()
-            return build(aggregator)
+            if handler.bodies_version != aggregator.version:
+                handler.bodies, handler.bodies_size = {}, 0
+                handler.bodies_version = aggregator.version
+            body = handler.bodies.get(key)
+            if body is None:
+                body = canonical_json(build(aggregator)).encode("utf-8")
+                if len(body) <= BODY_CACHE_MAX_BYTES:
+                    if handler.bodies_size + len(body) > BODY_CACHE_MAX_BYTES:
+                        handler.bodies, handler.bodies_size = {}, 0
+                    handler.bodies[key] = body
+                    handler.bodies_size += len(body)
+            return body
 
     # -- routing ------------------------------------------------------------
 
@@ -156,10 +197,10 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             self._reply(200, load_manifest(type(self).store_path))
             return
         if path == "/trend":
-            self._reply(200, self._locked(lambda aggregator: aggregator.trend()))
+            self._reply(200, self._body(path, lambda aggregator: aggregator.trend()))
             return
         if path == "/epochs":
-            self._reply(200, self._locked(_epoch_index))
+            self._reply(200, self._body(path, _epoch_index))
             return
         match = _EPOCH_ROUTE.match(path)
         if match:
@@ -169,7 +210,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
                 _require_epoch(aggregator, epoch)
                 return aggregator.epoch_table(epoch)
 
-            self._reply(200, self._locked(table))
+            self._reply(200, self._body(("epoch", epoch), table))
             return
         if path == "/probes":
             epoch = _int_param(params, "epoch", 0)
@@ -183,7 +224,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
                     aggregator.path, epoch, offset, limit, aggregator=aggregator
                 )
 
-            self._reply(200, self._locked(page))
+            self._reply(200, self._body(("probes", epoch, offset, limit), page))
             return
         self._reply(404, {"error": f"unknown path: {path}", "endpoints": ENDPOINTS})
 
@@ -257,4 +298,4 @@ def serve_store(store_path: str, host: str = "127.0.0.1", port: int = 8737) -> N
         server.close()
 
 
-__all__ = ["ENDPOINTS", "StoreServer", "serve_store"]
+__all__ = ["BODY_CACHE_MAX_BYTES", "ENDPOINTS", "StoreServer", "serve_store"]

@@ -304,7 +304,10 @@ def read_journal_tail(
     Because shards are append-only and a writer session never reopens an
     archived shard, a consumed byte range can never change — folding the
     tails of successive calls visits every entry exactly once, in the
-    same file-then-line order the full reader uses.
+    same file-then-line order the full reader uses. A shard the cursor
+    names that is now shorter than its offset, or gone, broke that
+    promise: it raises :class:`StoreCorruptError` naming the shard,
+    since entries already folded from it may no longer exist.
 
     If ``positions`` is a list, one ``(shard basename, byte offset)``
     pair per returned entry (where its line starts) is appended to it,
@@ -313,14 +316,30 @@ def read_journal_tail(
     """
     cursor = dict(cursor or {})
     entries: list[dict] = []
-    for path in _shard_paths(directory, prefix):
+    paths = _shard_paths(directory, prefix)
+    vanished = sorted(set(cursor) - {os.path.basename(path) for path in paths})
+    if vanished:
+        raise StoreCorruptError(
+            f"{os.path.join(directory, vanished[0])}: journal shard vanished "
+            f"after {int(cursor[vanished[0]])} bytes were read"
+        )
+    for path in paths:
         name = os.path.basename(path)
         offset = int(cursor.get(name, 0))
         try:
             size = os.path.getsize(path)
         except OSError:
+            if name in cursor:
+                raise StoreCorruptError(
+                    f"{path}: journal shard vanished after {offset} bytes were read"
+                )
             continue
-        if size <= offset:
+        if size < offset:
+            raise StoreCorruptError(
+                f"{path}: journal shard shrank to {size} bytes, below the "
+                f"{offset} already read"
+            )
+        if size == offset:
             continue
         with open(path, "rb") as handle:
             handle.seek(offset)

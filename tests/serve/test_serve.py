@@ -19,7 +19,7 @@ from repro.campaigns import (
     find_bundle,
     load_epoch_page,
 )
-from repro.serve import StoreServer
+from repro.serve import StoreServer, app
 from repro.serve.app import ENDPOINTS, _StoreRequestHandler
 from repro.store import ResultStore, load_manifest
 
@@ -238,6 +238,28 @@ class TestDamagedStore:
             status, _body = get(server, "/")
             assert status == 200
 
+    def test_shrunk_shard_is_503_even_for_cached_bodies(self, store_path, tmp_path):
+        """A shard cut below what the server already read is damage: the
+        tables and cached pages counting its lost entries are not served."""
+        damaged = str(tmp_path / "shrunk")
+        shutil.copytree(store_path, damaged)
+        journal = os.path.join(damaged, "journal")
+        (shard,) = os.listdir(journal)
+        path = os.path.join(journal, shard)
+        page = "/probes?epoch=0&offset=0&limit=5"
+        with StoreServer(damaged) as server:
+            assert get(server, "/trend")[0] == 200
+            assert get(server, page)[0] == 200
+            with open(path, "r+b") as handle:
+                handle.truncate(os.path.getsize(path) // 2)
+            for request in ("/trend", page):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    get(server, request)
+                with excinfo.value as response:
+                    assert response.code == 503, request
+                    assert shard in json.loads(response.read())["error"]
+            assert get(server, "/")[0] == 200
+
 
 class TestLiveStore:
     def test_serves_whole_epochs_while_appending(self, bundle, tmp_path):
@@ -416,7 +438,9 @@ class TestRefreshRace:
             b_waits_or_done.set()
 
         with StoreServer(path) as server:
-            assert get_json(server, "/epochs/0")[1]["measured"] == half
+            # Warm up on /epochs: a cached /epochs/0 body would answer A
+            # without reaching the paused build.
+            assert get_json(server, "/epochs")[1]["epochs"][0]["measured"] == half
             handler = server._httpd.RequestHandlerClass
             handler.refresh_lock = WatchedLock(b_waits_or_done.set)
             epochs = handler.aggregator._epochs
@@ -481,3 +505,102 @@ class TestRefreshRace:
             else:
                 indices = [probe["index"] for probe in body["probes"]]
                 assert indices == list(range(body["total"]))
+
+
+class TestBodyCache:
+    """Cached bodies are served until the fold or the manifest moves, and
+    never past the byte bound."""
+
+    REQUESTS = ("/trend", "/epochs", "/epochs/0", "/probes?epoch=0&limit=1000")
+
+    def half_store(self, page_stores, path):
+        campaign = page_stores.campaign
+        store = ResultStore(path)
+        store.begin_longitudinal(campaign.fingerprint(), campaign.epoch_sizes())
+        pairs = list(enumerate(page_stores.records[0]))
+        half = len(pairs) // 2
+        store.append_epoch_segment(0, pairs[:half])
+        store.sync()
+        return store, pairs[half:]
+
+    def test_an_append_invalidates_every_body(self, page_stores, tmp_path):
+        path = str(tmp_path / "append")
+        store, rest = self.half_store(page_stores, path)
+        with StoreServer(path) as server:
+            before = {request: get(server, request)[1] for request in self.REQUESTS}
+            store.append_epoch_segment(0, rest)
+            store.sync()
+            expected = TestBodiesMatchStdlib().expected(path)
+            for request in self.REQUESTS:
+                served = get(server, request)[1]
+                assert served == expected[request], request
+                assert served != before[request], request
+        store.close()
+
+    def test_a_manifest_change_invalidates(self, page_stores, tmp_path):
+        path = str(tmp_path / "finalize")
+        store = ResultStore(path)
+        campaign = page_stores.campaign
+        store.begin_longitudinal(campaign.fingerprint(), campaign.epoch_sizes())
+        for epoch, batch in sorted(page_stores.records.items()):
+            store.append_epoch_segment(epoch, enumerate(batch))
+        store.sync()
+        with StoreServer(path) as server:
+            assert get_json(server, "/trend")[1]["complete"] is False
+            store.finalize_longitudinal()  # the manifest only: no new entries
+            assert get_json(server, "/trend")[1]["complete"] is True
+
+    def test_repeats_build_nothing_until_an_append(
+        self, page_stores, tmp_path, monkeypatch
+    ):
+        builds = []
+        trend = StoreAggregator.trend
+
+        def counted(aggregator):
+            builds.append(1)
+            return trend(aggregator)
+
+        monkeypatch.setattr(StoreAggregator, "trend", counted)
+        path = str(tmp_path / "count")
+        store, rest = self.half_store(page_stores, path)
+        with StoreServer(path) as server:
+            first = get(server, "/trend")
+            assert len(builds) == 1
+            assert get(server, "/trend") == first
+            assert len(builds) == 1
+            store.append_epoch_segment(0, rest)
+            store.sync()
+            get(server, "/trend")
+            assert len(builds) == 2
+            get(server, "/trend")
+            assert len(builds) == 2
+        store.close()
+
+    def test_cached_bytes_stay_within_the_bound(self, page_stores):
+        path = page_stores.sharded
+        offline = StoreAggregator(path, persist=False)
+        offline.refresh()
+        served_bytes = 0
+        with StoreServer(path) as server:
+            handler = server._httpd.RequestHandlerClass
+            for epoch in range(offline.epoch_count()):
+                for offset in range(40):
+                    request = f"/probes?epoch={epoch}&offset={offset}&limit=1000"
+                    body = get(server, request)[1]
+                    expected = canonical_json(offline.epoch_page(epoch, offset, 1000))
+                    assert body == expected.encode("utf-8"), request
+                    served_bytes += len(body)
+                    cached = sum(len(kept) for kept in handler.bodies.values())
+                    assert handler.bodies_size == cached <= app.BODY_CACHE_MAX_BYTES
+        assert served_bytes > 2 * app.BODY_CACHE_MAX_BYTES  # the bound was hit
+
+    def test_a_body_over_the_bound_is_served_uncached(self, page_stores, monkeypatch):
+        monkeypatch.setattr(app, "BODY_CACHE_MAX_BYTES", 100_000)
+        path = page_stores.sharded
+        request = "/probes?epoch=0&limit=1000"
+        with StoreServer(path) as server:
+            body = get(server, request)[1]
+            assert len(body) > 100_000
+            assert body == TestBodiesMatchStdlib().expected(path)[request]
+            assert server._httpd.RequestHandlerClass.bodies == {}
+            assert get(server, request)[1] == body

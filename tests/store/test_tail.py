@@ -164,6 +164,39 @@ class TestTornTails:
         assert tail == [{"i": 1}]
 
 
+class TestDamagedShards:
+    """Writers never shrink or remove a shard, so a shard the cursor has
+    read that is now shorter, or gone, is damage: entries already folded
+    from it may no longer exist."""
+
+    def read_four(self, tmp_path):
+        path = tmp_path / "records-0000.jsonl"
+        write_lines(path, [f'{{"i": {n}}}\n' for n in range(4)])
+        tail, cursor = read_journal_tail(str(tmp_path), "records")
+        assert len(tail) == 4
+        return path, cursor
+
+    def test_truncated_shard_raises(self, tmp_path):
+        path, cursor = self.read_four(tmp_path)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
+        with pytest.raises(StoreCorruptError, match="records-0000"):
+            read_journal_tail(str(tmp_path), "records", cursor)
+
+    def test_deleted_shard_raises(self, tmp_path):
+        path, cursor = self.read_four(tmp_path)
+        os.remove(path)
+        with pytest.raises(StoreCorruptError, match="records-0000"):
+            read_journal_tail(str(tmp_path), "records", cursor)
+
+    def test_unread_shards_may_appear_and_stay_empty(self, tmp_path):
+        _path, cursor = self.read_four(tmp_path)
+        write_lines(tmp_path / "records-0001.jsonl", [])
+        tail, cursor = read_journal_tail(str(tmp_path), "records", cursor)
+        assert tail == []
+        assert set(cursor) == {"records-0000.jsonl"}
+
+
 class TestReadWhileAppend:
     def test_concurrent_reader_sees_only_whole_batches(self, tmp_path):
         """A writer fsyncing between batches races polling readers; every
