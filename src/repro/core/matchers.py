@@ -10,12 +10,12 @@ are deliberately **not** treated as interception (conservative rule,
 
 from __future__ import annotations
 
-import ipaddress
 import re
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.dnswire import Message, RCode
+from repro.net.addr import parse_ip
 from repro.resolvers.public import PROVIDER_SPECS, Provider
 
 #: Cloudflare answers a bare IATA airport code, e.g. ``IAD``.
@@ -80,7 +80,7 @@ def match_google(response: Message) -> MatchResult:
     # Strip an optional edns0-client-subnet suffix ("<ip> <subnet>").
     candidate = text.split()[0]
     try:
-        address = ipaddress.ip_address(candidate)
+        address = parse_ip(candidate)
     except ValueError:
         return MatchResult.non_standard("not an IP address", text)
     if PROVIDER_SPECS[Provider.GOOGLE].owns_egress(address):

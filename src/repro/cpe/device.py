@@ -177,56 +177,64 @@ class CpeDevice(Router):
         TTL=1 probe elicits a DNS answer (not an ICMP) from an
         intercepting CPE. The TTL-probing extension (§6) keys on exactly
         this behaviour.
+
+        Then the plain router path, except that LAN->WAN IPv4 UDP is
+        source-NATed. The LAN-origin test runs once for both decisions.
         """
-        if packet.protocol is Protocol.UDP and self.is_from_lan(packet):
-            assert packet.udp is not None
-            if packet.udp.dport in (
+        from_lan = packet.protocol is Protocol.UDP and self.is_from_lan(packet)
+        if from_lan:
+            udp = packet.udp
+            assert udp is not None
+            if udp.dport in (
                 DOT_PORT,
                 DOH_PORT,
             ) and self.encrypted.handle_client_session(self, packet):
                 return
-            verdict = self.prerouting.evaluate(packet)
-            if verdict.action is Action.DROP:
-                self.trace("drop", packet, "firewall DROP")
+            # An empty chain ACCEPTs everything: skip it and its Verdict.
+            if self.prerouting.rules and self._prerouting(packet):
                 return
-            if verdict.action is Action.DNAT:
-                hijacked = verdict.packet
-                if self.observing:
-                    self.trace(
-                        "intercept",
-                        hijacked,
-                        f"DNAT {packet.dst} -> {hijacked.dst} "
-                        f"[{verdict.rule.comment if verdict.rule else ''}]",
-                    )
-                if self.forwarder is not None:
-                    # Role switch (§3.2): stop forwarding by IP rules,
-                    # become a DNS forwarder. Reply claims the original dst.
-                    self.forwarder.handle_client_query(
-                        self, hijacked, reply_src=packet.dst
-                    )
-                else:
-                    self.trace("drop", hijacked, "DNAT with no forwarder")
-                return
-        super().forward(packet)
+        if packet.ttl <= 1:
+            self._emit_time_exceeded(packet)
+            return
+        packet = packet.decrement_ttl()
+        if from_lan and packet.family == 4:
+            self._snat(packet)
+            return
+        self.forward_by_route(packet)  # IPv6 and WAN->LAN: plain routing
 
-    def inspect_transit(self, packet: Packet) -> bool:
-        """LAN->WAN IPv4 packets are source-NATed; everything else routes."""
-        if packet.protocol is not Protocol.UDP:
-            return False
-        if not self.is_from_lan(packet):
-            return False
-        if packet.family == 4:
-            translated = self.nat.translate_outbound(packet)
-            if translated is None:
-                self.trace("drop", packet, "no WAN address")
-                return True
-            if self.observing:
-                self.trace(
-                    "rewrite", translated, f"SNAT {packet.src} -> {translated.src}"
-                )
-            self.forward_by_route(translated)
+    def _prerouting(self, packet: Packet) -> bool:
+        """Run PREROUTING on a LAN packet; True if it was consumed."""
+        verdict = self.prerouting.evaluate(packet)
+        if verdict.action is Action.DROP:
+            self.trace("drop", packet, "firewall DROP")
             return True
-        return False  # IPv6: plain routing via forward_by_route
+        if verdict.action is not Action.DNAT:
+            return False
+        hijacked = verdict.packet
+        if self.observing:
+            self.trace(
+                "intercept",
+                hijacked,
+                f"DNAT {packet.dst} -> {hijacked.dst} "
+                f"[{verdict.rule.comment if verdict.rule else ''}]",
+            )
+        if self.forwarder is not None:
+            # Role switch (§3.2): stop forwarding by IP rules,
+            # become a DNS forwarder. Reply claims the original dst.
+            self.forwarder.handle_client_query(self, hijacked, reply_src=packet.dst)
+        else:
+            self.trace("drop", hijacked, "DNAT with no forwarder")
+        return True
+
+    def _snat(self, packet: Packet) -> None:
+        """Source-NAT a LAN->WAN IPv4 packet and route it upstream."""
+        translated = self.nat.translate_outbound(packet)
+        if translated is None:
+            self.trace("drop", packet, "no WAN address")
+            return
+        if self.observing:
+            self.trace("rewrite", translated, f"SNAT {packet.src} -> {translated.src}")
+        self.forward_by_route(translated)
 
     # -- local delivery -----------------------------------------------------------
 
@@ -328,16 +336,9 @@ class CpeDevice(Router):
         ):
             binding = self.nat.binding_for_public_port(4, quoted.udp.sport)
             if binding is not None:
-                inner = quoted.with_src(binding.flow.src, sport=binding.flow.sport)
-                from repro.net.packet import IcmpData, Packet as _Packet
-
-                rewritten = _Packet(
-                    src=packet.src,
-                    dst=binding.flow.src,
-                    protocol=Protocol.ICMP,
-                    icmp=IcmpData(packet.icmp.icmp_type, quoted=inner),
-                    ttl=packet.ttl,
-                )
+                flow = binding.flow
+                inner = quoted.with_src(flow.src, sport=flow.sport)
+                rewritten = packet.with_quoted(flow.src, inner)
                 self.trace("rewrite", rewritten, "icmp un-SNAT")
                 self.forward_by_route(rewritten)
                 return

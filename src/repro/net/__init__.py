@@ -25,7 +25,6 @@ from .packet import (
     Packet,
     Protocol,
     UdpData,
-    make_icmp_port_unreachable,
     make_icmp_time_exceeded,
     make_reply,
     make_udp,
@@ -71,7 +70,6 @@ __all__ = [
     "Packet",
     "Protocol",
     "UdpData",
-    "make_icmp_port_unreachable",
     "make_icmp_time_exceeded",
     "make_reply",
     "make_udp",

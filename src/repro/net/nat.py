@@ -12,7 +12,7 @@ forwards them upstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .addr import IPAddress, parse_ip
 from .packet import Packet, Protocol
@@ -23,9 +23,12 @@ NAT_PORT_BASE = 50000
 NAT_PORT_MAX = 65535
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """Identity of an outbound flow, pre-translation."""
+class FlowKey(NamedTuple):
+    """Identity of an outbound flow, pre-translation.
+
+    A tuple, so the translation table can look a flow up by the plain
+    ``(src, sport, dst, dport)`` tuple of each packet it sees.
+    """
 
     src: IPAddress
     sport: int
@@ -48,7 +51,9 @@ class NatTable:
                  wan_v6: "str | IPAddress | None" = None) -> None:
         self.wan_v4 = parse_ip(wan_v4) if wan_v4 else None
         self.wan_v6 = parse_ip(wan_v6) if wan_v6 else None
-        self._outbound: dict[FlowKey, NatBinding] = {}
+        #: Keyed by the plain (src, sport, dst, dport) tuple, equal to the
+        #: binding's FlowKey.
+        self._outbound: dict[tuple, NatBinding] = {}
         self._inbound: dict[tuple[int, int], NatBinding] = {}  # (family, port)
         self._next_port = NAT_PORT_BASE
 
@@ -68,16 +73,18 @@ class NatTable:
 
     def translate_outbound(self, packet: Packet) -> Optional[Packet]:
         """SNAT an outbound packet; None if no WAN address for the family."""
-        assert packet.protocol is Protocol.UDP and packet.udp is not None
-        wan = self.wan_address(packet.family)
+        udp = packet.udp
+        assert packet.protocol is Protocol.UDP and udp is not None
+        family = packet.family
+        wan = self.wan_v4 if family == 4 else self.wan_v6
         if wan is None:
             return None
-        flow = FlowKey(packet.src, packet.udp.sport, packet.dst, packet.udp.dport)
+        flow = (packet.src, udp.sport, packet.dst, udp.dport)
         binding = self._outbound.get(flow)
         if binding is None:
-            binding = NatBinding(flow, self._allocate_port(packet.family))
+            binding = NatBinding(FlowKey(*flow), self._allocate_port(family))
             self._outbound[flow] = binding
-            self._inbound[(packet.family, binding.public_port)] = binding
+            self._inbound[(family, binding.public_port)] = binding
         return packet.with_src(wan, sport=binding.public_port)
 
     def translate_inbound(self, packet: Packet) -> Optional[Packet]:
@@ -96,7 +103,8 @@ class NatTable:
         binding = self._inbound.get((packet.family, packet.udp.dport))
         if binding is None:
             return None
-        return packet.with_dst(binding.flow.src, dport=binding.flow.sport)
+        flow = binding.flow
+        return packet.with_dst(flow.src, dport=flow.sport)
 
     def binding_for_public_port(self, family: int, port: int) -> Optional[NatBinding]:
         """Look up a binding by its WAN-side port (used for ICMP errors)."""

@@ -1,16 +1,26 @@
 """Simulated IP packets: UDP datagrams and ICMP messages.
 
 Packets are immutable; every rewriting device (NAT, DNAT interceptor,
-spoofing middlebox) produces a *new* packet via ``replace``-style helpers.
-That makes packet traces trustworthy: a captured packet can never be
-mutated after the fact by a later hop.
+spoofing middlebox) produces a *new* packet through the ``with_*`` and
+``truncated`` helpers, and every rewritten copy records its parent's
+``uid`` in ``lineage``. That makes packet traces trustworthy: a captured
+packet can never be mutated after the fact by a later hop, and
+``TraceRecorder.for_lineage`` can follow one query through every
+rewrite.
+
+Packets are built on every hop, so the builders (``make_udp``,
+``make_reply``, ``make_icmp_time_exceeded``) and the rewrite helpers
+fill a new packet's fields directly instead of going through the
+dataclass ``__init__`` or ``dataclasses.replace``. They run the same
+consistency check ``__post_init__`` runs (:func:`_check`), so a packet
+built either way is accepted or refused alike.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .addr import IPAddress, parse_ip
@@ -30,8 +40,6 @@ class IcmpType(enum.Enum):
     """The ICMP messages the simulator generates."""
 
     TIME_EXCEEDED = "time-exceeded"
-    PORT_UNREACHABLE = "port-unreachable"
-    NET_UNREACHABLE = "net-unreachable"
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,22 @@ class IcmpData:
     quoted: Optional["Packet"] = None
 
 
+def _check(
+    src: IPAddress,
+    dst: IPAddress,
+    protocol: Protocol,
+    udp: Optional[UdpData],
+    icmp: Optional[IcmpData],
+) -> None:
+    """The invariants of every packet, however it was built."""
+    if src.version != dst.version:
+        raise ValueError("src/dst address family mismatch")
+    if protocol is Protocol.UDP and udp is None:
+        raise ValueError("UDP packet without UDP data")
+    if protocol is Protocol.ICMP and icmp is None:
+        raise ValueError("ICMP packet without ICMP data")
+
+
 @dataclass(frozen=True)
 class Packet:
     """A simulated IP packet.
@@ -77,12 +101,7 @@ class Packet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "src", parse_ip(self.src))
         object.__setattr__(self, "dst", parse_ip(self.dst))
-        if self.src.version != self.dst.version:
-            raise ValueError("src/dst address family mismatch")
-        if self.protocol is Protocol.UDP and self.udp is None:
-            raise ValueError("UDP packet without UDP data")
-        if self.protocol is Protocol.ICMP and self.icmp is None:
-            raise ValueError("ICMP packet without ICMP data")
+        _check(self.src, self.dst, self.protocol, self.udp, self.icmp)
 
     @property
     def family(self) -> int:
@@ -90,22 +109,10 @@ class Packet:
 
     # -- rewriting helpers -------------------------------------------------
 
-    def _derived(self, **changes) -> "Packet":
-        # Rewrites happen once or more per hop, so this skips
-        # dataclasses.replace and __post_init__ re-validation: every field
-        # either carries over from this (already validated) packet or is
-        # supplied pre-parsed by the with_*/truncated helpers below.
-        child = Packet.__new__(Packet)
-        state = dict(self.__dict__)
-        state.update(changes)
-        state["uid"] = next(_packet_counter)
-        state["lineage"] = self.lineage + (self.uid,)
-        child.__dict__.update(state)
-        return child
-
     def decrement_ttl(self) -> "Packet":
-        # Once per router hop: the _derived copy minus its **changes merge.
-        child = Packet.__new__(Packet)
+        # Once per router hop, and every field but ttl carries over from
+        # this (already checked) packet, so even _build's check is skipped.
+        child = object.__new__(Packet)
         state = child.__dict__
         state.update(self.__dict__)
         state["ttl"] = self.ttl - 1
@@ -117,22 +124,45 @@ class Packet:
         """DNAT rewrite: new destination address (and optionally port)."""
         udp = self.udp
         if dport is not None and udp is not None:
-            udp = replace(udp, dport=dport)
-        return self._derived(dst=parse_ip(dst), udp=udp)
+            udp = UdpData(udp.sport, dport, udp.payload)
+        return self._rewrite(self.src, parse_ip(dst), udp, self.icmp)
 
     def with_src(self, src: "str | IPAddress", sport: int | None = None) -> "Packet":
         """SNAT rewrite: new source address (and optionally port)."""
         udp = self.udp
         if sport is not None and udp is not None:
-            udp = replace(udp, sport=sport)
-        return self._derived(src=parse_ip(src), udp=udp)
+            udp = UdpData(sport, udp.dport, udp.payload)
+        return self._rewrite(parse_ip(src), self.dst, udp, self.icmp)
+
+    def with_quoted(self, dst: "str | IPAddress", quoted: "Packet") -> "Packet":
+        """ICMP un-NAT rewrite: new destination, the same message quoting
+        ``quoted`` (the offender as its LAN host sent it)."""
+        if self.icmp is None:
+            raise ValueError("only ICMP packets quote a packet")
+        icmp = IcmpData(self.icmp.icmp_type, quoted)
+        return self._rewrite(self.src, parse_ip(dst), self.udp, icmp)
 
     def truncated(self, length: int) -> "Packet":
         """Damage rewrite: keep only the first ``length`` payload bytes
         (link impairment — the receiver sees a short, undecodable datagram)."""
-        if self.udp is None:
+        udp = self.udp
+        if udp is None:
             raise ValueError("only UDP packets can be truncated")
-        return self._derived(udp=replace(self.udp, payload=self.udp.payload[:length]))
+        udp = UdpData(udp.sport, udp.dport, udp.payload[:length])
+        return self._rewrite(self.src, self.dst, udp, self.icmp)
+
+    def _rewrite(
+        self,
+        src: IPAddress,
+        dst: IPAddress,
+        udp: Optional[UdpData],
+        icmp: Optional[IcmpData],
+    ) -> "Packet":
+        # The child keeps protocol and ttl and appends this packet's uid
+        # to its lineage.
+        return _build(
+            src, dst, self.protocol, udp, icmp, self.ttl, self.lineage + (self.uid,)
+        )
 
     def describe(self) -> str:
         if self.protocol is Protocol.UDP:
@@ -145,6 +175,32 @@ class Packet:
         return f"ICMP {self.icmp.icmp_type.value} {self.src} -> {self.dst} ttl={self.ttl}"
 
 
+def _build(
+    src: IPAddress,
+    dst: IPAddress,
+    protocol: Protocol,
+    udp: Optional[UdpData],
+    icmp: Optional[IcmpData],
+    ttl: int,
+    lineage: tuple[int, ...],
+) -> Packet:
+    """A new packet from already-parsed fields, without the dataclass
+    ``__init__``: behind every builder and rewrite in this module but
+    ``decrement_ttl``."""
+    _check(src, dst, protocol, udp, icmp)
+    packet = object.__new__(Packet)
+    state = packet.__dict__
+    state["src"] = src
+    state["dst"] = dst
+    state["protocol"] = protocol
+    state["udp"] = udp
+    state["icmp"] = icmp
+    state["ttl"] = ttl
+    state["uid"] = next(_packet_counter)
+    state["lineage"] = lineage
+    return packet
+
+
 def make_udp(
     src: "str | IPAddress",
     sport: int,
@@ -154,13 +210,9 @@ def make_udp(
     ttl: int = DEFAULT_TTL,
 ) -> Packet:
     """Build a UDP packet."""
-    return Packet(
-        src=parse_ip(src),
-        dst=parse_ip(dst),
-        protocol=Protocol.UDP,
-        udp=UdpData(sport=sport, dport=dport, payload=payload),
-        ttl=ttl,
-    )
+    src, dst = parse_ip(src), parse_ip(dst)
+    udp = UdpData(sport, dport, payload)
+    return _build(src, dst, Protocol.UDP, udp, None, ttl, ())
 
 
 def make_reply(request: Packet, payload: bytes, src: "str | IPAddress | None" = None) -> Packet:
@@ -172,30 +224,13 @@ def make_reply(request: Packet, payload: bytes, src: "str | IPAddress | None" = 
     that of the target resolver; if not, the response would be rejected".
     """
     assert request.udp is not None
-    return make_udp(
-        src=parse_ip(src) if src is not None else request.dst,
-        sport=request.udp.dport,
-        dst=request.src,
-        dport=request.udp.sport,
-        payload=payload,
-    )
+    reply_src = parse_ip(src) if src is not None else request.dst
+    udp = UdpData(request.udp.dport, request.udp.sport, payload)
+    return _build(reply_src, request.src, Protocol.UDP, udp, None, DEFAULT_TTL, ())
 
 
 def make_icmp_time_exceeded(offender: Packet, reporter: "str | IPAddress") -> Packet:
     """Build the ICMP Time Exceeded a router sends when TTL hits zero."""
-    return Packet(
-        src=parse_ip(reporter),
-        dst=offender.src,
-        protocol=Protocol.ICMP,
-        icmp=IcmpData(IcmpType.TIME_EXCEEDED, quoted=offender),
-    )
-
-
-def make_icmp_port_unreachable(offender: Packet, reporter: "str | IPAddress") -> Packet:
-    """Build the ICMP Port Unreachable for a closed UDP port."""
-    return Packet(
-        src=parse_ip(reporter),
-        dst=offender.src,
-        protocol=Protocol.ICMP,
-        icmp=IcmpData(IcmpType.PORT_UNREACHABLE, quoted=offender),
-    )
+    src = parse_ip(reporter)
+    icmp = IcmpData(IcmpType.TIME_EXCEEDED, quoted=offender)
+    return _build(src, offender.src, Protocol.ICMP, None, icmp, DEFAULT_TTL, ())

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.dnswire import (
@@ -37,7 +37,7 @@ from repro.dnswire import (
 )
 from repro.dnswire.chaosnames import ID_SERVER, VERSION_BIND
 from repro.net import Packet
-from repro.net.addr import IPAddress, parse_ip
+from repro.net.addr import IPAddress, IPNetwork, parse_ip
 
 from .base import DnsServerNode
 from .directory import NameDirectory, OPENDNS_DEBUG
@@ -73,6 +73,21 @@ class ProviderSpec:
     v6_addresses: tuple[str, ...]
     egress_v4_ranges: tuple[str, ...]
     egress_v6_ranges: tuple[str, ...]
+    #: The egress ranges parsed once, by family; matchers test every
+    #: Google answer against them.
+    _egress_networks: dict[int, tuple[IPNetwork, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "_egress_networks",
+            {
+                4: tuple(ipaddress.ip_network(r) for r in self.egress_v4_ranges),
+                6: tuple(ipaddress.ip_network(r) for r in self.egress_v6_ranges),
+            },
+        )
 
     @property
     def all_addresses(self) -> tuple[str, ...]:
@@ -83,16 +98,12 @@ class ProviderSpec:
 
     def egress_address(self, family: int) -> IPAddress:
         """The deterministic egress address used toward authoritatives."""
-        ranges = self.egress_v4_ranges if family == 4 else self.egress_v6_ranges
-        network = ipaddress.ip_network(ranges[0])
-        return network.network_address + 35
+        return self._egress_networks[family][0].network_address + 35
 
     def owns_egress(self, address: "str | IPAddress") -> bool:
         address = parse_ip(address)
-        ranges = (
-            self.egress_v4_ranges if address.version == 4 else self.egress_v6_ranges
-        )
-        return any(address in ipaddress.ip_network(r) for r in ranges)
+        networks = self._egress_networks[address.version]
+        return any(address in network for network in networks)
 
 
 PROVIDER_SPECS: dict[Provider, ProviderSpec] = {

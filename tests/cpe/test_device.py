@@ -65,6 +65,31 @@ class TestHonestRouter:
             ("cpe", "rewrite", "un-SNAT -> 192.168.1.100"),
         ]
 
+    def test_icmp_un_snat_keeps_lineage(self, org):
+        """The ICMP error a router sends to the WAN address reaches the LAN
+        host as a rewrite of that error, so its lineage leads to the host."""
+        sc = scenario_with(org, honest_router())
+        net = sc.network
+        net.recorder.enabled = True
+        # TTL 2: the CPE forwards it, the next router reports expiry.
+        sock = sc.host.open_socket()
+        sock.sendto(b"ping", "1.1.1.1", 7000, ttl=2)
+        net.run()
+        assert len(sc.host.icmp_inbox) == 1
+        router_icmp = next(
+            e.packet for e in net.recorder.events if e.packet.icmp is not None
+        )
+        assert router_icmp.dst == sc.cpe_public_v4
+        lineage = net.recorder.for_lineage(router_icmp)
+        assert ("cpe", "rewrite", "icmp un-SNAT") in [
+            (e.node, e.action, e.detail) for e in lineage
+        ]
+        delivered = [e for e in lineage if e.node == sc.host.name]
+        assert [e.action for e in delivered] == ["deliver"]
+        quoted = delivered[0].packet.icmp.quoted
+        assert str(quoted.src) == "192.168.1.100"
+        assert quoted.udp.sport == sock.port
+
 
 class TestHonestForwarderLanOnly:
     def test_lan_service_answers(self, org):

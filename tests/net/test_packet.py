@@ -1,14 +1,19 @@
 """Packet construction and rewriting."""
 
+import dataclasses
+import ipaddress
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.packet import (
     DEFAULT_TTL,
+    IcmpData,
     IcmpType,
     Packet,
     Protocol,
     UdpData,
-    make_icmp_port_unreachable,
+    _build,
     make_icmp_time_exceeded,
     make_reply,
     make_udp,
@@ -107,12 +112,196 @@ class TestIcmp:
         assert icmp.dst == udp_packet.src
         assert str(icmp.src) == "24.0.0.2"
 
-    def test_port_unreachable(self, udp_packet):
-        icmp = make_icmp_port_unreachable(udp_packet, "8.8.8.8")
-        assert icmp.icmp.icmp_type is IcmpType.PORT_UNREACHABLE
-
     def test_describe(self, udp_packet):
         text = udp_packet.describe()
         assert "UDP" in text and "8.8.8.8:53" in text
         icmp = make_icmp_time_exceeded(udp_packet, "1.2.3.4")
         assert "time-exceeded" in icmp.describe()
+
+
+# -- the builder against the dataclass machinery it stands in for ----------
+#
+# Every helper must give the packet ``Packet(...)`` or
+# ``dataclasses.replace`` would give (all fields but the fresh ``uid``),
+# or refuse it with the same ValueError.
+
+addresses = st.one_of(
+    st.integers(0, 2**32 - 1).map(ipaddress.IPv4Address),
+    st.integers(0, 2**128 - 1).map(ipaddress.IPv6Address),
+)
+ports = st.one_of(
+    st.integers(1, 0xFFFF), st.integers(-2, 0), st.integers(0x10000, 0x10002)
+)
+payloads = st.binary(max_size=24)
+ttls = st.integers(0, 255)
+
+
+def _outcome(build):
+    """("ok", every field but uid) or ("error", the ValueError's text)."""
+    try:
+        packet = build()
+    except ValueError as exc:
+        return ("error", str(exc))
+    fields = dataclasses.fields(Packet)
+    return ("ok", {f.name: getattr(packet, f.name) for f in fields if f.name != "uid"})
+
+
+def _same(fast, reference):
+    outcome = _outcome(fast)
+    assert outcome == _outcome(reference)
+    return outcome[0] == "ok"
+
+
+@st.composite
+def udp_packets(draw):
+    """A valid UDP packet, a rewrite or two deep (so lineage is non-empty)."""
+    src = draw(addresses)
+    dst = draw(addresses.filter(lambda a: a.version == src.version))
+    sport, dport = draw(st.integers(1, 0xFFFF)), draw(st.integers(1, 0xFFFF))
+    ttl = draw(st.integers(1, 255))
+    packet = make_udp(src, sport, dst, dport, draw(payloads), ttl=ttl)
+    for _ in range(draw(st.integers(0, 2))):
+        packet = packet.decrement_ttl()
+    return packet
+
+
+def _rewrites(parent, rewrite, reference):
+    """``rewrite(parent)`` equals ``reference(parent)`` with the parent's
+    uid appended to lineage, gets a fresh uid and leaves the parent as
+    it was."""
+    before = dict(parent.__dict__)
+    child = None
+
+    def fast():
+        nonlocal child
+        child = rewrite(parent)
+        return child
+
+    def slow():
+        child = reference(parent)
+        return dataclasses.replace(child, lineage=parent.lineage + (parent.uid,))
+
+    if _same(fast, slow):
+        assert child.uid not in (parent.uid, *parent.lineage)
+        assert child.lineage[-1] == parent.uid
+    assert parent.__dict__ == before
+
+
+class TestBuilderMatchesDataclass:
+    @settings(max_examples=200)
+    @given(addresses, addresses, st.sampled_from(Protocol), st.booleans(),
+           st.booleans(), ttls)
+    def test_build(self, src, dst, protocol, with_udp, with_icmp, ttl):
+        udp = UdpData(1, 53, b"q") if with_udp else None
+        icmp = IcmpData(IcmpType.TIME_EXCEEDED) if with_icmp else None
+        _same(
+            lambda: _build(src, dst, protocol, udp, icmp, ttl, ()),
+            lambda: Packet(
+                src=src, dst=dst, protocol=protocol, udp=udp, icmp=icmp, ttl=ttl
+            ),
+        )
+
+    @settings(max_examples=200)
+    @given(addresses, ports, addresses, ports, payloads, ttls)
+    def test_make_udp(self, src, sport, dst, dport, payload, ttl):
+        _same(
+            lambda: make_udp(str(src), sport, dst, dport, payload, ttl=ttl),
+            lambda: Packet(
+                src=str(src),
+                dst=dst,
+                protocol=Protocol.UDP,
+                udp=UdpData(sport=sport, dport=dport, payload=payload),
+                ttl=ttl,
+            ),
+        )
+
+    @settings(max_examples=150)
+    @given(udp_packets(), payloads, st.one_of(st.none(), addresses))
+    def test_make_reply(self, request, payload, src):
+        _same(
+            lambda: make_reply(request, payload, src=src),
+            lambda: Packet(
+                src=src if src is not None else request.dst,
+                dst=request.src,
+                protocol=Protocol.UDP,
+                udp=UdpData(request.udp.dport, request.udp.sport, payload),
+            ),
+        )
+
+    @settings(max_examples=150)
+    @given(udp_packets(), addresses)
+    def test_make_icmp_time_exceeded(self, offender, reporter):
+        _same(
+            lambda: make_icmp_time_exceeded(offender, str(reporter)),
+            lambda: Packet(
+                src=reporter,
+                dst=offender.src,
+                protocol=Protocol.ICMP,
+                icmp=IcmpData(IcmpType.TIME_EXCEEDED, quoted=offender),
+            ),
+        )
+
+    @settings(max_examples=200)
+    @given(udp_packets(), addresses, st.one_of(st.none(), ports))
+    def test_with_src(self, parent, src, sport):
+        _rewrites(
+            parent,
+            lambda p: p.with_src(str(src), sport=sport),
+            lambda p: dataclasses.replace(
+                p,
+                src=src,
+                udp=p.udp if sport is None else dataclasses.replace(p.udp, sport=sport),
+            ),
+        )
+
+    @settings(max_examples=200)
+    @given(udp_packets(), addresses, st.one_of(st.none(), ports))
+    def test_with_dst(self, parent, dst, dport):
+        _rewrites(
+            parent,
+            lambda p: p.with_dst(dst, dport=dport),
+            lambda p: dataclasses.replace(
+                p,
+                dst=dst,
+                udp=p.udp if dport is None else dataclasses.replace(p.udp, dport=dport),
+            ),
+        )
+
+    @settings(max_examples=100)
+    @given(udp_packets(), st.integers(0, 30))
+    def test_truncated(self, parent, length):
+        _rewrites(
+            parent,
+            lambda p: p.truncated(length),
+            lambda p: dataclasses.replace(
+                p, udp=dataclasses.replace(p.udp, payload=p.udp.payload[:length])
+            ),
+        )
+
+    @settings(max_examples=100)
+    @given(udp_packets())
+    def test_decrement_ttl(self, parent):
+        _rewrites(
+            parent,
+            lambda p: p.decrement_ttl(),
+            lambda p: dataclasses.replace(p, ttl=p.ttl - 1),
+        )
+
+    @settings(max_examples=100)
+    @given(udp_packets(), addresses, udp_packets())
+    def test_with_quoted(self, offender, dst, quoted):
+        parent = make_icmp_time_exceeded(offender, offender.dst)
+        _rewrites(
+            parent,
+            lambda p: p.with_quoted(dst, quoted),
+            lambda p: dataclasses.replace(
+                p, dst=dst, icmp=IcmpData(p.icmp.icmp_type, quoted=quoted)
+            ),
+        )
+
+    def test_truncating_icmp_refused(self, udp_packet):
+        icmp = make_icmp_time_exceeded(udp_packet, "1.2.3.4")
+        with pytest.raises(ValueError, match="only UDP"):
+            icmp.truncated(1)
+        with pytest.raises(ValueError, match="only ICMP"):
+            udp_packet.with_quoted("1.2.3.4", udp_packet)
