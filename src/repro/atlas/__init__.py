@@ -12,7 +12,6 @@ from .campaign import (
     MeasurementDefinition,
     MeasurementRow,
     definition_from_dict,
-    row_from_dict,
 )
 from .geo import (
     ORGANIZATIONS,
@@ -68,7 +67,6 @@ __all__ = [
     "MeasurementDefinition",
     "definition_from_dict",
     "MeasurementRow",
-    "row_from_dict",
     "ORGANIZATIONS",
     "Organization",
     "countries",

@@ -99,21 +99,6 @@ class MeasurementRow:
         }
 
 
-def row_from_dict(data: dict[str, Any]) -> MeasurementRow:
-    """Rebuild a row from its Atlas-style :meth:`MeasurementRow.to_dict`
-    form (the shape the result store journals)."""
-    rt_ms = data.get("rt")
-    return MeasurementRow(
-        msm_id=int(data["msm_id"]),
-        probe_id=int(data["prb_id"]),
-        timestamp_ms=float(data["timestamp"]),
-        rt_ms=None if rt_ms is None else float(rt_ms),
-        rcode=None if data.get("rcode") is None else str(data["rcode"]),
-        answers=tuple(str(answer) for answer in data.get("answers", [])),
-        error=None if data.get("error") is None else str(data["error"]),
-    )
-
-
 class Campaign:
     """A set of measurement definitions scheduled over probe specs."""
 
@@ -183,53 +168,14 @@ class Campaign:
         self,
         specs: Iterable[ProbeSpec],
         progress: Optional[Callable[[int], None]] = None,
-        store=None,
     ) -> list[MeasurementRow]:
         """Run the campaign across a fleet (offline probes yield no rows,
-        like probes that never picked the measurement up).
-
-        With a :class:`~repro.store.ResultStore`, every probe's rows are
-        journaled as they land (offline probes journal an empty row set,
-        so they count as covered), already-journaled probes are skipped
-        on resume, and the returned list — rebuilt from the journal in
-        fleet order — is identical to a store-less run. A spent probe
-        budget raises :class:`~repro.store.StoreInterrupted`.
-        """
-        specs = list(specs)
-        if store is None:
-            rows: list[MeasurementRow] = []
-            for index, spec in enumerate(specs):
-                if not spec.online:
-                    continue
-                rows.extend(self._measure_probe(spec))
-                if progress is not None:
-                    progress(index + 1)
-            return rows
-
-        from repro.store import StoreInterrupted
-
-        done = store.begin_campaign(self.definitions, specs)
-        measured = 0
-        truncated = False
-        try:
-            for index, spec in enumerate(specs):
-                if index in done:
-                    continue
-                if (
-                    store.probe_budget is not None
-                    and measured >= store.probe_budget
-                ):
-                    truncated = True
-                    break
-                probe_rows = self._measure_probe(spec) if spec.online else []
-                store.append_campaign(index, spec.probe_id, probe_rows)
-                measured += 1
-                if progress is not None:
-                    progress(index + 1)
-        finally:
-            store.sync()
-        if truncated:
-            raise StoreInterrupted(len(done) + measured, len(specs))
-        rows = store.collect_campaign()
-        store.finalize_campaign()
+        like probes that never picked the measurement up)."""
+        rows: list[MeasurementRow] = []
+        for index, spec in enumerate(specs):
+            if not spec.online:
+                continue
+            rows.extend(self._measure_probe(spec))
+            if progress is not None:
+                progress(index + 1)
         return rows

@@ -12,7 +12,7 @@ The invariant the tests pin: folding segments incrementally (any
 refresh cadence, including one refresh per appended batch) produces
 tables byte-identical to a fresh aggregator rescanning the whole
 journal. First-wins dedupe by ``(epoch, index)`` matches
-``ResultStore.collect_epochs``, so a resumed campaign's replayed tail
+``ResultStore.collect``, so a resumed campaign's replayed tail
 can never double-count.
 
 With ``persist=True`` the cursor and counters round-trip through

@@ -373,14 +373,15 @@ class LongitudinalCampaign:
                     epoch_done(epoch)
             return epochs
 
-        from repro.store import StoreInterrupted
+        from repro.store import StoreInterrupted, epoch_manifest
 
         sizes = self.epoch_sizes()
         total = sum(sizes)
-        done = store.begin_longitudinal(
+        done = store.begin(
+            "longitudinal",
             self.fingerprint(),
-            sizes,
             {
+                **epoch_manifest(sizes),
                 "scenario": self.bundle.name,
                 "seed": self.seed,
                 "config": _export_config_dict(config),
@@ -411,9 +412,9 @@ class LongitudinalCampaign:
                 records = parallel.measure_fleet(
                     [spec for _index, spec in remaining], config, session=session
                 ).records
-                store.append_epoch_segment(
-                    epoch,
+                store.append(
                     zip((index for index, _spec in remaining), records),
+                    epoch=epoch,
                 )
                 completed += len(remaining)
                 if budget_left is not None:
@@ -431,8 +432,8 @@ class LongitudinalCampaign:
             store.sync()
         if truncated:
             raise StoreInterrupted(completed, total)
-        epochs = store.collect_epochs()
-        store.finalize_longitudinal()
+        epochs, _metrics = store.collect()
+        store.finalize()
         return epochs
 
 

@@ -480,8 +480,10 @@ def cmd_results(args: argparse.Namespace) -> int:
         for path in stores:
             summary = summarize_store(path)
             print(summary.render())
-            if args.verdict and summary.kind == "study":
+            study = None
+            if (args.verdict or args.tables) and summary.kind == "study":
                 study = load_stored_study(path)
+            if args.verdict and study is not None:
                 matching = [
                     r.probe_id for r in study.records if r.verdict == args.verdict
                 ]
@@ -489,8 +491,7 @@ def cmd_results(args: argparse.Namespace) -> int:
                     f"  verdict={args.verdict}: {len(matching)} probes"
                     + (f": {matching}" if matching else "")
                 )
-            if args.tables and summary.kind == "study":
-                study = load_stored_study(path)
+            if args.tables and study is not None:
                 if not first:
                     print()
                 print()

@@ -498,8 +498,19 @@ def measure_fleet(
     done = 0
     truncated = False
     if store is not None:
-        journaled = store.begin_study(config, specs)
-        indices = [index for index in indices if index not in journaled]
+        from repro.analysis.export import config_to_dict
+        from repro.store import StoreInterrupted, study_fingerprint
+
+        journaled = store.begin(
+            "study",
+            study_fingerprint(config, specs),
+            {
+                "fleet_size": total,
+                "seed": config.seed,
+                "config": config_to_dict(config),
+            },
+        )
+        indices = [index for index in indices if (None, index) not in journaled]
         done = len(journaled)
         if store.probe_budget is not None and len(indices) > store.probe_budget:
             indices = indices[: store.probe_budget]
@@ -552,13 +563,11 @@ def measure_fleet(
             )
         return FleetResult(records=merge_shard_records(shard_records), metrics=metrics)
 
-    from repro.store import StoreInterrupted
-
     try:
-        measure(store.append_segment)
+        measure(store.append)
     finally:
         store.sync()
     if truncated:
         raise StoreInterrupted(done, total)
-    records, metrics = store.collect_study()
-    return FleetResult(records=records, metrics=metrics)
+    epochs, metrics = store.collect()
+    return FleetResult(records=epochs[None], metrics=metrics)

@@ -498,5 +498,5 @@ def run_pilot_study(
         metrics=fleet.metrics,
     )
     if store is not None:
-        store.finalize_study(result)
+        store.finalize(result)
     return result

@@ -16,7 +16,6 @@ from .journal import (
     StoreInterrupted,
     StoreMismatchError,
     StoreResumeRequired,
-    campaign_fingerprint,
     canonical_value,
     fingerprint,
     read_journal,
@@ -33,6 +32,7 @@ from .result_store import (
     STUDY_EXPORT_NAME,
     ResultStore,
     StoreSummary,
+    epoch_manifest,
     list_stores,
     load_manifest,
     load_stored_records,
@@ -56,8 +56,8 @@ __all__ = [
     "StoreMismatchError",
     "StoreResumeRequired",
     "StoreSummary",
-    "campaign_fingerprint",
     "canonical_value",
+    "epoch_manifest",
     "fingerprint",
     "list_stores",
     "load_manifest",

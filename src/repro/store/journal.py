@@ -7,16 +7,17 @@ rewritten and archived shards stay bounded. Durability is batched —
 :class:`JournalWriter` fsyncs every ``sync()`` call, which the store
 issues once per segment batch — so a crash can lose at most the entries
 since the last sync and can truncate at most the final line of one
-file. :func:`read_journal` therefore tolerates an undecodable *final*
-line per shard file (the torn write) but treats damage anywhere else as
-:class:`StoreCorruptError`.
+file. Every reader runs on one line scanner, which therefore tolerates
+an undecodable *final* line per shard file (the torn write) but treats
+damage anywhere else as :class:`StoreCorruptError`.
 
 The module also owns the **content fingerprint** that makes resumption
 safe: :func:`fingerprint` canonicalises an arbitrary tree of
 dataclasses, enums, sets and primitives into deterministic JSON and
 hashes it. The store fingerprints the :class:`~repro.core.study.
-StudyConfig` plus every :class:`~repro.atlas.probe.ProbeSpec` (or the
-campaign's definitions), writes the digest into the manifest, and
+StudyConfig` plus every :class:`~repro.atlas.probe.ProbeSpec` (a
+longitudinal campaign, its bundle and every epoch's fleet), writes the
+digest into the manifest, and
 refuses — with :class:`StoreMismatchError` — to resume a journal whose
 inputs don't hash to the same value. Worker count is deliberately *not*
 part of the fingerprint: records are a pure function of the specs, so a
@@ -32,7 +33,7 @@ import glob
 import hashlib
 import json
 import os
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 
 class StoreError(Exception):
@@ -148,18 +149,6 @@ def study_fingerprint(config: Any, specs: Iterable[Any]) -> str:
     )
 
 
-def campaign_fingerprint(definitions: Iterable[Any], specs: Iterable[Any]) -> str:
-    """Content hash of a campaign's inputs: definitions + fleet."""
-    memo: dict = {}
-    return fingerprint(
-        {
-            "kind": "campaign",
-            "definitions": [canonical_value(d, memo) for d in definitions],
-            "fleet": [canonical_value(spec, memo) for spec in specs],
-        }
-    )
-
-
 # -- the sharded JSONL journal ----------------------------------------------
 
 
@@ -244,78 +233,29 @@ class JournalWriter:
             self._handle = None
 
 
-def read_journal(directory: str, prefix: str) -> list[dict]:
-    """Every decodable entry, in file-then-line order.
+def _scan_journal(
+    directory: str, prefix: str, cursor: Optional[dict] = None
+) -> Iterator[tuple[dict, str, int]]:
+    """Yield ``(entry, shard basename, byte offset of its line)`` for every
+    entry past ``cursor``, in file-then-line order; the one line scanner
+    under every journal reader.
 
-    A torn *final* line in any shard file (the one partial write a
-    crash mid-append can leave) is silently dropped; an undecodable
-    line anywhere else raises :class:`StoreCorruptError`. A final line
-    without its newline counts as torn even when it decodes, exactly as
-    in :func:`read_journal_tail`: a resumed run measures that entry
-    again, so both readers see the same journal.
+    Only lines that end in a newline are read: a final piece without one
+    is the torn write a crash mid-append leaves, or a line a live writer
+    has not finished, and the next scan reads it whole once it is. Blank
+    lines are skipped. An undecodable line followed by nothing but blank
+    lines is the torn tail of a crashed session that happened to include
+    its newline; it ends the shard and is never consumed. An undecodable
+    line anywhere else raises :class:`StoreCorruptError`.
+
+    ``cursor`` maps shard basename to the bytes already consumed; the
+    scan starts each shard there and advances the mapping in place past
+    every line it consumes. A shard the cursor names that is now gone,
+    or shorter than its offset, raises :class:`StoreCorruptError`:
+    writers never shrink or remove a shard, so entries already read
+    from it may no longer exist.
     """
-    entries: list[dict] = []
-    for path in _shard_paths(directory, prefix):
-        with open(path, encoding="utf-8") as handle:
-            # The piece after the last newline is empty or torn.
-            lines = handle.read().split("\n")[:-1]
-        for lineno, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                entries.append(json.loads(line))
-            except ValueError:
-                trailing = lines[lineno + 1 :]
-                if all(not rest.strip() for rest in trailing):
-                    break  # torn tail of a crashed append — recoverable
-                raise StoreCorruptError(
-                    f"{path}:{lineno + 1}: undecodable journal line"
-                )
-    return entries
-
-
-#: A tail cursor: shard basename -> bytes consumed so far. Serialises
-#: as plain JSON, so aggregation state can persist it between runs.
-TailCursor = dict
-
-
-def read_journal_tail(
-    directory: str,
-    prefix: str,
-    cursor: Optional[dict] = None,
-    *,
-    positions: Optional[list] = None,
-) -> tuple[list[dict], dict]:
-    """Entries appended since ``cursor``; returns ``(entries, cursor')``.
-
-    The incremental counterpart of :func:`read_journal`: instead of
-    rereading every shard, it seeks each file to the byte offset the
-    cursor recorded and decodes only the tail — the cost of one refresh
-    is proportional to the *new* segments, not the archive. Safe against
-    a live writer appending concurrently: only byte ranges ending in a
-    newline are consumed, so a partially-flushed final line (the same
-    torn tail :func:`read_journal` tolerates) is left for the next call
-    — once the writer's following sync completes it, the line is read
-    whole. A complete-but-undecodable line followed by real content
-    raises :class:`StoreCorruptError` exactly like the full reader; one
-    followed by nothing is never consumed (a crashed session's torn tail
-    that happened to include the newline).
-
-    Because shards are append-only and a writer session never reopens an
-    archived shard, a consumed byte range can never change — folding the
-    tails of successive calls visits every entry exactly once, in the
-    same file-then-line order the full reader uses. A shard the cursor
-    names that is now shorter than its offset, or gone, broke that
-    promise: it raises :class:`StoreCorruptError` naming the shard,
-    since entries already folded from it may no longer exist.
-
-    If ``positions`` is a list, one ``(shard basename, byte offset)``
-    pair per returned entry (where its line starts) is appended to it,
-    in the same order; :func:`read_journal_at` reads those entries back
-    without rescanning their shards.
-    """
-    cursor = dict(cursor or {})
-    entries: list[dict] = []
+    cursor = {} if cursor is None else cursor
     paths = _shard_paths(directory, prefix)
     vanished = sorted(set(cursor) - {os.path.basename(path) for path in paths})
     if vanished:
@@ -343,31 +283,73 @@ def read_journal_tail(
             continue
         with open(path, "rb") as handle:
             handle.seek(offset)
-            blob = handle.read()
-        end = blob.rfind(b"\n")
-        if end < 0:
-            continue  # no complete line beyond the cursor yet
-        complete = blob[: end + 1]
-        pieces = complete.split(b"\n")[:-1]
-        consumed = offset
-        for index, raw in enumerate(pieces):
-            if not raw.strip():
-                consumed += len(raw) + 1
-                continue
-            try:
-                entries.append(json.loads(raw))
-            except ValueError:
-                if all(not rest.strip() for rest in pieces[index + 1 :]):
-                    break  # torn-with-newline tail — leave it unconsumed
-                lineno = complete[: consumed - offset].count(b"\n") + 1
-                raise StoreCorruptError(
-                    f"{path}: undecodable journal line "
-                    f"({lineno} lines past byte {offset})"
-                )
-            if positions is not None:
-                positions.append((name, consumed))
-            consumed += len(raw) + 1
-        cursor[name] = consumed
+            for raw in handle:
+                if not raw.endswith(b"\n"):
+                    break
+                if raw.strip():
+                    try:
+                        entry = json.loads(raw)
+                    except ValueError:
+                        rest = handle.read()
+                        if rest[: rest.rfind(b"\n") + 1].strip():
+                            raise StoreCorruptError(
+                                f"{path}: undecodable journal line at byte {offset}"
+                            )
+                        break
+                    yield entry, name, offset
+                offset += len(raw)
+                cursor[name] = offset
+
+
+def read_journal(directory: str, prefix: str) -> list[dict]:
+    """Every decodable entry, in file-then-line order.
+
+    A torn final line in any shard file (the one partial write a crash
+    mid-append can leave) is silently dropped, with or without its
+    newline; an undecodable line anywhere else raises
+    :class:`StoreCorruptError`. Both readers share these rules, so a
+    resumed run and the aggregation fold see the same journal.
+    """
+    return [entry for entry, _shard, _offset in _scan_journal(directory, prefix)]
+
+
+def read_journal_tail(
+    directory: str,
+    prefix: str,
+    cursor: Optional[dict] = None,
+    *,
+    positions: Optional[list] = None,
+) -> tuple[list[dict], dict]:
+    """Entries appended since ``cursor``; returns ``(entries, cursor')``.
+
+    The incremental counterpart of :func:`read_journal`: instead of
+    rereading every shard, it seeks each file to the byte offset the
+    cursor recorded and decodes only the tail, so the cost of one
+    refresh is proportional to the *new* segments, not the archive. A
+    cursor maps shard basename to bytes consumed and serialises as plain
+    JSON, so aggregation state can persist it between runs. It
+    is safe against a live writer appending concurrently: a partially
+    flushed final line is left for the next call, and a torn tail is
+    never consumed.
+
+    Because shards are append-only and a writer session never reopens an
+    archived shard, a consumed byte range can never change — folding the
+    tails of successive calls visits every entry exactly once, in the
+    same file-then-line order the full reader uses. A shard the cursor
+    names that is now shorter than its offset, or gone, raises
+    :class:`StoreCorruptError` naming the shard.
+
+    If ``positions`` is a list, one ``(shard basename, byte offset)``
+    pair per returned entry (where its line starts) is appended to it,
+    in the same order; :func:`read_journal_at` reads those entries back
+    without rescanning their shards.
+    """
+    cursor = dict(cursor or {})
+    entries: list[dict] = []
+    for entry, name, offset in _scan_journal(directory, prefix, cursor):
+        entries.append(entry)
+        if positions is not None:
+            positions.append((name, offset))
     return entries, cursor
 
 

@@ -1,24 +1,34 @@
-"""``ResultStore`` — the durable archive one study (or campaign) lives in.
+"""``ResultStore`` — the durable archive one study or longitudinal
+campaign lives in.
 
 Layout of a store directory::
 
     DIR/
       manifest.json            # schema, kind, input fingerprint, fleet size
       journal/
-        records-0000.jsonl     # one ProbeRecord (or campaign row set) per line
+        records-0000.jsonl     # one ProbeRecord per line
         records-0001.jsonl     # new shard per writer session / rotation
         metrics-0000.jsonl     # one MetricsSnapshot per measured segment
       study.json               # final export, written atomically on completion
 
-The manifest pins a content fingerprint of the study's inputs
-(:func:`~repro.store.journal.study_fingerprint`); opening the store
-with different inputs raises :class:`StoreMismatchError` instead of
-silently mixing incompatible records. Records stream into the journal
-as segments complete, so an interrupted run loses at most the entries
-since the last batched fsync; resuming skips every journaled probe and
-— because each probe's measurement is a pure function of its spec —
-reconstructs a result byte-identical to an uninterrupted run, for any
-worker count on either side of the interruption.
+Both kinds share one lifecycle — :meth:`ResultStore.begin`,
+:meth:`~ResultStore.done`, :meth:`~ResultStore.append`,
+:meth:`~ResultStore.collect`, :meth:`~ResultStore.finalize` — and one
+resume rule. A study is an epoch-less run: its record lines are
+``{"i":…,"record":…}``, while a longitudinal campaign's also carry the
+epoch, ``{"e":…,"i":…,"record":…}``. Only a study journals metrics
+segments and writes ``study.json``.
+
+The manifest pins a content fingerprint of the run's inputs
+(:func:`~repro.store.journal.study_fingerprint` for a study); opening
+the store with different inputs raises :class:`StoreMismatchError`
+instead of silently mixing incompatible records. Records stream into
+the journal as segments complete, so an interrupted run loses at most
+the entries since the last batched fsync; resuming skips every
+journaled probe and — because each probe's measurement is a pure
+function of its spec — reconstructs a result byte-identical to an
+uninterrupted run, for any worker count on either side of the
+interruption.
 
 Metrics ride in per-segment snapshots (``metrics-*.jsonl``). Counter
 and histogram merging is associative and events are replayed in fleet
@@ -35,7 +45,8 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from repro.ioutil import atomic_write_text, canonical_json
 
@@ -46,16 +57,13 @@ from .journal import (
     StoreIncompleteError,
     StoreMismatchError,
     StoreResumeRequired,
-    campaign_fingerprint,
+    _scan_journal,
     read_journal,
-    study_fingerprint,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.atlas.campaign import MeasurementDefinition, MeasurementRow
-    from repro.atlas.probe import ProbeSpec
     from repro.core.metrics import MetricsSnapshot
-    from repro.core.study import ProbeRecord, StudyConfig, StudyResult
+    from repro.core.study import ProbeRecord, StudyResult
 
 #: On-disk names inside a store directory.
 MANIFEST_NAME = "manifest.json"
@@ -72,7 +80,8 @@ DEFAULT_FSYNC_EVERY = 64
 
 
 class ResultStore:
-    """One study's (or campaign's) journal, manifest and final export.
+    """One study's or longitudinal campaign's journal, manifest and
+    final export.
 
     ``resume=True`` allows extending a journal that already holds
     records (after the fingerprint check); without it a non-empty store
@@ -127,111 +136,104 @@ class ResultStore:
         )
         self._manifest = manifest
 
-    def _open(self, kind: str, fingerprint: str, manifest_extra: dict) -> dict:
-        """Create or validate the manifest; return it."""
+    def _loaded_manifest(self) -> dict:
+        if self._manifest is None:
+            self._manifest = load_manifest(self.path)
+        return self._manifest
+
+    # -- the lifecycle, shared by every kind --------------------------------
+
+    def begin(self, kind: str, fingerprint: str, manifest_extra: dict) -> set:
+        """Open (or create) the store for these exact inputs; return the
+        ``(epoch, fleet_index)`` keys already durably done (see
+        :meth:`done`).
+
+        A new store's manifest holds ``manifest_extra`` (which must name
+        the ``fleet_size``; a longitudinal run adds its
+        :func:`epoch_manifest`). An existing one must hold the same kind
+        and input fingerprint, or :class:`StoreMismatchError` is raised.
+        """
         existing = load_manifest(self.path, missing_ok=True)
         if existing is None:
-            manifest = {
-                "schema": STORE_SCHEMA,
-                "kind": kind,
-                "fingerprint": fingerprint,
-                "complete": False,
-                **manifest_extra,
-            }
-            self._write_manifest(manifest)
-            return manifest
-        if existing.get("kind") != kind:
+            self._write_manifest(
+                {
+                    "schema": STORE_SCHEMA,
+                    "kind": kind,
+                    "fingerprint": fingerprint,
+                    "complete": False,
+                    **manifest_extra,
+                }
+            )
+        elif existing.get("kind") != kind:
             raise StoreMismatchError(
                 f"{self.path} holds a {existing.get('kind')!r} journal, "
                 f"not a {kind!r} one"
             )
-        if existing.get("fingerprint") != fingerprint:
+        elif existing.get("fingerprint") != fingerprint:
             raise StoreMismatchError(
                 f"{self.path} was journaled for different inputs "
                 f"(stored {str(existing.get('fingerprint'))[:12]}…, "
                 f"current {fingerprint[:12]}…); refusing to mix records — "
                 f"use a fresh --store directory"
             )
-        self._manifest = existing
-        return existing
-
-    def _start_writers(self, with_metrics: bool) -> None:
-        self._records = JournalWriter(
-            self.journal_path, RECORDS_PREFIX, records_per_file=self.records_per_file
-        )
-        if with_metrics:
-            self._metrics = JournalWriter(
-                self.journal_path, METRICS_PREFIX,
-                records_per_file=self.records_per_file,
-            )
-
-    # -- study surface -----------------------------------------------------
-
-    def begin_study(
-        self, config: "StudyConfig", specs: Sequence["ProbeSpec"]
-    ) -> set[int]:
-        """Open (or create) the store for this exact study; return the
-        fleet indices whose records are already journaled."""
-        from repro.analysis.export import config_to_dict
-
-        manifest = self._open(
-            "study",
-            study_fingerprint(config, specs),
-            {
-                "fleet_size": len(specs),
-                "seed": config.seed,
-                "config": config_to_dict(config),
-            },
-        )
-        done = self.completed_indices(require_metrics=config.metrics)
+        else:
+            self._manifest = existing
+        manifest = self._manifest
+        done = self.done()
         if done and not self.resume:
             raise StoreResumeRequired(
                 f"{self.path} already holds {len(done)} of "
                 f"{manifest['fleet_size']} records; pass resume "
                 f"(--resume) to continue it"
             )
-        self._start_writers(with_metrics=config.metrics)
+        self._records = JournalWriter(
+            self.journal_path, RECORDS_PREFIX, records_per_file=self.records_per_file
+        )
+        if _metrics_on(manifest):
+            self._metrics = JournalWriter(
+                self.journal_path, METRICS_PREFIX,
+                records_per_file=self.records_per_file,
+            )
         return done
 
-    def completed_indices(self, require_metrics: bool = False) -> set[int]:
-        """Fleet indices that are durably measured.
+    def done(self) -> set:
+        """The ``(epoch, fleet_index)`` keys durably measured (a study's
+        epoch is ``None``), by the store's one resume rule: see
+        :func:`_durable`."""
+        manifest = self._loaded_manifest()
+        return set(_durable(self.journal_path, manifest, lambda entry: None))
 
-        With metrics on, a record only counts once a metrics segment
-        covers it — the two land in separate files and the record line
-        is journaled first, so the intersection is the safe set.
-        """
-        journaled = {
-            entry["i"] for entry in read_journal(self.journal_path, RECORDS_PREFIX)
-        }
-        if not require_metrics:
-            return journaled
-        covered: set[int] = set()
-        for entry in read_journal(self.journal_path, METRICS_PREFIX):
-            covered.update(entry["i"])
-        return journaled & covered
-
-    def append_segment(
+    def append(
         self,
         pairs: Iterable[tuple[int, "ProbeRecord"]],
         snapshot: Optional["MetricsSnapshot"] = None,
+        epoch: Optional[int] = None,
     ) -> None:
         """Journal one measured segment: its records, then (if metrics
-        are on) the segment's snapshot, fsync'd in batches."""
+        are on) the segment's snapshot, fsync'd in batches.
+
+        A study's entries carry no epoch (``{"i":…,"record":…}``); a
+        longitudinal run's carry the ``epoch`` they were measured in.
+        Segments may land in any order (a pooled study appends them as
+        they finish); :meth:`collect` restores fleet order. The campaign
+        engine appends in fleet order, so its line sequence is a pure
+        function of the bundle and the interruption points —
+        byte-identical for any worker count.
+        """
         from repro.analysis.export import record_to_dict
 
         if self._records is None:
-            raise StoreError("store not opened; call begin_study first")
-        pairs = list(pairs)
+            raise StoreError("store not opened; call begin first")
+        head = {} if epoch is None else {"e": epoch}
+        indices = []
         for index, record in pairs:
-            self._records.append({"i": index, "record": record_to_dict(record)})
+            self._records.append({**head, "i": index, "record": record_to_dict(record)})
+            indices.append(index)
         if snapshot is not None:
             if self._metrics is None:
                 raise StoreError("store was opened without metrics journaling")
-            self._metrics.append(
-                {"i": [index for index, _record in pairs],
-                 "snapshot": snapshot.to_dict()}
-            )
-        self._since_sync += len(pairs)
+            self._metrics.append({"i": indices, "snapshot": snapshot.to_dict()})
+        self._since_sync += len(indices)
         if self._since_sync >= self.fsync_every:
             self.sync()
 
@@ -244,26 +246,43 @@ class ResultStore:
             self._metrics.sync()
         self._since_sync = 0
 
-    def collect_study(self) -> "tuple[list[ProbeRecord], Optional[MetricsSnapshot]]":
-        """Reconstruct the full record list (fleet order) and, when the
-        study collected metrics, the merged snapshot."""
+    def collect(
+        self,
+    ) -> "tuple[dict[Optional[int], list[ProbeRecord]], Optional[MetricsSnapshot]]":
+        """Every epoch's records in fleet order (a study's under epoch
+        ``None``) and, when the run collected metrics, the merged
+        snapshot. Raises :class:`StoreIncompleteError` while any key the
+        manifest pins is not durably done."""
         from repro.analysis.export import record_from_dict
         from repro.core.metrics import MetricsSnapshot
 
-        manifest = self._require_manifest("study")
-        fleet_size = int(manifest["fleet_size"])
-        by_index: dict[int, dict] = {}
-        for entry in read_journal(self.journal_path, RECORDS_PREFIX):
-            by_index.setdefault(entry["i"], entry["record"])
-        missing = [i for i in range(fleet_size) if i not in by_index]
+        manifest = self._loaded_manifest()
+        self.sync()  # reading through our own open writers
+        by_key = _durable(self.journal_path, manifest, itemgetter("record"))
+        sizes = manifest.get("epoch_sizes")
+        epochs = (
+            [(None, int(manifest["fleet_size"]))]
+            if sizes is None
+            else list(enumerate(int(size) for size in sizes))
+        )
+        missing = [
+            (epoch, index)
+            for epoch, size in epochs
+            for index in range(size)
+            if (epoch, index) not in by_key
+        ]
         if missing:
             raise StoreIncompleteError(
-                f"{self.path} is missing {len(missing)} of {fleet_size} "
-                f"records (first gap: index {missing[0]}); resume the study "
+                f"{self.path} is missing {len(missing)} of "
+                f"{manifest['fleet_size']} records (first gap: epoch "
+                f"{missing[0][0]}, index {missing[0][1]}); resume the run "
                 f"to fill them"
             )
-        records = [record_from_dict(by_index[i]) for i in range(fleet_size)]
-        if not manifest.get("config", {}).get("metrics", False):
+        records = {
+            epoch: [record_from_dict(by_key[(epoch, index)]) for index in range(size)]
+            for epoch, size in epochs
+        }
+        if not _metrics_on(manifest):
             return records, None
         segments = read_journal(self.journal_path, METRICS_PREFIX)
         segments.sort(key=lambda entry: min(entry["i"]) if entry["i"] else -1)
@@ -275,201 +294,22 @@ class ResultStore:
                     f"{self.path}: overlapping metrics segments"
                 )
             seen |= indices
-        if seen != set(range(fleet_size)):
-            raise StoreIncompleteError(
-                f"{self.path}: metrics segments cover {len(seen)} of "
-                f"{fleet_size} probes; resume the study to fill them"
-            )
         merged = MetricsSnapshot.merge_all(
             MetricsSnapshot.from_dict(entry["snapshot"]) for entry in segments
         )
         return records, merged
 
-    def finalize_study(self, study: "StudyResult") -> None:
-        """Close the journal, write the atomic ``study.json`` export and
-        mark the manifest complete."""
+    def finalize(self, study: Optional["StudyResult"] = None) -> None:
+        """Close the journal, write a study's atomic ``study.json``
+        export, and mark the manifest complete."""
         from repro.analysis.export import save_study
 
         self.close()
-        save_study(study, self.export_path)
-        manifest = dict(self._require_manifest("study"))
+        if study is not None:
+            save_study(study, self.export_path)
+        manifest = dict(self._loaded_manifest())
         manifest["complete"] = True
         self._write_manifest(manifest)
-
-    # -- campaign surface --------------------------------------------------
-
-    def begin_campaign(
-        self,
-        definitions: Sequence["MeasurementDefinition"],
-        specs: Sequence["ProbeSpec"],
-    ) -> set[int]:
-        """Open (or create) the store for this campaign; return the fleet
-        indices already journaled."""
-        manifest = self._open(
-            "campaign",
-            campaign_fingerprint(definitions, specs),
-            {
-                "fleet_size": len(specs),
-                "msm_ids": [definition.msm_id for definition in definitions],
-            },
-        )
-        done = self.completed_indices()
-        if done and not self.resume:
-            raise StoreResumeRequired(
-                f"{self.path} already holds rows for {len(done)} of "
-                f"{manifest['fleet_size']} probes; pass resume to continue"
-            )
-        self._start_writers(with_metrics=False)
-        return done
-
-    def append_campaign(
-        self, index: int, probe_id: int, rows: Sequence["MeasurementRow"]
-    ) -> None:
-        """Journal one probe's campaign rows (empty for offline probes,
-        which marks them done without producing output)."""
-        if self._records is None:
-            raise StoreError("store not opened; call begin_campaign first")
-        self._records.append(
-            {
-                "i": index,
-                "probe_id": probe_id,
-                "rows": [row.to_dict() for row in rows],
-            }
-        )
-        self._since_sync += 1
-        if self._since_sync >= self.fsync_every:
-            self.sync()
-
-    def collect_campaign(self) -> "list[MeasurementRow]":
-        """All journaled rows, flattened in fleet order."""
-        from repro.atlas.campaign import row_from_dict
-
-        manifest = self._require_manifest("campaign")
-        fleet_size = int(manifest["fleet_size"])
-        by_index: dict[int, list[dict]] = {}
-        for entry in read_journal(self.journal_path, RECORDS_PREFIX):
-            by_index.setdefault(entry["i"], entry["rows"])
-        missing = [i for i in range(fleet_size) if i not in by_index]
-        if missing:
-            raise StoreIncompleteError(
-                f"{self.path} is missing rows for {len(missing)} of "
-                f"{fleet_size} probes; resume the campaign to fill them"
-            )
-        return [
-            row_from_dict(row)
-            for index in range(fleet_size)
-            for row in by_index[index]
-        ]
-
-    def finalize_campaign(self) -> None:
-        self.close()
-        manifest = dict(self._require_manifest("campaign"))
-        manifest["complete"] = True
-        self._write_manifest(manifest)
-
-    # -- longitudinal surface ----------------------------------------------
-
-    def begin_longitudinal(
-        self,
-        fingerprint: str,
-        epoch_sizes: Sequence[int],
-        manifest_extra: Optional[dict] = None,
-    ) -> set[tuple[int, int]]:
-        """Open (or create) the store for a recurring campaign; return
-        the ``(epoch, fleet_index)`` pairs already journaled.
-
-        ``epoch_sizes`` pins the per-epoch fleet size (time-varying
-        fleets make it a list, not a single number); the caller derives
-        it deterministically from the scenario bundle, and a resumed run
-        must re-derive the same sizes or the fingerprint check fails
-        first anyway.
-        """
-        manifest = self._open(
-            "longitudinal",
-            fingerprint,
-            {
-                "epochs": len(epoch_sizes),
-                "epoch_sizes": [int(size) for size in epoch_sizes],
-                "fleet_size": sum(int(size) for size in epoch_sizes),
-                **(manifest_extra or {}),
-            },
-        )
-        done = self.completed_epoch_pairs()
-        if done and not self.resume:
-            raise StoreResumeRequired(
-                f"{self.path} already holds {len(done)} of "
-                f"{manifest['fleet_size']} epoch records; pass resume "
-                f"(--resume) to continue it"
-            )
-        self._start_writers(with_metrics=False)
-        return done
-
-    def completed_epoch_pairs(self) -> set[tuple[int, int]]:
-        """``(epoch, fleet_index)`` pairs durably journaled."""
-        return {
-            (entry["e"], entry["i"])
-            for entry in read_journal(self.journal_path, RECORDS_PREFIX)
-        }
-
-    def append_epoch_segment(
-        self, epoch: int, pairs: Iterable[tuple[int, "ProbeRecord"]]
-    ) -> None:
-        """Journal one epoch segment's records, fsync'd in batches.
-
-        The campaign engine always appends in fleet order (it sorts the
-        worker pool's output first), so the journal's line sequence is a
-        pure function of the scenario bundle and the interruption points
-        — byte-identical for any worker count.
-        """
-        from repro.analysis.export import record_to_dict
-
-        if self._records is None:
-            raise StoreError("store not opened; call begin_longitudinal first")
-        count = 0
-        for index, record in pairs:
-            self._records.append(
-                {"e": epoch, "i": index, "record": record_to_dict(record)}
-            )
-            count += 1
-        self._since_sync += count
-        if self._since_sync >= self.fsync_every:
-            self.sync()
-
-    def collect_epochs(self) -> "dict[int, list[ProbeRecord]]":
-        """Journaled records per epoch, each list in fleet order
-        (possibly partial — the aggregation layer tracks completeness)."""
-        from repro.analysis.export import record_from_dict
-
-        self._require_manifest("longitudinal")
-        if self._records is not None:
-            self.sync()  # reading through our own open writer
-        by_pair: dict[tuple[int, int], dict] = {}
-        for entry in read_journal(self.journal_path, RECORDS_PREFIX):
-            by_pair.setdefault((entry["e"], entry["i"]), entry["record"])
-        epochs: dict[int, list["ProbeRecord"]] = {}
-        for epoch, index in sorted(by_pair):
-            epochs.setdefault(epoch, []).append(
-                record_from_dict(by_pair[(epoch, index)])
-            )
-        return epochs
-
-    def finalize_longitudinal(self) -> None:
-        self.close()
-        manifest = dict(self._require_manifest("longitudinal"))
-        manifest["complete"] = True
-        self._write_manifest(manifest)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _require_manifest(self, kind: str) -> dict:
-        manifest = self._manifest or load_manifest(self.path)
-        if manifest.get("kind") != kind:
-            raise StoreMismatchError(
-                f"{self.path} holds a {manifest.get('kind')!r} journal, "
-                f"not a {kind!r} one"
-            )
-        self._manifest = manifest
-        return manifest
 
     def close(self) -> None:
         """Sync and release the journal files (idempotent)."""
@@ -480,6 +320,44 @@ class ResultStore:
             self._metrics.close()
             self._metrics = None
         self._since_sync = 0
+
+
+# -- the one resume rule -----------------------------------------------------
+
+
+def epoch_manifest(epoch_sizes: Sequence[int]) -> dict:
+    """The manifest fields that pin a longitudinal run's per-epoch fleet
+    sizes (time-varying fleets make it a list, not a single number)."""
+    sizes = [int(size) for size in epoch_sizes]
+    return {"epochs": len(sizes), "epoch_sizes": sizes, "fleet_size": sum(sizes)}
+
+
+def _metrics_on(manifest: dict) -> bool:
+    return bool((manifest.get("config") or {}).get("metrics", False))
+
+
+def _durable(journal: str, manifest: dict, value: Callable[[dict], Any]) -> dict:
+    """``value(entry)`` of the first record line per ``(epoch, index)``
+    key, for every key that is durably done; read one entry at a time.
+
+    A key is done once a record line holds it. When the manifest's
+    config has metrics on, it also needs a metrics segment covering it:
+    the two land in separate files and the record line is journaled
+    first, so the intersection is the safe set — a crash between the
+    two simply re-measures that segment. Duplicate record lines (a
+    re-measured segment) keep the first.
+    """
+    folded: dict = {}
+    for entry, _shard, _offset in _scan_journal(journal, RECORDS_PREFIX):
+        key = (entry.get("e"), entry["i"])
+        if key not in folded:
+            folded[key] = value(entry)
+    if not _metrics_on(manifest):
+        return folded
+    covered: set[int] = set()
+    for entry, _shard, _offset in _scan_journal(journal, METRICS_PREFIX):
+        covered.update(entry["i"])
+    return {key: val for key, val in folded.items() if key[1] in covered}
 
 
 # -- read-only archive surface ----------------------------------------------
@@ -521,18 +399,15 @@ def list_stores(path: str) -> list[str]:
 
 
 def load_stored_records(path: str) -> "list[tuple[int, ProbeRecord]]":
-    """Journaled study records (possibly partial), sorted by fleet index
-    — read straight from the journal, no re-simulation."""
+    """Durably journaled study records (possibly partial), sorted by
+    fleet index — read straight from the journal, no re-simulation."""
     from repro.analysis.export import record_from_dict
 
-    by_index: dict[int, dict] = {}
-    for entry in read_journal(os.path.join(os.fspath(path), JOURNAL_DIR),
-                              RECORDS_PREFIX):
-        by_index.setdefault(entry["i"], entry["record"])
-    return [
-        (index, record_from_dict(by_index[index]))
-        for index in sorted(by_index)
-    ]
+    path = os.fspath(path)
+    by_key = _durable(
+        os.path.join(path, JOURNAL_DIR), load_manifest(path), itemgetter("record")
+    )
+    return [(key[1], record_from_dict(by_key[key])) for key in sorted(by_key)]
 
 
 def load_stored_study(path: str) -> "StudyResult":
@@ -566,8 +441,8 @@ class StoreSummary:
     total: int
     seed: Optional[int]
     fingerprint: str
-    #: Study stores: verdict value -> count. Campaign stores: row count
-    #: under the single key ``"rows"``.
+    #: Verdict value -> count over the durably done records;
+    #: longitudinal stores add their epoch count under ``"epochs"``.
     counts: dict[str, int]
 
     def render(self) -> str:
@@ -583,46 +458,26 @@ class StoreSummary:
 
 
 def summarize_store(path: str) -> StoreSummary:
-    """Verdict counts (or campaign row counts) straight from the journal."""
+    """Verdict counts straight from the journal's raw records, over the
+    keys the store's resume rule counts as done."""
+    path = os.fspath(path)
     manifest = load_manifest(path)
-    kind = str(manifest.get("kind"))
-    total = int(manifest.get("fleet_size", 0))
-    if kind == "study":
-        records = load_stored_records(path)
-        counts = Counter(record.verdict for _index, record in records)
-        done = len(records)
-        seed: Optional[int] = int(manifest.get("seed", 0))
-    elif kind == "longitudinal":
-        pairs: dict[tuple[int, int], str] = {}
-        for entry in read_journal(
-            os.path.join(os.fspath(path), JOURNAL_DIR), RECORDS_PREFIX
-        ):
-            pairs.setdefault(
-                (entry["e"], entry["i"]), entry["record"].get("verdict", "?")
-            )
-        counts = Counter(pairs.values())
-        counts["epochs"] = int(manifest.get("epochs", 0))
-        done = len(pairs)
-        seed = manifest.get("seed")
-        if seed is not None:
-            seed = int(seed)
-    else:
-        entries = read_journal(
-            os.path.join(os.fspath(path), JOURNAL_DIR), RECORDS_PREFIX
-        )
-        seen: dict[int, int] = {}
-        for entry in entries:
-            seen.setdefault(entry["i"], len(entry["rows"]))
-        counts = Counter({"rows": sum(seen.values())})
-        done = len(seen)
-        seed = None
+    verdicts = _durable(
+        os.path.join(path, JOURNAL_DIR),
+        manifest,
+        lambda entry: entry["record"].get("verdict", "?"),
+    )
+    counts = Counter(verdicts.values())
+    if "epochs" in manifest:
+        counts["epochs"] = int(manifest["epochs"])
+    seed = manifest.get("seed")
     return StoreSummary(
-        path=os.fspath(path),
-        kind=kind,
+        path=path,
+        kind=str(manifest.get("kind")),
         complete=bool(manifest.get("complete", False)),
-        done=done,
-        total=total,
-        seed=seed,
+        done=len(verdicts),
+        total=int(manifest.get("fleet_size", 0)),
+        seed=None if seed is None else int(seed),
         fingerprint=str(manifest.get("fingerprint", "")),
         counts=dict(counts),
     )

@@ -5,9 +5,7 @@ import pytest
 from repro.atlas.campaign import (
     Campaign,
     MeasurementDefinition,
-    MeasurementRow,
     definition_from_dict,
-    row_from_dict,
 )
 from repro.atlas.geo import organization_by_name
 from repro.atlas.population import generate_population
@@ -113,7 +111,7 @@ class TestFleetRun:
 
 
 class TestDictRoundTrips:
-    """Field-for-field dict round trips (the shape stores journal)."""
+    """Field-for-field dict round trips."""
 
     @pytest.mark.parametrize("definition", [LOCATION_MSM, A_MSM, V6_MSM])
     def test_definition_round_trip(self, definition):
@@ -132,115 +130,3 @@ class TestDictRoundTrips:
         data["qnmae"] = "typo.example."
         with pytest.raises(ValueError, match="qnmae"):
             definition_from_dict(data)
-
-    def test_live_row_round_trip(self, org):
-        scenario = build_scenario(make_spec(org, probe_id=2308))
-        for row in Campaign([LOCATION_MSM, A_MSM]).run_on_scenario(scenario):
-            assert row_from_dict(row.to_dict()) == row
-
-    def test_offline_empty_row_round_trip(self):
-        # The degenerate rows an offline/unreachable probe produces:
-        # no RTT, no rcode, no answers — every Optional at None must
-        # survive the trip, and an error row must keep its error.
-        empty = MeasurementRow(
-            msm_id=1,
-            probe_id=42,
-            timestamp_ms=0.0,
-            rt_ms=None,
-            rcode=None,
-            answers=(),
-            error=None,
-        )
-        assert row_from_dict(empty.to_dict()) == empty
-        assert empty.succeeded is False
-        failed = MeasurementRow(
-            msm_id=1,
-            probe_id=42,
-            timestamp_ms=125.5,
-            rt_ms=None,
-            rcode=None,
-            error="timeout",
-        )
-        assert row_from_dict(failed.to_dict()) == failed
-
-    def test_row_json_round_trip_preserves_floats(self, org):
-        import json
-
-        scenario = build_scenario(make_spec(org, probe_id=2309))
-        row = Campaign([A_MSM]).run_on_scenario(scenario)[0]
-        thawed = row_from_dict(json.loads(json.dumps(row.to_dict())))
-        assert thawed == row
-        assert thawed.rt_ms == row.rt_ms
-        assert thawed.timestamp_ms == row.timestamp_ms
-
-
-class TestCampaignStore:
-    @pytest.fixture
-    def fleet(self):
-        return generate_population(size=12, seed=3)
-
-    @pytest.fixture
-    def campaign(self):
-        return Campaign([LOCATION_MSM, A_MSM])
-
-    def test_interrupt_then_resume_matches_storeless_run(
-        self, fleet, campaign, tmp_path
-    ):
-        from repro.store import ResultStore, StoreInterrupted
-
-        reference = campaign.run(fleet)
-        path = str(tmp_path / "c")
-        with pytest.raises(StoreInterrupted) as excinfo:
-            campaign.run(fleet, store=ResultStore(path, probe_budget=5))
-        assert excinfo.value.done == 5
-        assert excinfo.value.total == len(fleet)
-        rows = campaign.run(fleet, store=ResultStore(path, resume=True))
-        assert rows == reference
-
-    def test_offline_probes_count_as_covered(self, campaign, tmp_path):
-        from repro.store import ResultStore, load_manifest
-
-        import dataclasses
-
-        offline = [
-            dataclasses.replace(
-                make_spec(organization_by_name("Orange"), probe_id=n),
-                online=False,
-            )
-            for n in range(3)
-        ]
-        rows = campaign.run(offline, store=ResultStore(str(tmp_path / "c")))
-        assert rows == []
-        assert load_manifest(str(tmp_path / "c"))["complete"] is True
-
-    def test_row_round_trip_through_journal(self, fleet, campaign, tmp_path):
-        from repro.store import ResultStore
-
-        path = str(tmp_path / "c")
-        rows = campaign.run(fleet, store=ResultStore(path))
-        assert all(isinstance(row, MeasurementRow) for row in rows)
-        # Reload straight from the journal: same rows, same order.
-        reader = ResultStore(path, resume=True)
-        reader.begin_campaign(campaign.definitions, fleet)
-        assert reader.collect_campaign() == rows
-
-    def test_changed_definitions_are_a_mismatch(self, fleet, tmp_path):
-        from repro.store import ResultStore, StoreInterrupted, StoreMismatchError
-
-        path = str(tmp_path / "c")
-        with pytest.raises(StoreInterrupted):
-            Campaign([LOCATION_MSM]).run(
-                fleet, store=ResultStore(path, probe_budget=3)
-            )
-        with pytest.raises(StoreMismatchError):
-            Campaign([A_MSM]).run(fleet, store=ResultStore(path, resume=True))
-
-    def test_study_store_not_usable_as_campaign(self, fleet, campaign, tmp_path):
-        from repro.core.study import StudyConfig, run_pilot_study
-        from repro.store import ResultStore, StoreMismatchError
-
-        path = str(tmp_path / "s")
-        run_pilot_study(fleet, StudyConfig(workers=1, seed=3),
-                        store=ResultStore(path))
-        with pytest.raises(StoreMismatchError):
-            campaign.run(fleet, store=ResultStore(path, resume=True))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.campaigns import LongitudinalCampaign, bundle_from_dict
-from repro.store import ResultStore, StoreInterrupted, read_journal
+from repro.store import ResultStore, StoreInterrupted, epoch_manifest, read_journal
 
 
 def bundle_data(**overrides):
@@ -121,18 +121,20 @@ def build_page_stores(root) -> PageStores:
         campaign.run(store=interrupted)
     interrupted.close()
     campaign.run(store=ResultStore(resumed, resume=True))
-    records = ResultStore(resumed).collect_epochs()
+    records = ResultStore(resumed).collect()[0]
     # A replayed segment over journaled indices, with other records:
     # every reader must keep the first.
     replay = ResultStore(resumed, resume=True)
-    replay.begin_longitudinal(campaign.fingerprint(), campaign.epoch_sizes())
-    replay.append_epoch_segment(0, zip(range(REPLAYED), reversed(records[0])))
+    replay.begin("longitudinal", campaign.fingerprint(),
+                 epoch_manifest(campaign.epoch_sizes()))
+    replay.append(zip(range(REPLAYED), reversed(records[0])), epoch=0)
     replay.close()
 
     sharded = os.path.join(str(root), "sharded")
     store = ResultStore(sharded, records_per_file=37)
-    store.begin_longitudinal(campaign.fingerprint(), campaign.epoch_sizes())
+    store.begin("longitudinal", campaign.fingerprint(),
+                epoch_manifest(campaign.epoch_sizes()))
     for epoch, batch in sorted(records.items()):
-        store.append_epoch_segment(epoch, enumerate(batch))
-    store.finalize_longitudinal()
+        store.append(enumerate(batch), epoch=epoch)
+    store.finalize()
     return PageStores(campaign, records, resumed, sharded)

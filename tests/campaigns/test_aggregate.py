@@ -17,7 +17,13 @@ from repro.campaigns.aggregate import (
     _indices_from_ranges,
     _ranges_from_indices,
 )
-from repro.store import ResultStore, StoreCorruptError, StoreError, read_journal
+from repro.store import (
+    ResultStore,
+    StoreCorruptError,
+    StoreError,
+    epoch_manifest,
+    read_journal,
+)
 
 from .conftest import REPLAYED, full_scan_page, page_grid
 
@@ -232,13 +238,13 @@ class TestEpochPageIndex:
         campaign = page_stores.campaign
         sizes = campaign.epoch_sizes()
         store = ResultStore(path)
-        store.begin_longitudinal(campaign.fingerprint(), sizes)
+        store.begin("longitudinal", campaign.fingerprint(), epoch_manifest(sizes))
         aggregator = StoreAggregator(path)
         for epoch, batch in sorted(page_stores.records.items()):
             pairs = list(enumerate(batch))
             half = len(pairs) // 2
             for segment in (pairs[:half], pairs[half:]):
-                store.append_epoch_segment(epoch, segment)
+                store.append(segment, epoch=epoch)
                 store.sync()
                 aggregator.refresh()
                 assert_pages_match_full_scan(path, sizes, aggregator)
@@ -249,13 +255,13 @@ class TestEpochPageIndex:
         campaign = page_stores.campaign
         sizes = campaign.epoch_sizes()
         store = ResultStore(path)
-        store.begin_longitudinal(campaign.fingerprint(), sizes)
+        store.begin("longitudinal", campaign.fingerprint(), epoch_manifest(sizes))
         aggregator = StoreAggregator(path)
         for epoch, batch in sorted(page_stores.records.items()):
             pairs = list(enumerate(batch))
             a, b = len(pairs) // 3, 2 * len(pairs) // 3
             for segment in (pairs[b:], pairs[:a], pairs[a:b]):
-                store.append_epoch_segment(epoch, segment)
+                store.append(segment, epoch=epoch)
                 store.sync()
                 aggregator.refresh()
                 assert_pages_match_full_scan(path, sizes, aggregator)

@@ -21,7 +21,7 @@ from repro.campaigns import (
 )
 from repro.serve import StoreServer, app
 from repro.serve.app import ENDPOINTS, _StoreRequestHandler
-from repro.store import ResultStore, load_manifest
+from repro.store import ResultStore, epoch_manifest, load_manifest
 
 from ..campaigns.conftest import bundle_data, full_scan_page, page_grid
 
@@ -304,19 +304,21 @@ class TestLiveStore:
             epoch: batch
             for epoch, batch in campaign.run().items()
         }
-        done = store.begin_longitudinal(
-            campaign.fingerprint(), campaign.epoch_sizes()
+        done = store.begin(
+            "longitudinal",
+            campaign.fingerprint(),
+            epoch_manifest(campaign.epoch_sizes()),
         )
         assert done == set()
         with StoreServer(path) as server:
             # Append epoch 0 in two synced halves, probing in between.
             batch = list(enumerate(records[0]))
             half = len(batch) // 2
-            store.append_epoch_segment(0, batch[:half])
+            store.append(batch[:half], epoch=0)
             store.sync()
             _status, body = get_json(server, "/epochs/0")
             assert body["measured"] == half
-            store.append_epoch_segment(0, batch[half:])
+            store.append(batch[half:], epoch=0)
             store.sync()
             _status, body = get_json(server, "/epochs/0")
             assert body["measured"] == len(batch)
@@ -348,13 +350,13 @@ class TestProbePages:
         campaign = page_stores.campaign
         sizes = campaign.epoch_sizes()
         store = ResultStore(path)
-        store.begin_longitudinal(campaign.fingerprint(), sizes)
+        store.begin("longitudinal", campaign.fingerprint(), epoch_manifest(sizes))
         with StoreServer(path) as server:
             for epoch, batch in sorted(page_stores.records.items()):
                 pairs = list(enumerate(batch))
                 half = len(pairs) // 2
                 for segment in (pairs[:half], pairs[half:]):
-                    store.append_epoch_segment(epoch, segment)
+                    store.append(segment, epoch=epoch)
                     store.sync()
                     assert_served_pages_match_full_scan(server, path, sizes)
         store.close()
@@ -422,10 +424,11 @@ class TestRefreshRace:
         path = str(tmp_path / "race")
         campaign = page_stores.campaign
         store = ResultStore(path)
-        store.begin_longitudinal(campaign.fingerprint(), campaign.epoch_sizes())
+        store.begin("longitudinal", campaign.fingerprint(),
+                    epoch_manifest(campaign.epoch_sizes()))
         pairs = list(enumerate(page_stores.records[0]))
         half = len(pairs) // 2
-        store.append_epoch_segment(0, pairs[:half])
+        store.append(pairs[:half], epoch=0)
         store.sync()
         paused, resume, b_waits_or_done = (threading.Event() for _ in range(3))
         bodies = {}
@@ -448,7 +451,7 @@ class TestRefreshRace:
             a = threading.Thread(target=request, args=("a",))
             a.start()
             assert paused.wait(10)
-            store.append_epoch_segment(0, pairs[half:])
+            store.append(pairs[half:], epoch=0)
             store.sync()
             b = threading.Thread(target=request_b)
             b.start()
@@ -466,7 +469,8 @@ class TestRefreshRace:
         path = str(tmp_path / "stress")
         campaign = page_stores.campaign
         store = ResultStore(path)
-        store.begin_longitudinal(campaign.fingerprint(), campaign.epoch_sizes())
+        store.begin("longitudinal", campaign.fingerprint(),
+                    epoch_manifest(campaign.epoch_sizes()))
         pairs = list(enumerate(page_stores.records[0]))
         done = threading.Event()
         errors = []
@@ -488,7 +492,7 @@ class TestRefreshRace:
                 for thread in readers:
                     thread.start()
                 for start in range(0, len(pairs), 15):
-                    store.append_epoch_segment(0, pairs[start : start + 15])
+                    store.append(pairs[start : start + 15], epoch=0)
                     store.sync()
                 done.set()
                 for thread in readers:
@@ -516,10 +520,11 @@ class TestBodyCache:
     def half_store(self, page_stores, path):
         campaign = page_stores.campaign
         store = ResultStore(path)
-        store.begin_longitudinal(campaign.fingerprint(), campaign.epoch_sizes())
+        store.begin("longitudinal", campaign.fingerprint(),
+                    epoch_manifest(campaign.epoch_sizes()))
         pairs = list(enumerate(page_stores.records[0]))
         half = len(pairs) // 2
-        store.append_epoch_segment(0, pairs[:half])
+        store.append(pairs[:half], epoch=0)
         store.sync()
         return store, pairs[half:]
 
@@ -528,7 +533,7 @@ class TestBodyCache:
         store, rest = self.half_store(page_stores, path)
         with StoreServer(path) as server:
             before = {request: get(server, request)[1] for request in self.REQUESTS}
-            store.append_epoch_segment(0, rest)
+            store.append(rest, epoch=0)
             store.sync()
             expected = TestBodiesMatchStdlib().expected(path)
             for request in self.REQUESTS:
@@ -541,13 +546,14 @@ class TestBodyCache:
         path = str(tmp_path / "finalize")
         store = ResultStore(path)
         campaign = page_stores.campaign
-        store.begin_longitudinal(campaign.fingerprint(), campaign.epoch_sizes())
+        store.begin("longitudinal", campaign.fingerprint(),
+                    epoch_manifest(campaign.epoch_sizes()))
         for epoch, batch in sorted(page_stores.records.items()):
-            store.append_epoch_segment(epoch, enumerate(batch))
+            store.append(enumerate(batch), epoch=epoch)
         store.sync()
         with StoreServer(path) as server:
             assert get_json(server, "/trend")[1]["complete"] is False
-            store.finalize_longitudinal()  # the manifest only: no new entries
+            store.finalize()  # the manifest only: no new entries
             assert get_json(server, "/trend")[1]["complete"] is True
 
     def test_repeats_build_nothing_until_an_append(
@@ -568,7 +574,7 @@ class TestBodyCache:
             assert len(builds) == 1
             assert get(server, "/trend") == first
             assert len(builds) == 1
-            store.append_epoch_segment(0, rest)
+            store.append(rest, epoch=0)
             store.sync()
             get(server, "/trend")
             assert len(builds) == 2

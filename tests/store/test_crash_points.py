@@ -2,9 +2,9 @@
 
 A crash can tear exactly the final newline off a shard, leaving a
 complete JSON line with no terminator. Both journal readers must treat
-that line as torn: the resume path (``read_journal`` via
-``completed_epoch_pairs``) re-measures the probe, and the aggregation
-fold (``read_journal_tail``) counts the re-measured copy. If the two
+that line as torn: the resume path (``ResultStore.done``) re-measures
+the probe, and the aggregation fold (``read_journal_tail``) counts the
+re-measured copy. If the two
 readers disagreed, the resumed campaign would skip the probe while the
 fold never saw it, and its epoch would never read complete.
 """

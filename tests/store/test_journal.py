@@ -12,7 +12,6 @@ from repro.store import (
     JournalWriter,
     StoreCorruptError,
     canonical_value,
-    campaign_fingerprint,
     fingerprint,
     read_journal,
     study_fingerprint,
@@ -172,9 +171,4 @@ class TestStudyFingerprint:
         config = StudyConfig(seed=7)
         assert study_fingerprint(config, small_fleet) != study_fingerprint(
             config, small_fleet[:-1]
-        )
-
-    def test_study_and_campaign_kinds_never_collide(self, small_fleet):
-        assert study_fingerprint(StudyConfig(), small_fleet) != (
-            campaign_fingerprint([], small_fleet)
         )

@@ -7,6 +7,7 @@ from repro.core.study import StudyConfig
 from repro.store import (
     ResultStore,
     StoreResumeRequired,
+    epoch_manifest,
     summarize_store,
 )
 
@@ -22,20 +23,18 @@ def epoch_records(small_fleet):
 def fill_store(path, epoch_records, fingerprint="f" * 64):
     sizes = [len(epoch_records[e]) for e in sorted(epoch_records)]
     store = ResultStore(str(path))
-    done = store.begin_longitudinal(fingerprint, sizes)
+    done = store.begin("longitudinal", fingerprint, epoch_manifest(sizes))
     assert done == set()
     for epoch in sorted(epoch_records):
-        store.append_epoch_segment(
-            epoch, list(enumerate(epoch_records[epoch]))
-        )
+        store.append(list(enumerate(epoch_records[epoch])), epoch=epoch)
     return store
 
 
 class TestLongitudinalSurface:
     def test_round_trip(self, tmp_path, epoch_records):
         store = fill_store(tmp_path / "s", epoch_records)
-        collected = store.collect_epochs()
-        store.finalize_longitudinal()
+        collected, _metrics = store.collect()
+        store.finalize()
         assert collected == epoch_records
 
     def test_completed_pairs_and_resume_guard(self, tmp_path, epoch_records):
@@ -43,12 +42,12 @@ class TestLongitudinalSurface:
         store = fill_store(path, epoch_records)
         store.close()
         with pytest.raises(StoreResumeRequired):
-            ResultStore(path).begin_longitudinal(
-                "f" * 64, [len(epoch_records[0])] * 2
+            ResultStore(path).begin(
+                "longitudinal", "f" * 64, epoch_manifest([len(epoch_records[0])] * 2)
             )
         resumed = ResultStore(path, resume=True)
-        done = resumed.begin_longitudinal(
-            "f" * 64, [len(epoch_records[0])] * 2
+        done = resumed.begin(
+            "longitudinal", "f" * 64, epoch_manifest([len(epoch_records[0])] * 2)
         )
         assert done == {
             (epoch, index)
@@ -61,18 +60,18 @@ class TestLongitudinalSurface:
         path = str(tmp_path / "s")
         sizes = [len(epoch_records[e]) for e in sorted(epoch_records)]
         store = ResultStore(path)
-        store.begin_longitudinal("f" * 64, sizes)
-        store.append_epoch_segment(0, list(enumerate(epoch_records[0]))[:5])
+        store.begin("longitudinal", "f" * 64, epoch_manifest(sizes))
+        store.append(list(enumerate(epoch_records[0]))[:5], epoch=0)
         store.close()
         resumed = ResultStore(path, resume=True)
-        done = resumed.begin_longitudinal("f" * 64, sizes)
+        done = resumed.begin("longitudinal", "f" * 64, epoch_manifest(sizes))
         assert done == {(0, index) for index in range(5)}
         resumed.close()
 
     def test_summary_counts_epochs_and_verdicts(self, tmp_path, epoch_records):
         path = str(tmp_path / "s")
         store = fill_store(path, epoch_records)
-        store.finalize_longitudinal()
+        store.finalize()
         summary = summarize_store(path)
         assert summary.kind == "longitudinal"
         assert summary.complete is True

@@ -18,6 +18,8 @@ from repro.store import (
     load_manifest,
     load_stored_records,
     load_stored_study,
+    read_journal,
+    study_fingerprint,
     summarize_store,
 )
 
@@ -134,7 +136,7 @@ class TestGuards:
     def test_append_before_begin_rejected(self, tmp_path):
         store = ResultStore(str(tmp_path / "s"))
         with pytest.raises(StoreError):
-            store.append_segment([])
+            store.append([])
 
     def test_collect_on_partial_store_is_incomplete(self, small_fleet, tmp_path):
         config = StudyConfig(workers=1, seed=11)
@@ -144,9 +146,9 @@ class TestGuards:
                 small_fleet, config, store=ResultStore(path, probe_budget=3)
             )
         reader = ResultStore(path, resume=True)
-        reader.begin_study(config, small_fleet)
+        reader.begin("study", study_fingerprint(config, small_fleet), {})
         with pytest.raises(StoreIncompleteError):
-            reader.collect_study()
+            reader.collect()
 
     def test_metrics_done_requires_snapshot_coverage(self, small_fleet, tmp_path):
         """A record line without its metrics segment is not 'done' — the
@@ -157,9 +159,11 @@ class TestGuards:
         for metrics_file in (path / "journal").glob("metrics-*.jsonl"):
             metrics_file.unlink()
         reopened = ResultStore(str(path), resume=True)
-        assert reopened.begin_study(config, small_fleet) == set()
+        assert reopened.begin(
+            "study", study_fingerprint(config, small_fleet), {}
+        ) == set()
         # Without the metrics requirement the record lines still count.
-        assert len(reopened.completed_indices()) == len(small_fleet)
+        assert len(read_journal(str(path / "journal"), "records")) == len(small_fleet)
 
 
 class TestArchiveSurface:
@@ -232,6 +236,25 @@ class TestArchiveSurface:
         assert not summary.complete
         assert "partial" in summary.render()
 
+    def test_summary_counts_only_what_resume_counts_done(
+        self, small_fleet, tmp_path
+    ):
+        """Record lines whose metrics segment never reached the disk (a
+        crash between the two syncs) are not done: the summary must say
+        what a resumed run would measure again, not every record line."""
+        config = StudyConfig(workers=1, seed=11, metrics=True)
+        path = tmp_path / "s"
+        run_pilot_study(small_fleet, config, store=ResultStore(str(path)))
+        for metrics_file in (path / "journal").glob("metrics-*.jsonl"):
+            metrics_file.write_text("")
+        summary = summarize_store(str(path))
+        assert summary.done == 0
+        assert summary.counts == {}
+        reopened = ResultStore(str(path), resume=True)
+        done = reopened.begin("study", study_fingerprint(config, small_fleet), {})
+        reopened.close()
+        assert summary.done == len(done)
+
 
 class TestDurabilityDetails:
     def test_duplicate_record_lines_dedupe_first_wins(
@@ -247,8 +270,8 @@ class TestDurabilityDetails:
         extra = path / "journal" / "records-9000.jsonl"
         extra.write_text(first_line + "\n")
         reader = ResultStore(str(path), resume=True)
-        reader.begin_study(config, small_fleet)
-        records, _metrics = reader.collect_study()
+        reader.begin("study", study_fingerprint(config, small_fleet), {})
+        records = reader.collect()[0][None]
         assert records == study.records
 
     def test_journal_survives_torn_tail(self, small_fleet, tmp_path):
