@@ -7,91 +7,39 @@ rendering.
 
 from .examples import measure_example_probes
 from .figures import (
-    FigureSeries,
-    LOCATION_CATEGORIES,
-    LocationSummary,
-    TRANSPARENCY_CATEGORIES,
     build_figure3,
     build_figure4_countries,
     build_figure4_organizations,
     build_location_summary,
 )
 from .formatting import render_bar_chart, render_table
-from .grouping import count_version_families, top_groups, version_string_family
-from .accuracy import AccuracyReport, ClassMetrics, ConfusionMatrix, score_study
-from .replication import ReplicationReport, build_replication_report
-from .stability import (
-    StabilityReport,
-    TrialStability,
-    VerdictFlip,
-    build_stability_report,
-    compare_verdicts,
-)
-from .agreement import (
-    CERT_AXIS,
-    CONTENT_ONLY,
-    HEURISTIC_AXIS,
-    AgreementTable,
-    build_agreement_table,
-)
-from .evasion import (
-    EVASION_CLASSES,
-    EvasionRow,
-    EvasionTable,
-    build_evasion_table,
-)
-from .export import load_study, save_study, study_from_json, study_to_json
-from .tables import (
-    Table4,
-    Table4Row,
-    Table5,
-    build_example_tables,
-    build_table4,
-    build_table5,
-)
+from .grouping import count_version_families, top_groups
+from .accuracy import score_study
+from .replication import build_replication_report
+from .stability import build_stability_report
+from .agreement import build_agreement_table
+from .evasion import build_evasion_table
+from .export import load_study, save_study, study_to_json
+from .tables import build_example_tables, build_table4, build_table5
 
 __all__ = [
     "measure_example_probes",
-    "FigureSeries",
-    "LOCATION_CATEGORIES",
-    "LocationSummary",
-    "TRANSPARENCY_CATEGORIES",
     "build_figure3",
     "build_figure4_countries",
     "build_figure4_organizations",
     "build_location_summary",
     "render_bar_chart",
     "render_table",
-    "AccuracyReport",
-    "ClassMetrics",
-    "ConfusionMatrix",
     "score_study",
-    "ReplicationReport",
     "build_replication_report",
-    "StabilityReport",
-    "TrialStability",
-    "VerdictFlip",
     "build_stability_report",
-    "compare_verdicts",
-    "CERT_AXIS",
-    "CONTENT_ONLY",
-    "HEURISTIC_AXIS",
-    "AgreementTable",
     "build_agreement_table",
-    "EVASION_CLASSES",
-    "EvasionRow",
-    "EvasionTable",
     "build_evasion_table",
     "load_study",
     "save_study",
-    "study_from_json",
     "study_to_json",
     "count_version_families",
     "top_groups",
-    "version_string_family",
-    "Table4",
-    "Table4Row",
-    "Table5",
     "build_example_tables",
     "build_table4",
     "build_table5",

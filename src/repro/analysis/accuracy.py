@@ -56,16 +56,6 @@ class ConfusionMatrix:
     def count(self, truth: str, verdict: str) -> int:
         return self.counts.get((truth, verdict), 0)
 
-    def row_total(self, truth: str) -> int:
-        return sum(
-            count for (t, _v), count in self.counts.items() if t == truth
-        )
-
-    def column_total(self, verdict: str) -> int:
-        return sum(
-            count for (_t, v), count in self.counts.items() if v == verdict
-        )
-
     @property
     def total(self) -> int:
         return sum(self.counts.values())

@@ -7,19 +7,8 @@ measurement client that performs validated DNS exchanges over the
 simulated network.
 """
 
-from .campaign import (
-    Campaign,
-    MeasurementDefinition,
-    MeasurementRow,
-    definition_from_dict,
-)
-from .geo import (
-    ORGANIZATIONS,
-    Organization,
-    countries,
-    organization_by_asn,
-    organization_by_name,
-)
+from .campaign import Campaign, MeasurementDefinition
+from .geo import ORGANIZATIONS, Organization, countries, organization_by_name
 from .measurement import (
     DEFAULT_TIMEOUT_MS,
     DnsExchangeResult,
@@ -46,31 +35,15 @@ from .retry import (
     RetryPolicy,
     default_chaos_retry,
 )
-from .scenario import (
-    HOSTED_DNS_V4_PREFIX,
-    Scenario,
-    ScenarioSpec,
-    build_scenario,
-    resolver_software,
-)
-from .transport import (
-    ENCRYPTED_TRANSPORTS,
-    TRANSPORTS,
-    doh_exchange,
-    doq_exchange,
-    resolve,
-    udp53_exchange,
-)
+from .scenario import Scenario, ScenarioSpec, build_scenario, resolver_software
+from .transport import ENCRYPTED_TRANSPORTS, TRANSPORTS, resolve, udp53_exchange
 
 __all__ = [
     "Campaign",
     "MeasurementDefinition",
-    "definition_from_dict",
-    "MeasurementRow",
     "ORGANIZATIONS",
     "Organization",
     "countries",
-    "organization_by_asn",
     "organization_by_name",
     "DEFAULT_TIMEOUT_MS",
     "DnsExchangeResult",
@@ -84,8 +57,6 @@ __all__ = [
     "ENCRYPTED_TRANSPORTS",
     "TRANSPORTS",
     "resolve",
-    "doh_exchange",
-    "doq_exchange",
     "udp53_exchange",
     "CPE_TRUE_SOFTWARE",
     "PROVIDERS",
@@ -100,7 +71,6 @@ __all__ = [
     "FixedIntervalRetry",
     "RetryPolicy",
     "default_chaos_retry",
-    "HOSTED_DNS_V4_PREFIX",
     "Scenario",
     "ScenarioSpec",
     "build_scenario",

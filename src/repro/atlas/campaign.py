@@ -13,8 +13,8 @@ pipeline.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 from repro.dnswire import Message, QClass, QType, RCode, make_query
 from repro.net.addr import parse_ip
@@ -42,34 +42,6 @@ class MeasurementDefinition:
     def build_query(self, rng: Optional[random.Random] = None) -> Message:
         return make_query(self.qname, self.qtype, self.qclass, rng=rng)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "msm_id": self.msm_id,
-            "target": self.target,
-            "qname": self.qname,
-            "qtype": self.qtype,
-            "qclass": self.qclass,
-            "description": self.description,
-        }
-
-
-def definition_from_dict(data: dict[str, Any]) -> MeasurementDefinition:
-    """Rebuild a definition from its :meth:`MeasurementDefinition.
-    to_dict` form; unknown keys are rejected (a typo'd field must not
-    silently vanish from the round trip)."""
-    allowed = {"msm_id", "target", "qname", "qtype", "qclass", "description"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown definition fields: {sorted(unknown)}")
-    return MeasurementDefinition(
-        msm_id=int(data["msm_id"]),
-        target=str(data["target"]),
-        qname=str(data["qname"]),
-        qtype=int(data.get("qtype", QType.A)),
-        qclass=int(data.get("qclass", QClass.IN)),
-        description=str(data.get("description", "")),
-    )
-
 
 @dataclass(frozen=True)
 class MeasurementRow:
@@ -86,17 +58,6 @@ class MeasurementRow:
     @property
     def succeeded(self) -> bool:
         return self.error is None and self.rcode is not None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "msm_id": self.msm_id,
-            "prb_id": self.probe_id,
-            "timestamp": self.timestamp_ms,
-            "rt": self.rt_ms,
-            "rcode": self.rcode,
-            "answers": list(self.answers),
-            "error": self.error,
-        }
 
 
 class Campaign:

@@ -94,13 +94,6 @@ def organization_by_name(name: str) -> Organization:
     raise KeyError(name)
 
 
-def organization_by_asn(asn: int) -> Organization:
-    for org in ORGANIZATIONS:
-        if org.asn == asn:
-            return org
-    raise KeyError(asn)
-
-
 def as_identity(asn: "int | None", label: str) -> str:
     """Certificate identity for an operator-run node inside an AS.
 
@@ -113,10 +106,6 @@ def as_identity(asn: "int | None", label: str) -> str:
     if asn is None:
         return f"{label}.example.net"
     return f"{label}.as{asn}.example.net"
-
-
-def total_probe_weight() -> float:
-    return sum(org.probe_weight for org in ORGANIZATIONS)
 
 
 def countries() -> list[str]:

@@ -17,26 +17,16 @@ Three layers on top of :mod:`repro.store`:
 over HTTP.
 """
 
-from .aggregate import (
-    STATE_SCHEMA,
-    TABLES_DIR,
-    TREND_NAME,
-    StoreAggregator,
-    canonical_json,
-    load_epoch_page,
-)
+from .aggregate import StoreAggregator, canonical_json, load_epoch_page
 from .catalog import (
-    DEFAULT_SCENARIO_DIR,
     ScenarioBundle,
     ScenarioError,
     bundle_from_dict,
     find_bundle,
-    load_bundle,
     load_catalog,
 )
 from .schedule import (
     FIRMWARE_PROFILES,
-    FLIP_ACTIONS,
     CampaignSchedule,
     ChurnSpec,
     FirmwareUpgrade,
@@ -48,22 +38,16 @@ from .schedule import (
 __all__ = [
     "CampaignSchedule",
     "ChurnSpec",
-    "DEFAULT_SCENARIO_DIR",
     "FIRMWARE_PROFILES",
-    "FLIP_ACTIONS",
     "FirmwareUpgrade",
     "LongitudinalCampaign",
     "PolicyFlip",
-    "STATE_SCHEMA",
     "ScenarioBundle",
     "ScenarioError",
     "StoreAggregator",
-    "TABLES_DIR",
-    "TREND_NAME",
     "bundle_from_dict",
     "canonical_json",
     "find_bundle",
-    "load_bundle",
     "load_catalog",
     "load_epoch_page",
     "run_campaign",

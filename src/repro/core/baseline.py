@@ -146,11 +146,3 @@ class PrevalenceExperiment:
             responded=exchange.response is not None,
             observed_egress=self.egress_for(qname),
         )
-
-    def probe_all(
-        self, client: MeasurementClient, probe_id: int, family: int = 4
-    ) -> dict[Provider, BaselineVerdict]:
-        return {
-            provider: self.probe(client, provider, probe_id, family=family)
-            for provider in Provider
-        }

@@ -60,9 +60,9 @@ class CertVerdict(enum.Enum):
 
     Shares the locator's spellings for the clean/degraded/no-data
     states so analysis code can consume either verdict through the
-    common ``.value`` surface (:class:`~repro.core.detector_registry.
-    DetectorVerdict`); ``INTERCEPTED`` is deliberately location-free —
-    a certificate says *that* a middleman answered, not *where* it sits.
+    common ``.value`` surface; ``INTERCEPTED`` is deliberately
+    location-free — a certificate says *that* a middleman answered, not
+    *where* it sits.
     """
 
     NOT_INTERCEPTED = "not-intercepted"

@@ -102,7 +102,7 @@ class ProbeClassification:
     @property
     def intercepted(self) -> bool:
         # Compared by verdict *value*, not enum identity: the verdict
-        # may be a LocatorVerdict or a CertVerdict (any DetectorVerdict
+        # may be a LocatorVerdict or a CertVerdict (any detector verdict
         # whose clean states share these spellings).
         return self.verdict.value not in (
             LocatorVerdict.NOT_INTERCEPTED.value,

@@ -74,9 +74,6 @@ class ProviderVerdict:
     def responded(self) -> bool:
         return self.status is not InterceptionStatus.NO_RESPONSE
 
-    def observed_texts(self) -> list[str]:
-        return [p.observed_text() for p in self.probes]
-
 
 def detect_provider(
     client: MeasurementClient,

@@ -8,10 +8,8 @@ makes the detectors peers behind one surface, in the style of
 
 - :class:`Detector` — the protocol every entry satisfies:
   ``classify(client, probe, **options)`` returning a verdict-bearing
-  result;
-- :class:`DetectorVerdict` — the shared verdict protocol (anything with
-  a string ``.value``), so analysis code consumes any detector's output
-  without isinstance checks;
+  result whose verdict is an enum with a string ``.value``, so analysis
+  code consumes any detector's output without isinstance checks;
 - :data:`DETECTORS` / :func:`get_detector` — the registry;
 - :data:`STUDY_DETECTORS` — the values ``StudyConfig(detector=...)``
   accepts (``"both"`` runs heuristic and cert on the same scenario).
@@ -24,24 +22,9 @@ evasion axis calls
 from __future__ import annotations
 
 import random
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol
 
 from repro.atlas.measurement import MeasurementClient
-
-
-@runtime_checkable
-class DetectorVerdict(Protocol):
-    """What every detector's verdict exposes: a stable string ``value``.
-
-    :class:`~repro.core.classifier.LocatorVerdict`,
-    :class:`~repro.core.cert_validate.CertVerdict` and
-    :class:`~repro.core.encrypted_probe.EncryptedStatus` all conform
-    (they are enums); tables/export/accuracy key on ``verdict.value``
-    and never on the concrete enum class.
-    """
-
-    @property
-    def value(self) -> str: ...
 
 
 class Detector(Protocol):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.atlas.measurement import (
@@ -47,7 +47,7 @@ from repro.atlas.measurement import (
 from repro.atlas.transport import ENCRYPTED_TRANSPORTS
 from repro.resolvers.public import PROVIDER_TLS_IDENTITIES, Provider
 
-from .catalog import LOCATION_QUERIES, PROVIDER_ORDER, provider_addresses
+from .catalog import LOCATION_QUERIES, provider_addresses
 from .matchers import match_location_response
 
 
@@ -160,55 +160,3 @@ def probe_encrypted_provider(
     return EncryptedVerdict(
         provider=provider, profile=profile, transport=transport, exchange=exchange
     )
-
-
-@dataclass
-class EncryptedReport:
-    """Both-profile verdicts across all providers, one transport."""
-
-    transport: str = "dot"
-    verdicts: dict[tuple[Provider, EncryptedProfile], EncryptedVerdict] = field(
-        default_factory=dict
-    )
-
-    def status_of(
-        self, provider: Provider, profile: EncryptedProfile
-    ) -> EncryptedStatus:
-        verdict = self.verdicts.get((provider, profile))
-        return verdict.status if verdict else EncryptedStatus.NO_RESPONSE
-
-    def any_intercepted(self) -> bool:
-        return any(
-            v.status is EncryptedStatus.INTERCEPTED for v in self.verdicts.values()
-        )
-
-    def any_hijack_defeated(self) -> bool:
-        return any(
-            v.status is EncryptedStatus.HIJACK_DEFEATED
-            for v in self.verdicts.values()
-        )
-
-
-def probe_encrypted_all(
-    client: MeasurementClient,
-    transport: str = "dot",
-    profiles: tuple[EncryptedProfile, ...] = (
-        EncryptedProfile.STRICT,
-        EncryptedProfile.OPPORTUNISTIC,
-    ),
-    family: int = 4,
-    rng: Optional[random.Random] = None,
-) -> EncryptedReport:
-    report = EncryptedReport(transport=transport)
-    for profile in profiles:
-        for provider in PROVIDER_ORDER:
-            report.verdicts[(provider, profile)] = probe_encrypted_provider(
-                client,
-                provider,
-                transport=transport,
-                profile=profile,
-                family=family,
-                rng=rng,
-            )
-    return report
-

@@ -396,14 +396,17 @@ def _measure_pool(
     sink: Callable,
     advance: Callable[[int], None],
 ) -> None:
-    """Measure in the session's process pool, sinking shards as they
-    complete.
+    """Measure in the session's process pool, sinking shards in the
+    order they were submitted.
 
     Walking the probes in fleet order, one whose dedup key is memoised
     resolves at once, the first with a new key becomes a *leader*, and a
     later one with that key waits for its leader. Only leaders go to the
     pool (every probe, with dedup off); a finished shard memoises its
-    leaders' records and sinks them together with their siblings."""
+    leaders' records and sinks them together with their siblings. A
+    shard that finishes early is held until every earlier one is sunk,
+    so a store journals the same bytes on every run; progress advances
+    as each shard finishes."""
     memo = session.memo
     resolved: list[tuple[int, "ProbeRecord"]] = []
     leader_indices: list[int] = []
@@ -428,16 +431,19 @@ def _measure_pool(
         leader_indices.append(index)
         leader_specs.append(spec)
 
-    pending = set()
+    submitted = []
     if leader_specs:
         pool = session.pool()
-        pending = {
+        submitted = [
             pool.submit(_measure_shard_job, shard)
             for shard in shard_fleet(leader_specs, shards, leader_indices)
-        }
+        ]
     if resolved:
         sink(resolved, None)
         advance(len(resolved))
+    finished: dict = {}
+    next_to_sink = 0
+    pending = set(submitted)
     while pending:
         completed, pending = wait(pending, return_when=FIRST_COMPLETED)
         for future in completed:
@@ -452,8 +458,11 @@ def _measure_pool(
                         for sibling, spec in waiting.pop(key)
                     )
             pairs += siblings
-            sink(pairs, snapshot)
+            finished[future] = (pairs, snapshot)
             advance(len(pairs))
+        while next_to_sink < len(submitted) and submitted[next_to_sink] in finished:
+            sink(*finished.pop(submitted[next_to_sink]))
+            next_to_sink += 1
 
 
 def measure_fleet(
@@ -482,10 +491,11 @@ def measure_fleet(
     measured so far.
 
     With a :class:`~repro.store.ResultStore`, completed segments stream
-    into its journal as they finish, already-journaled probes are
-    skipped, and the returned result is reconstructed *from the
-    journal* — byte-identical to a store-less run for any worker count
-    and any interruption point (see :mod:`repro.store`). Raises
+    into its journal in submission order (so its bytes do not depend on
+    which shard finishes first), already-journaled probes are skipped,
+    and the returned result is reconstructed *from the journal* —
+    byte-identical to a store-less run for any worker count and any
+    interruption point (see :mod:`repro.store`). Raises
     :class:`~repro.store.StoreInterrupted` when the store's probe budget
     runs out before the fleet is covered; the journal then holds
     everything measured so far, ready for a resumed run.

@@ -7,7 +7,7 @@ study.
 """
 
 from .device import CpeDevice
-from .forwarder import UPSTREAM_PORT, ForwarderEngine, PendingQuery
+from .forwarder import UPSTREAM_PORT, ForwarderEngine
 from .firmware import (
     FirmwareProfile,
     TABLE5_SOFTWARE_MIX,
@@ -16,16 +16,14 @@ from .firmware import (
     honest_router,
     open_wan_forwarder,
     pihole_profile,
-    table5_total,
     xb6_profile,
 )
-from .xb6 import RDKB_FIREWALL_EXCERPT, build_xb6, describe_mechanism
+from .xb6 import describe_mechanism
 
 __all__ = [
     "CpeDevice",
     "UPSTREAM_PORT",
     "ForwarderEngine",
-    "PendingQuery",
     "FirmwareProfile",
     "TABLE5_SOFTWARE_MIX",
     "dnat_interceptor",
@@ -33,9 +31,6 @@ __all__ = [
     "honest_router",
     "open_wan_forwarder",
     "pihole_profile",
-    "table5_total",
     "xb6_profile",
-    "RDKB_FIREWALL_EXCERPT",
-    "build_xb6",
     "describe_mechanism",
 ]

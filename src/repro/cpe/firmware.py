@@ -191,7 +191,3 @@ TABLE5_SOFTWARE_MIX: tuple[tuple[ServerSoftware, int], ...] = (
     (quirky("none"), 1),
     (quirky("huuh?"), 1),
 )
-
-
-def table5_total() -> int:
-    return sum(count for _software, count in TABLE5_SOFTWARE_MIX)

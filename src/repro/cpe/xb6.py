@@ -9,22 +9,17 @@ The feature exists to implement opt-in malware filtering; the paper found
 units where a bug left the redirection on for *all* queries, silently
 overriding the user's resolver choice.
 
-This module reproduces the mechanism at the packet level: the same
-PREROUTING rule shape as RDK-B's ``firewall.c``, the XDNS forwarder
-answering ``version.bind``, and the spoofed-source reply that makes the
-hijack invisible to the client.
+The gateway is built like any other CPE, from
+:func:`~repro.cpe.firmware.xb6_profile`: the same PREROUTING rule shape
+as RDK-B's ``firewall.c``, the XDNS forwarder answering ``version.bind``,
+and the spoofed-source reply that makes the hijack invisible to the
+client. This module describes an XB6's interception state for
+``repro case-study``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.net.addr import IPAddress, IPNetwork
-
 from .device import CpeDevice
-from .firmware import xb6_profile
-from .forwarder import ForwarderEngine
-from repro.resolvers.software import xdns
 
 #: The RDK-B firewall source the paper cites (CcspUtopia firewall.c).
 RDKB_FIREWALL_EXCERPT = """\
@@ -36,56 +31,6 @@ RDKB_FIREWALL_EXCERPT = """\
 #       -j DNAT --to-destination <gateway-ip>
 # Every DNS packet entering from the LAN bridge is rewritten to the
 # gateway itself, where the XDNS forwarder relays it to the ISP resolver."""
-
-
-def build_xb6(
-    name: str,
-    lan_v4_prefix: "str | IPNetwork",
-    wan_v4: "str | IPAddress",
-    wan_gateway: str,
-    lan_host: str,
-    isp_resolver_v4: "str | IPAddress",
-    isp_resolver_v6: "str | IPAddress | None" = None,
-    wan_v6: "str | IPAddress | None" = None,
-    lan_v6_prefix: "str | IPNetwork | None" = None,
-    buggy: bool = True,
-    xdns_version: str = "1.0",
-    asn: Optional[int] = None,
-) -> CpeDevice:
-    """Instantiate an XB6 gateway.
-
-    With ``buggy=True`` (the units §5 describes) the XDNS DNAT rule is
-    installed unconditionally, so every IPv4 DNS query from the home is
-    redirected to ``isp_resolver_v4`` regardless of its destination. With
-    ``buggy=False`` the filtering service is present but dormant, and the
-    gateway behaves like any honest router.
-    """
-    engine = ForwarderEngine(
-        software=xdns(xdns_version),
-        upstream_v4=isp_resolver_v4,
-        upstream_v6=isp_resolver_v6,
-    )
-    device = CpeDevice(
-        name=name,
-        lan_v4_prefix=lan_v4_prefix,
-        wan_v4=wan_v4,
-        wan_gateway=wan_gateway,
-        lan_host=lan_host,
-        wan_v6=wan_v6,
-        lan_v6_prefix=lan_v6_prefix,
-        forwarder=engine,
-        wan_port53_open=False,
-        model="XB6",
-        asn=asn,
-        # Buggy XDNS units downgrade encrypted transports too: the
-        # session terminates on the gateway's certificate and the query
-        # is forced through the ISP resolver over plaintext (§5's DNAT
-        # redirection, applied one layer up).
-        encrypted_dns=xb6_profile(buggy=buggy).encrypted_dns,
-    )
-    if buggy:
-        device.enable_interception(family=4)
-    return device
 
 
 def describe_mechanism(device: CpeDevice) -> str:

@@ -30,18 +30,15 @@ from .edns import (
     EdnsOption,
     OPTION_CLIENT_SUBNET,
     get_edns,
-    with_client_subnet,
     with_edns,
 )
 from .message import Flags, Message, Question, decode_or_none, make_query
 from .wire import TruncatedMessageError, WireError, WireReader, WireWriter
 from .zone import LookupResult, Zone
-from .zonefile import ZoneFileError, parse_zone
 from .chaosnames import (
     HOSTNAME_BIND,
     ID_SERVER,
     VERSION_BIND,
-    is_chaos_debug_question,
     make_chaos_query,
     make_id_server_query,
     make_version_bind_query,
@@ -73,7 +70,6 @@ __all__ = [
     "EdnsOption",
     "OPTION_CLIENT_SUBNET",
     "get_edns",
-    "with_client_subnet",
     "with_edns",
     "Flags",
     "Message",
@@ -86,12 +82,9 @@ __all__ = [
     "WireWriter",
     "Zone",
     "LookupResult",
-    "ZoneFileError",
-    "parse_zone",
     "ID_SERVER",
     "VERSION_BIND",
     "HOSTNAME_BIND",
-    "is_chaos_debug_question",
     "make_chaos_query",
     "make_id_server_query",
     "make_version_bind_query",

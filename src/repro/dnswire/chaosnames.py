@@ -15,24 +15,12 @@ These names are the measurement instrument of the paper:
 from __future__ import annotations
 
 from .enums import QClass, QType
-from .message import Message, Question, make_query
+from .message import Message, make_query
 from .name import DnsName
 
 ID_SERVER = DnsName.from_text("id.server.")
 VERSION_BIND = DnsName.from_text("version.bind.")
 HOSTNAME_BIND = DnsName.from_text("hostname.bind.")
-VERSION_SERVER = DnsName.from_text("version.server.")
-
-_CHAOS_NAMES = {ID_SERVER, VERSION_BIND, HOSTNAME_BIND, VERSION_SERVER}
-
-
-def is_chaos_debug_question(question: Question) -> bool:
-    """True if ``question`` is one of the RFC 4892 debugging queries."""
-    return (
-        int(question.qclass) == int(QClass.CH)
-        and int(question.qtype) == int(QType.TXT)
-        and question.qname in _CHAOS_NAMES
-    )
 
 
 def make_chaos_query(qname: "str | DnsName", msg_id: int | None = None) -> Message:

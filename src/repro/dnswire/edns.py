@@ -169,15 +169,3 @@ def with_edns(
         if int(record.rdtype) != int(QType.OPT)
     ) + (edns.to_record(),)
     return replace(message, additionals=additionals)
-
-
-def with_client_subnet(
-    message: Message,
-    network: "str | ipaddress.IPv4Network | ipaddress.IPv6Network",
-    payload_size: int = DEFAULT_PAYLOAD_SIZE,
-) -> Message:
-    """Attach an ECS option (convenience for resolver->authoritative hops)."""
-    if isinstance(network, str):
-        network = ipaddress.ip_network(network)
-    option = ClientSubnet(network=network).to_option()
-    return with_edns(message, payload_size=payload_size, options=(option,))

@@ -62,10 +62,6 @@ class RCode(_WireEnum):
     NOTZONE = 10
     BADVERS = 16
 
-    @property
-    def is_error(self) -> bool:
-        return self != RCode.NOERROR
-
 
 class QType(_WireEnum):
     """Resource record / query types."""
@@ -108,7 +104,5 @@ class QClass(_WireEnum):
 MAX_LABEL_LENGTH = 63
 #: Maximum encoded name length, including the root byte (RFC 1035 §2.3.4).
 MAX_NAME_LENGTH = 255
-#: Classic maximum UDP payload without EDNS (RFC 1035 §2.3.4).
-MAX_UDP_PAYLOAD = 512
 #: Standard DNS port.
 DNS_PORT = 53

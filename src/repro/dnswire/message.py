@@ -123,10 +123,6 @@ class Message:
         """The first (and in practice only) question, or None."""
         return self.questions[0] if self.questions else None
 
-    def answer_texts(self) -> list[str]:
-        """Presentation-format RDATA of each answer record."""
-        return [rr.rdata.to_text() for rr in self.answers]
-
     def txt_strings(self) -> list[str]:
         """Joined TXT payloads of all TXT answers, in order.
 

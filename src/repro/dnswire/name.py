@@ -163,14 +163,6 @@ class DnsName:
             return True
         return self._key[-len(other._key):] == other._key
 
-    def relativize(self, origin: "DnsName") -> tuple[str, ...]:
-        """Labels of ``self`` left of ``origin`` (``self`` must be under it)."""
-        if not self.is_subdomain_of(origin):
-            raise NameError_(f"{self.to_text()} is not under {origin.to_text()}")
-        if not origin._labels:
-            return self._labels
-        return self._labels[: len(self._labels) - len(origin._labels)]
-
     def prepend(self, label: str) -> "DnsName":
         return DnsName((label,) + self._labels)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import ipaddress
 import struct
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar
 
 from .enums import QClass, QType
 from .wire import WireError, WireReader, WireWriter
@@ -262,10 +262,6 @@ _RDATA_DECODERS = {
     QType.SOA: SoaData.decode,
     QType.MX: MxData.decode,
 }
-
-AnyRData = Union[
-    AData, AAAAData, TxtData, NsData, CnameData, PtrData, SoaData, MxData, OpaqueData
-]
 
 
 @dataclass(frozen=True)

@@ -153,8 +153,3 @@ class WireReader:
 
     def read_u32(self) -> int:
         return struct.unpack("!I", self.read_bytes(4))[0]
-
-    def peek_u8(self) -> int:
-        if self.at_end():
-            raise TruncatedMessageError("peek past end of buffer")
-        return self._data[self._offset]

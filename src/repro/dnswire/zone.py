@@ -11,7 +11,7 @@ the oracle the paper uses for its transparency check (§4.1.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .enums import QClass, QType, RCode
 from .name import DnsName, name
@@ -51,10 +51,6 @@ class Zone:
             )
         key = (record.name, int(record.rdclass), int(record.rdtype))
         self._records.setdefault(key, []).append(record)
-
-    def add_all(self, records: Iterable[ResourceRecord]) -> None:
-        for record in records:
-            self.add(record)
 
     def add_dynamic(
         self,

@@ -23,24 +23,13 @@ Layout:
 """
 
 from .engine import run_ambiguity_probes
-from .probes import PROBE_AXES, UNKNOWN_OPTION_CODE
-from .signature import (
-    PROVIDER_DEFAULT_SIGNATURE,
-    SignatureDatabase,
-    block_label,
-    build_signature_database,
-    expected_signature,
-    true_software_label,
-)
+from .probes import PROBE_AXES
+from .signature import SignatureDatabase, build_signature_database, true_software_label
 
 __all__ = [
     "PROBE_AXES",
-    "PROVIDER_DEFAULT_SIGNATURE",
     "SignatureDatabase",
-    "UNKNOWN_OPTION_CODE",
-    "block_label",
     "build_signature_database",
-    "expected_signature",
     "run_ambiguity_probes",
     "true_software_label",
 ]

@@ -20,17 +20,15 @@ same case sequence, so a failing run is a reproduction recipe. Minimised
 crashers live on as the regression corpus in ``tests/dnswire/corpus/``.
 """
 
-from .corpus import CorpusEntry, load_corpus, minimize, save_entry
+from .corpus import load_corpus, minimize, save_entry
 from .generator import MessageGenerator
 from .mutator import ByteMutator
 from .oracles import Violation, check_hostile, check_roundtrip
-from .runner import FuzzConfig, FuzzReport, run_fuzz
+from .runner import FuzzConfig, run_fuzz
 
 __all__ = [
     "ByteMutator",
-    "CorpusEntry",
     "FuzzConfig",
-    "FuzzReport",
     "MessageGenerator",
     "Violation",
     "check_hostile",

@@ -13,9 +13,6 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-#: Canonical corpus location, relative to a repository checkout.
-DEFAULT_CORPUS_DIR = os.path.join("tests", "dnswire", "corpus")
-
 _SUFFIX = ".hex"
 
 

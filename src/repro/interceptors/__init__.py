@@ -7,17 +7,15 @@ IPv6, or both.
 """
 
 from .encrypted import (
-    ENCRYPTED_PROTOCOLS,
     EncryptedAction,
     EncryptedDnsPolicy,
     EncryptedQuery,
     PASS_THROUGH,
-    block_all,
     downgrade_all,
     parse_encrypted_query,
     wrap_encrypted_response,
 )
-from .middlebox import ExternalInterceptor, InterceptedFlow, MiddleboxRouter
+from .middlebox import ExternalInterceptor, MiddleboxRouter
 from .policy import (
     InterceptMode,
     InterceptionPolicy,
@@ -28,19 +26,16 @@ from .policy import (
 
 __all__ = [
     "ExternalInterceptor",
-    "InterceptedFlow",
     "MiddleboxRouter",
     "InterceptMode",
     "InterceptionPolicy",
     "allow_only",
     "intercept_all",
     "intercept_only",
-    "ENCRYPTED_PROTOCOLS",
     "EncryptedAction",
     "EncryptedDnsPolicy",
     "EncryptedQuery",
     "PASS_THROUGH",
-    "block_all",
     "downgrade_all",
     "parse_encrypted_query",
     "wrap_encrypted_response",

@@ -36,10 +36,6 @@ class EncryptedAction(enum.Enum):
     DOWNGRADE = "downgrade-to-53"  # terminate + relay over plaintext 53
 
 
-#: Protocols an :class:`EncryptedDnsPolicy` knows about.
-ENCRYPTED_PROTOCOLS: tuple[str, ...] = ("dot", "doh", "doq")
-
-
 @dataclass(frozen=True)
 class EncryptedDnsPolicy:
     """Per-protocol, optionally per-SNI, encrypted-DNS treatment.
@@ -58,14 +54,6 @@ class EncryptedDnsPolicy:
         if self.sni_targets is not None:
             object.__setattr__(self, "sni_targets", frozenset(self.sni_targets))
 
-    @property
-    def is_active(self) -> bool:
-        """Whether any protocol gets a non-PASS action."""
-        return any(
-            getattr(self, protocol) is not EncryptedAction.PASS
-            for protocol in ENCRYPTED_PROTOCOLS
-        )
-
     def action_for(self, protocol: str, sni: Optional[str]) -> EncryptedAction:
         """The action for one session: ``protocol`` in ``('dot', 'doh',
         'doq')``, ``sni`` the server name the client dialed."""
@@ -79,16 +67,6 @@ class EncryptedDnsPolicy:
 
 #: The do-nothing policy (every honest device's default).
 PASS_THROUGH = EncryptedDnsPolicy()
-
-
-def block_all() -> EncryptedDnsPolicy:
-    """Block every encrypted transport (the port-853-filter + DoH-block
-    pattern)."""
-    return EncryptedDnsPolicy(
-        dot=EncryptedAction.BLOCK,
-        doh=EncryptedAction.BLOCK,
-        doq=EncryptedAction.BLOCK,
-    )
 
 
 def downgrade_all() -> EncryptedDnsPolicy:

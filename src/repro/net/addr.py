@@ -98,10 +98,6 @@ def parse_network(value: str) -> IPNetwork:
     return hit
 
 
-def is_ipv6(value: "str | IPAddress") -> bool:
-    return parse_ip(value).version == 6
-
-
 #: Bogon classification memo: the border router checks every packet it
 #: forwards against the same handful of addresses, and prefix membership
 #: is pure in the address. Bounded; cleared when full.
@@ -120,49 +116,3 @@ def is_bogon(value: "str | IPAddress") -> bool:
             _BOGON_CACHE.clear()
         _BOGON_CACHE[address] = hit
     return hit
-
-
-def is_private(value: "str | IPAddress") -> bool:
-    """True for RFC 1918 / ULA space (a subset of bogons)."""
-    return parse_ip(value).is_private
-
-
-class PrefixPool:
-    """Sequential allocator of host addresses from a prefix.
-
-    Used to hand out public WAN addresses inside an ISP's prefix and
-    private LAN subnets inside homes. Allocation is deterministic, which
-    keeps the whole pilot study reproducible under a fixed seed.
-    """
-
-    def __init__(self, prefix: "str | IPNetwork", first_offset: int = 1) -> None:
-        self.prefix = (
-            prefix
-            if isinstance(prefix, (ipaddress.IPv4Network, ipaddress.IPv6Network))
-            else ipaddress.ip_network(prefix)
-        )
-        self._next = first_offset
-        self._capacity = self.prefix.num_addresses
-
-    def allocate(self) -> IPAddress:
-        """Return the next unused host address in the prefix."""
-        if self._next >= self._capacity - (1 if self.prefix.version == 4 else 0):
-            raise RuntimeError(f"prefix {self.prefix} exhausted")
-        address = self.prefix.network_address + self._next
-        self._next += 1
-        return address
-
-    def allocate_subnet(self, new_prefix_len: int) -> IPNetwork:
-        """Carve the next aligned subnet of the requested length."""
-        step = 2 ** (self.prefix.max_prefixlen - new_prefix_len)
-        # Round the cursor up to subnet alignment.
-        start = (self._next + step - 1) // step * step
-        if start + step > self._capacity:
-            raise RuntimeError(f"prefix {self.prefix} exhausted for /{new_prefix_len}")
-        self._next = start + step
-        network_address = self.prefix.network_address + start
-        return ipaddress.ip_network(f"{network_address}/{new_prefix_len}")
-
-    def __contains__(self, value: "str | IPAddress") -> bool:
-        address = parse_ip(value)
-        return address.version == self.prefix.version and address in self.prefix

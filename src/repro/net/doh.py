@@ -133,7 +133,3 @@ def unwrap_doh_response(data: bytes) -> Optional[DohResponse]:
         return None
     identity, start = unpacked
     return DohResponse(identity, status, data[start:])
-
-
-def is_doh_payload(data: bytes) -> bool:
-    return data.startswith(_MAGIC)

@@ -133,12 +133,6 @@ class Router(Node):
     def addresses(self) -> set[IPAddress]:
         return set(self._addresses)
 
-    def add_address(self, address: "str | IPAddress") -> None:
-        self._addresses.add(parse_ip(address))
-        self.invalidate_addresses()
-        if self.network is not None:
-            self.network.reindex(self)
-
     # -- forwarding ---------------------------------------------------------
 
     def forward(self, packet: Packet) -> None:

@@ -332,9 +332,6 @@ class Network:
     def are_connected(self, a: str, b: str) -> bool:
         return (a, b) in self._links
 
-    def neighbors(self, name: str) -> list[str]:
-        return sorted(b for (a, b) in self._links if a == name)
-
     def latency(self, a: str, b: str) -> float:
         try:
             return self._links[(a, b)]
@@ -496,9 +493,6 @@ class Network:
         if processed:
             self.metrics.inc("sim.events_dispatched", processed)
         return processed
-
-    def run_until_idle(self) -> int:
-        return self.run()
 
     @property
     def pending_events(self) -> int:

@@ -1,8 +1,9 @@
 """``repro.resolvers`` — the DNS server zoo.
 
 Public anycast resolvers with location-query support, ISP recursive
-resolvers, authoritative servers, and the software-personality catalog
-whose ``version.bind`` strings drive the paper's Step-2 fingerprinting.
+resolvers, the name directory of authoritative zones, and the
+software-personality catalog whose ``version.bind`` strings drive the
+paper's Step-2 fingerprinting.
 """
 
 from .base import ChaosOutcome, DnsServerNode, chaos_respond
@@ -12,23 +13,10 @@ from .directory import (
     GOOGLE_MYADDR,
     OPENDNS_DEBUG,
     NameDirectory,
-    build_akamai_zone,
-    build_control_zone,
     build_default_directory,
-    build_example_zone,
-    build_google_zone,
-    build_opendns_zone,
 )
-from .public import (
-    ANYCAST_SITES,
-    PROVIDER_SPECS,
-    Provider,
-    ProviderSpec,
-    PublicResolverNode,
-    default_catchment,
-)
+from .public import PROVIDER_SPECS, Provider, ProviderSpec, PublicResolverNode
 from .recursive import RecursiveResolverNode
-from .authoritative import AuthoritativeServerNode
 from .software import (
     ChaosAction,
     ChaosBehavior,
@@ -58,20 +46,12 @@ __all__ = [
     "GOOGLE_MYADDR",
     "OPENDNS_DEBUG",
     "NameDirectory",
-    "build_akamai_zone",
-    "build_control_zone",
     "build_default_directory",
-    "build_example_zone",
-    "build_google_zone",
-    "build_opendns_zone",
-    "ANYCAST_SITES",
     "PROVIDER_SPECS",
     "Provider",
     "ProviderSpec",
     "PublicResolverNode",
-    "default_catchment",
     "RecursiveResolverNode",
-    "AuthoritativeServerNode",
     "ChaosAction",
     "ChaosBehavior",
     "QUIRKY_STRINGS",

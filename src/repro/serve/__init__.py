@@ -5,6 +5,6 @@ responses byte-identical to the offline aggregation CLI, live-appender
 safe, 503 on a damaged store.
 """
 
-from .app import ENDPOINTS, StoreServer, serve_store
+from .app import StoreServer
 
-__all__ = ["ENDPOINTS", "StoreServer", "serve_store"]
+__all__ = ["StoreServer"]

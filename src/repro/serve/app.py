@@ -287,15 +287,4 @@ class StoreServer:
         self.close()
 
 
-def serve_store(store_path: str, host: str = "127.0.0.1", port: int = 8737) -> None:
-    """Blocking entry point for ``repro serve``."""
-    server = StoreServer(store_path, host=host, port=port)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        server.close()
-
-
-__all__ = ["BODY_CACHE_MAX_BYTES", "ENDPOINTS", "StoreServer", "serve_store"]
+__all__ = ["BODY_CACHE_MAX_BYTES", "ENDPOINTS", "StoreServer"]

@@ -25,17 +25,11 @@ from .journal import (
 )
 from .result_store import (
     JOURNAL_DIR,
-    MANIFEST_NAME,
-    METRICS_PREFIX,
     RECORDS_PREFIX,
-    STORE_SCHEMA,
-    STUDY_EXPORT_NAME,
     ResultStore,
-    StoreSummary,
     epoch_manifest,
     list_stores,
     load_manifest,
-    load_stored_records,
     load_stored_study,
     summarize_store,
 )
@@ -43,25 +37,19 @@ from .result_store import (
 __all__ = [
     "JOURNAL_DIR",
     "JournalWriter",
-    "MANIFEST_NAME",
-    "METRICS_PREFIX",
     "RECORDS_PREFIX",
     "ResultStore",
-    "STORE_SCHEMA",
-    "STUDY_EXPORT_NAME",
     "StoreCorruptError",
     "StoreError",
     "StoreIncompleteError",
     "StoreInterrupted",
     "StoreMismatchError",
     "StoreResumeRequired",
-    "StoreSummary",
     "canonical_value",
     "epoch_manifest",
     "fingerprint",
     "list_stores",
     "load_manifest",
-    "load_stored_records",
     "load_stored_study",
     "read_journal",
     "read_journal_at",

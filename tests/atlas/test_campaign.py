@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.atlas.campaign import (
-    Campaign,
-    MeasurementDefinition,
-    definition_from_dict,
-)
+from repro.atlas.campaign import Campaign, MeasurementDefinition
 from repro.atlas.geo import organization_by_name
 from repro.atlas.population import generate_population
 from repro.atlas.probe import ProbeSpec
@@ -98,35 +94,3 @@ class TestFleetRun:
         seen = []
         Campaign([A_MSM]).run(specs, progress=seen.append)
         assert seen and seen[-1] == 5
-
-    def test_row_serialization(self, org):
-        scenario = build_scenario(make_spec(org, probe_id=2307))
-        row = Campaign([A_MSM]).run_on_scenario(scenario)[0]
-        data = row.to_dict()
-        assert data["prb_id"] == 2307
-        assert data["rcode"] == "NOERROR"
-        import json
-
-        json.dumps(data)
-
-
-class TestDictRoundTrips:
-    """Field-for-field dict round trips."""
-
-    @pytest.mark.parametrize("definition", [LOCATION_MSM, A_MSM, V6_MSM])
-    def test_definition_round_trip(self, definition):
-        assert definition_from_dict(definition.to_dict()) == definition
-
-    def test_definition_defaults_fill_in(self):
-        rebuilt = definition_from_dict(
-            {"msm_id": 7, "target": "9.9.9.9", "qname": "example.com."}
-        )
-        assert rebuilt.qtype == QType.A
-        assert rebuilt.qclass == QClass.IN
-        assert rebuilt.description == ""
-
-    def test_definition_unknown_field_rejected(self):
-        data = A_MSM.to_dict()
-        data["qnmae"] = "typo.example."
-        with pytest.raises(ValueError, match="qnmae"):
-            definition_from_dict(data)

@@ -7,9 +7,7 @@ import pytest
 from repro.atlas.geo import (
     ORGANIZATIONS,
     countries,
-    organization_by_asn,
     organization_by_name,
-    total_probe_weight,
 )
 
 
@@ -69,7 +67,8 @@ class TestBiases:
         weight_eur_na = sum(
             org.probe_weight for org in ORGANIZATIONS if org.country in eur_na
         )
-        assert weight_eur_na / total_probe_weight() > 0.75
+        total = sum(org.probe_weight for org in ORGANIZATIONS)
+        assert weight_eur_na / total > 0.75
 
     def test_xb6_isps_flagged(self):
         """The ISPs the paper names as XB6/RDK-B deployers (§5)."""
@@ -77,11 +76,8 @@ class TestBiases:
             assert organization_by_name(name).deploys_xb6
 
     def test_lookup_helpers(self):
-        assert organization_by_asn(7922).name == "Comcast"
         with pytest.raises(KeyError):
             organization_by_name("Nonexistent ISP")
-        with pytest.raises(KeyError):
-            organization_by_asn(1)
 
     def test_countries_list(self):
         assert "US" in countries() and len(countries()) > 15

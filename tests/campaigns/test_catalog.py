@@ -8,9 +8,9 @@ from repro.campaigns import (
     ScenarioError,
     bundle_from_dict,
     find_bundle,
-    load_bundle,
     load_catalog,
 )
+from repro.campaigns.catalog import load_bundle
 from repro.net.impairment import IMPAIRMENT_PROFILES
 
 from .conftest import bundle_data

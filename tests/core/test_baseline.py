@@ -40,10 +40,8 @@ class TestCleanPath:
 
     def test_all_providers_clean(self, org):
         experiment, client = setup(org, 1801)
-        verdicts = experiment.probe_all(client, probe_id=1801)
-        assert all(
-            v.status is BaselineStatus.NOT_INTERCEPTED for v in verdicts.values()
-        )
+        verdicts = [experiment.probe(client, p, probe_id=1801) for p in Provider]
+        assert all(v.status is BaselineStatus.NOT_INTERCEPTED for v in verdicts)
 
     def test_unique_names_per_probe(self, org):
         experiment, client = setup(org, 1802)

@@ -134,12 +134,3 @@ class TestFamilies:
         )
         assert report.verdict(Provider.QUAD9, 4) is None
         assert not report.responded_all(4)
-
-
-class TestReportHelpers:
-    def test_observed_texts(self, org):
-        client, _ = client_for_spec(org, probe_id=511)
-        verdict = detect_provider(client, Provider.CLOUDFLARE, rng=random.Random(11))
-        texts = verdict.observed_texts()
-        assert len(texts) == 2
-        assert all(t.isupper() for t in texts)

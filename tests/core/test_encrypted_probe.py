@@ -16,7 +16,6 @@ from repro.core.encrypted_probe import (
     EncryptedProfile,
     EncryptedStatus,
     EvasionOutcome,
-    probe_encrypted_all,
     probe_encrypted_provider,
     evasion_outcome_of,
 )
@@ -43,20 +42,31 @@ def dot_policy(**kw):
     return replace(intercept_all(**kw), intercept_dot=True)
 
 
+def probe_all(client, transport, rng, profiles=tuple(EncryptedProfile)):
+    """Every (provider, profile) verdict over one transport."""
+    return {
+        (provider, profile): probe_encrypted_provider(
+            client, provider, transport=transport, profile=profile, rng=rng
+        )
+        for profile in profiles
+        for provider in Provider
+    }
+
+
 class TestCleanPath:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("profile", list(EncryptedProfile))
     def test_standard_everywhere(self, org, transport, profile):
         client = client_for(org, 1100)
-        report = probe_encrypted_all(
-            client, transport=transport, profiles=(profile,), rng=random.Random(1)
-        )
+        verdicts = probe_all(client, transport, random.Random(1), profiles=(profile,))
         for provider in Provider:
             assert (
-                report.status_of(provider, profile)
+                verdicts[(provider, profile)].status
                 is EncryptedStatus.NOT_INTERCEPTED
             )
-        assert not report.any_intercepted()
+        assert not any(
+            v.status is EncryptedStatus.INTERCEPTED for v in verdicts.values()
+        )
 
     def test_bad_transport_rejected(self, org):
         client = client_for(org, 1099)
@@ -126,22 +136,19 @@ class TestUdpOnlyInterceptors:
     def test_udp_middlebox_cannot_touch_encrypted(self, org, transport):
         """A port-53-only middlebox is blind to ports 853 and 443."""
         client = client_for(org, 1105, middlebox_policies=[intercept_all()])
-        report = probe_encrypted_all(
-            client, transport=transport, rng=random.Random(7)
-        )
-        assert not report.any_intercepted()
-        assert not report.any_hijack_defeated()
+        verdicts = probe_all(client, transport, random.Random(7))
+        statuses = {v.status for v in verdicts.values()}
+        assert EncryptedStatus.INTERCEPTED not in statuses
+        assert EncryptedStatus.HIJACK_DEFEATED not in statuses
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_honest_cpe_cannot_touch_encrypted(self, org, transport):
         client = client_for(org, 1106, firmware=honest_router())
-        report = probe_encrypted_all(
-            client, transport=transport, rng=random.Random(8)
-        )
+        verdicts = probe_all(client, transport, random.Random(8))
         for provider in Provider:
             for profile in EncryptedProfile:
                 assert (
-                    report.status_of(provider, profile)
+                    verdicts[(provider, profile)].status
                     is EncryptedStatus.NOT_INTERCEPTED
                 )
 
@@ -152,12 +159,10 @@ class TestCpeEncryptedPostures:
         """The DNAT hijacker drops port-853 sessions outright: both
         profiles see a dead socket, never a forged answer."""
         client = client_for(org, 1107, firmware=dnat_interceptor())
-        report = probe_encrypted_all(
-            client, transport=transport, rng=random.Random(9)
-        )
+        verdicts = probe_all(client, transport, random.Random(9))
         for provider in Provider:
             for profile in EncryptedProfile:
-                verdict = report.verdicts[(provider, profile)]
+                verdict = verdicts[(provider, profile)]
                 assert verdict.status is EncryptedStatus.NO_RESPONSE
                 assert evasion_outcome_of(verdict) is EvasionOutcome.BLOCKED
 
@@ -166,13 +171,11 @@ class TestCpeEncryptedPostures:
         lets it through — the asymmetry that makes DoH the strongest
         evasion transport against this firmware."""
         client = client_for(org, 1108, firmware=dnat_interceptor())
-        report = probe_encrypted_all(
-            client, transport="doh", rng=random.Random(10)
-        )
+        verdicts = probe_all(client, "doh", random.Random(10))
         for provider in Provider:
             for profile in EncryptedProfile:
                 assert (
-                    report.status_of(provider, profile)
+                    verdicts[(provider, profile)].status
                     is EncryptedStatus.NOT_INTERCEPTED
                 )
 
@@ -207,13 +210,11 @@ class TestCpeEncryptedPostures:
         transports untouched — the deployment advice the paper's
         conclusion gestures at."""
         client = client_for(org, 1110, firmware=xb6_profile(buggy=False))
-        report = probe_encrypted_all(
-            client, transport=transport, rng=random.Random(13)
-        )
+        verdicts = probe_all(client, transport, random.Random(13))
         for provider in Provider:
             for profile in EncryptedProfile:
                 assert (
-                    report.status_of(provider, profile)
+                    verdicts[(provider, profile)].status
                     is EncryptedStatus.NOT_INTERCEPTED
                 )
 

@@ -197,3 +197,39 @@ class TestStoredFleet:
         )
         # One report of the journaled count, then one per probe.
         assert calls == [(done, len(specs)) for done in range(len(specs) + 1)]
+
+
+class TestPooledJournalOrder:
+    """A pooled study journals its shards in submission order, however
+    the pool happens to finish them."""
+
+    @staticmethod
+    def run_study(tmp_path, monkeypatch, capsys, pick) -> dict:
+        from concurrent.futures import wait as real_wait
+
+        from repro.cli import main
+
+        def scripted_wait(pending, return_when=None):
+            # Let every shard finish, then report one whose turn ``pick``
+            # chooses, so completion order differs from run to run.
+            real_wait(pending)
+            chosen = pick(pending, key=id)
+            return {chosen}, set(pending) - {chosen}
+
+        monkeypatch.setattr("repro.core.parallel.wait", scripted_wait)
+        store = tmp_path / pick.__name__
+        argv = ["study", "--size", "40", "--seed", "2021", "--workers", "2"]
+        assert main([*argv, "--store", str(store)]) == 0
+        capsys.readouterr()
+        return {
+            path.name: path.read_bytes()
+            for path in sorted((store / "journal").iterdir())
+        }
+
+    def test_out_of_order_completion_journals_identical_bytes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        first = self.run_study(tmp_path, monkeypatch, capsys, min)
+        second = self.run_study(tmp_path, monkeypatch, capsys, max)
+        assert list(first) == ["records-0000.jsonl"]
+        assert first == second

@@ -5,7 +5,10 @@ import pytest
 from repro.atlas.geo import organization_by_name
 from repro.atlas.measurement import ExchangeStatus, MeasurementClient
 from repro.net import Host, Network, Router
-from repro.cpe.xb6 import RDKB_FIREWALL_EXCERPT, build_xb6, describe_mechanism
+from repro.cpe.device import CpeDevice
+from repro.cpe.firmware import xb6_profile
+from repro.cpe.forwarder import ForwarderEngine
+from repro.cpe.xb6 import RDKB_FIREWALL_EXCERPT, describe_mechanism
 from repro.dnswire import QType, make_query
 from repro.dnswire.chaosnames import make_version_bind_query
 from repro.resolvers.directory import build_default_directory
@@ -23,15 +26,19 @@ def xb6_network(buggy=True):
         directory=build_default_directory(),
         software=unbound("1.9.0"),
     )
-    cpe = build_xb6(
+    firmware = xb6_profile(buggy=buggy)
+    cpe = CpeDevice(
         "cpe",
         lan_v4_prefix="192.168.1.0/24",
         wan_v4="24.0.9.17",
         wan_gateway="access",
         lan_host="host",
-        isp_resolver_v4="75.75.75.75",
-        buggy=buggy,
+        forwarder=ForwarderEngine(firmware.software, upstream_v4="75.75.75.75"),
+        model=firmware.model,
+        encrypted_dns=firmware.encrypted_dns,
     )
+    if firmware.intercepts_v4:
+        cpe.enable_interception(family=4)
     access = Router("access", addresses=["24.0.0.2"])
     for node in (host, cpe, access, resolver):
         net.add_node(node)

@@ -1,11 +1,10 @@
 """CHAOS debugging query helpers (RFC 4892)."""
 
-from repro.dnswire import QClass, QType, make_query
+from repro.dnswire import QClass, QType
 from repro.dnswire.chaosnames import (
     HOSTNAME_BIND,
     ID_SERVER,
     VERSION_BIND,
-    is_chaos_debug_question,
     make_chaos_query,
     make_id_server_query,
     make_version_bind_query,
@@ -27,26 +26,3 @@ class TestBuilders:
     def test_make_chaos_query_arbitrary_name(self):
         q = make_chaos_query("hostname.bind.", msg_id=9)
         assert q.question.qname == HOSTNAME_BIND
-
-
-class TestDetection:
-    def test_recognizes_debug_queries(self):
-        for name in (ID_SERVER, VERSION_BIND, HOSTNAME_BIND):
-            q = make_chaos_query(name, msg_id=1)
-            assert is_chaos_debug_question(q.question)
-
-    def test_wrong_class_not_debug(self):
-        q = make_query(VERSION_BIND, QType.TXT, QClass.IN, msg_id=1)
-        assert not is_chaos_debug_question(q.question)
-
-    def test_wrong_type_not_debug(self):
-        q = make_query(VERSION_BIND, QType.A, QClass.CH, msg_id=1)
-        assert not is_chaos_debug_question(q.question)
-
-    def test_other_name_not_debug(self):
-        q = make_chaos_query("example.com.", msg_id=1)
-        assert not is_chaos_debug_question(q.question)
-
-    def test_case_insensitive_name(self):
-        q = make_chaos_query("Version.BIND.", msg_id=1)
-        assert is_chaos_debug_question(q.question)

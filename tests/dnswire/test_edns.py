@@ -9,7 +9,6 @@ from repro.dnswire import (
     QType,
     get_edns,
     make_query,
-    with_client_subnet,
     with_edns,
 )
 from repro.dnswire.edns import (
@@ -20,6 +19,11 @@ from repro.dnswire.edns import (
     OPTION_CLIENT_SUBNET,
 )
 from repro.dnswire.wire import WireError
+
+
+def with_client_subnet(message, network):
+    option = ClientSubnet(network=ipaddress.ip_network(network)).to_option()
+    return with_edns(message, options=(option,))
 
 
 class TestOptRecord:

@@ -74,10 +74,6 @@ class TestDecode:
     def test_label_unknown(self):
         assert RCode.label(77) == "RCODE77"
 
-    def test_rcode_is_error(self):
-        assert RCode.SERVFAIL.is_error
-        assert not RCode.NOERROR.is_error
-
     def test_opcode_decode(self):
         assert Opcode.decode(0) is Opcode.QUERY
         assert Opcode.decode(9) == 9

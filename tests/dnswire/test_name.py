@@ -92,13 +92,6 @@ class TestHierarchy:
     def test_root_parent_is_root(self):
         assert DnsName.root().parent().is_root
 
-    def test_relativize(self):
-        assert name("www.example.com").relativize(name("example.com")) == ("www",)
-
-    def test_relativize_outside_raises(self):
-        with pytest.raises(NameError_):
-            name("www.other.com").relativize(name("example.com"))
-
     def test_prepend(self):
         assert name("example.com").prepend("www") == name("www.example.com")
 

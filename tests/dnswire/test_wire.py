@@ -88,16 +88,6 @@ class TestReader:
         with pytest.raises(WireError):
             WireReader(b"ab").read_bytes(-1)
 
-    def test_peek_does_not_advance(self):
-        r = WireReader(b"\x09")
-        assert r.peek_u8() == 9
-        assert r.offset == 0
-
-    def test_peek_past_end(self):
-        r = WireReader(b"")
-        with pytest.raises(TruncatedMessageError):
-            r.peek_u8()
-
     def test_seek(self):
         r = WireReader(b"abcd")
         r.seek(2)

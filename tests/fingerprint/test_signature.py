@@ -17,7 +17,6 @@ from repro.dnswire import RCode
 from repro.fingerprint import (
     PROBE_AXES,
     build_signature_database,
-    expected_signature,
     run_ambiguity_probes,
     true_software_label,
 )
@@ -25,6 +24,7 @@ from repro.fingerprint.signature import (
     DROP_SIGNATURE,
     SignatureDatabase,
     block_signature,
+    expected_signature,
     replicate_signature,
 )
 from repro.interceptors.policy import InterceptMode, InterceptionPolicy, intercept_all

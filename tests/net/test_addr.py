@@ -1,4 +1,4 @@
-"""Bogon space and address pools."""
+"""Bogon space and address parsing."""
 
 import ipaddress
 
@@ -9,10 +9,7 @@ from repro.net.addr import (
     BOGON_V6_PREFIXES,
     DEFAULT_BOGON_V4,
     DEFAULT_BOGON_V6,
-    PrefixPool,
     is_bogon,
-    is_ipv6,
-    is_private,
     parse_ip,
 )
 
@@ -67,10 +64,6 @@ class TestBogons:
         assert all(p.version == 4 for p in BOGON_V4_PREFIXES)
         assert all(p.version == 6 for p in BOGON_V6_PREFIXES)
 
-    def test_private_subset_of_bogon(self):
-        assert is_private("192.168.0.5") and is_bogon("192.168.0.5")
-        assert not is_private("8.8.8.8")
-
 
 class TestParse:
     def test_parse_string(self):
@@ -79,44 +72,3 @@ class TestParse:
     def test_parse_identity(self):
         addr = ipaddress.IPv6Address("2001:db8::1")
         assert parse_ip(addr) is addr
-
-    def test_is_ipv6(self):
-        assert is_ipv6("::1") and not is_ipv6("127.0.0.1")
-
-
-class TestPrefixPool:
-    def test_sequential_allocation(self):
-        pool = PrefixPool("10.0.0.0/29")
-        assert str(pool.allocate()) == "10.0.0.1"
-        assert str(pool.allocate()) == "10.0.0.2"
-
-    def test_contains(self):
-        pool = PrefixPool("10.0.0.0/29")
-        assert "10.0.0.5" in pool
-        assert "10.1.0.5" not in pool
-        assert "2001:db8::1" not in pool
-
-    def test_exhaustion(self):
-        pool = PrefixPool("10.0.0.0/30")  # .1 and .2 usable
-        pool.allocate()
-        pool.allocate()
-        with pytest.raises(RuntimeError):
-            pool.allocate()
-
-    def test_subnet_carving_aligned(self):
-        pool = PrefixPool("2001:db8::/32")
-        first = pool.allocate_subnet(64)
-        second = pool.allocate_subnet(64)
-        assert first.prefixlen == 64 and second.prefixlen == 64
-        assert first != second
-        assert first.network_address in ipaddress.ip_network("2001:db8::/32")
-
-    def test_subnet_after_host_allocation_is_aligned(self):
-        pool = PrefixPool("10.0.0.0/16")
-        pool.allocate()  # cursor now mid-subnet
-        subnet = pool.allocate_subnet(24)
-        assert int(subnet.network_address) % 256 == 0
-
-    def test_first_offset(self):
-        pool = PrefixPool("10.0.0.0/24", first_offset=100)
-        assert str(pool.allocate()) == "10.0.0.100"

@@ -37,10 +37,6 @@ class TestTopology:
         assert net.are_connected("a", "b") and net.are_connected("b", "a")
         assert net.latency("a", "b") == 2.0
 
-    def test_neighbors(self):
-        net, *_ = two_hosts()
-        assert net.neighbors("a") == ["b"]
-
     def test_missing_link_latency_raises(self):
         net = Network()
         net.add_node(Node("x"))

@@ -16,12 +16,12 @@ from repro.store import (
     StoreResumeRequired,
     list_stores,
     load_manifest,
-    load_stored_records,
     load_stored_study,
     read_journal,
     study_fingerprint,
     summarize_store,
 )
+from repro.store.result_store import load_stored_records
 
 
 def _interrupt_then_resume(specs, config, path, budget):

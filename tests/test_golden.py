@@ -1,18 +1,22 @@
 """Packet behaviour and store bytes pinned across commits.
 
 Each ``*.metrics.json`` snapshot under ``tests/golden/`` is what
-``repro study --metrics`` writes for a 60-probe study at seed 2021 with
-the exchange-level event log: events dispatched, link transits, drops
-by reason and the per-transmission RTT histogram. A change to how
-packets are built, rewritten or forwarded that moves any event shows up
-here as a diff. A change that means to move them regenerates both files
-with::
+``repro study --metrics`` writes with the exchange-level event log:
+events dispatched, link transits, drops by reason and the
+per-transmission RTT histogram. Two are 60-probe studies at seed 2021,
+clean and impaired; the 300-probe study at seed 7 has CPE, within-ISP
+and unknown-location interceptors, so the interception paths are pinned
+too. A change to how packets are built, rewritten or forwarded that
+moves any event shows up here as a diff. A change that means to move
+them regenerates the files with::
 
     PYTHONPATH=src python -m repro study --size 60 --seed 2021 \\
         --metrics tests/golden/study-clean.metrics.json --trace exchange
     PYTHONPATH=src python -m repro study --size 60 --seed 2021 \\
         --metrics tests/golden/study-residential.metrics.json --trace exchange \\
         --impair residential
+    PYTHONPATH=src python -m repro study --size 300 --seed 7 \\
+        --metrics tests/golden/study-seed7.metrics.json --trace exchange
 
 ``store-study/`` and ``store-campaign/`` pin the result store's bytes:
 the manifest and journal shards (plus the ``study.json`` export) that a
@@ -47,8 +51,11 @@ GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 SNAPSHOTS = {
-    "study-clean.metrics.json": [],
-    "study-residential.metrics.json": ["--impair", "residential"],
+    "study-clean.metrics.json": ["--size", "60", "--seed", "2021"],
+    "study-residential.metrics.json": [
+        "--size", "60", "--seed", "2021", "--impair", "residential",
+    ],
+    "study-seed7.metrics.json": ["--size", "300", "--seed", "7"],
 }
 
 STORES = {
@@ -66,8 +73,8 @@ STORES = {
 @pytest.mark.parametrize("name", sorted(SNAPSHOTS))
 def test_metrics_snapshot_is_byte_identical(name, tmp_path, capsys):
     produced = tmp_path / name
-    argv = ["study", "--size", "60", "--seed", "2021"]
-    argv += ["--metrics", str(produced), "--trace", "exchange", *SNAPSHOTS[name]]
+    argv = ["study", *SNAPSHOTS[name], "--metrics", str(produced)]
+    argv += ["--trace", "exchange"]
     assert main(argv) == 0
     capsys.readouterr()
     assert produced.read_text() == (GOLDEN / name).read_text()

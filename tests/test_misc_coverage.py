@@ -2,21 +2,11 @@
 
 import pytest
 
-from repro.dnswire import QType, Zone, a_record
+from repro.dnswire import Zone
 from repro.dnswire.name import DnsName
 
 
 class TestDnswireMisc:
-    def test_zone_add_all(self):
-        zone = Zone("example.com.")
-        zone.add_all(
-            [
-                a_record("a.example.com.", "1.1.1.1"),
-                a_record("b.example.com.", "2.2.2.2"),
-            ]
-        )
-        assert zone.lookup("a.example.com.", QType.A).found
-        assert zone.lookup("b.example.com.", QType.A).found
 
     def test_zone_repr(self):
         zone = Zone("example.com.")
