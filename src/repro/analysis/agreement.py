@@ -20,7 +20,7 @@ the split (``content-only`` when the cert detector saw nothing wrong).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.cert_validate import CertVerdict
 from repro.core.classifier import LocatorVerdict

@@ -8,7 +8,7 @@ organization and country, ranked by interception counts.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.core.study import ProbeRecord
 

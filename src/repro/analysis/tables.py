@@ -12,11 +12,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.atlas.population import PROVIDERS
-from repro.core.study import ProbeRecord, StudyResult
-from repro.resolvers.public import Provider
+from repro.core.study import StudyResult
 
 from .formatting import render_table
 from .grouping import count_version_families

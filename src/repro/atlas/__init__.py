@@ -8,7 +8,7 @@ simulated network.
 """
 
 from .campaign import Campaign, MeasurementDefinition
-from .geo import ORGANIZATIONS, Organization, countries, organization_by_name
+from .geo import ORGANIZATIONS, Organization, organization_by_name
 from .measurement import (
     DEFAULT_TIMEOUT_MS,
     DnsExchangeResult,
@@ -43,7 +43,6 @@ __all__ = [
     "MeasurementDefinition",
     "ORGANIZATIONS",
     "Organization",
-    "countries",
     "organization_by_name",
     "DEFAULT_TIMEOUT_MS",
     "DnsExchangeResult",

@@ -106,7 +106,3 @@ def as_identity(asn: "int | None", label: str) -> str:
     if asn is None:
         return f"{label}.example.net"
     return f"{label}.as{asn}.example.net"
-
-
-def countries() -> list[str]:
-    return sorted({org.country for org in ORGANIZATIONS})

@@ -8,7 +8,7 @@ DNS message id must echo — which is exactly why interceptors *must*
 spoof sources to stay transparent (§2).
 
 Every transport returns the same shape: a subclass of
-:class:`ExchangeResult` (status, rcode, txt_answer, rtt_ms, attempts),
+:class:`ExchangeResult` (status, rcode, rtt_ms, attempts),
 so callers and metrics hooks never special-case the transport. The
 transport implementations live in the :mod:`repro.atlas.transport`
 registry; this module owns the result shapes, the metrics hook and
@@ -54,8 +54,8 @@ class ExchangeStatus(enum.Enum):
 class ExchangeResult:
     """Shared outcome shape for one query, whatever the transport.
 
-    The unified surface is ``status`` / ``rcode`` / ``txt_answer()`` /
-    ``rtt_ms`` / ``attempts``; transport-specific detail lives on the
+    The unified surface is ``status`` / ``rcode`` / ``rtt_ms`` /
+    ``attempts``; transport-specific detail lives on the
     :class:`DnsExchangeResult` and :class:`EncryptedExchangeResult`
     subclasses.
     """
@@ -77,13 +77,6 @@ class ExchangeResult:
     @property
     def rcode(self) -> Optional[int]:
         return None if self.response is None else self.response.rcode
-
-    def txt_answer(self) -> Optional[str]:
-        """First TXT string of the response, the location-query view."""
-        if self.response is None:
-            return None
-        strings = self.response.txt_strings()
-        return strings[0] if strings else None
 
 
 @dataclass

@@ -87,6 +87,3 @@ class ProbeSpec:
         if any(p.plaintext for p in self.external_policies):
             return InterceptorLocation.BEYOND
         return InterceptorLocation.NONE
-
-    def is_intercepted(self) -> bool:
-        return self.true_location() is not InterceptorLocation.NONE

@@ -25,6 +25,7 @@ from repro.interceptors.policy import InterceptionPolicy
 from repro.net import Host, LinkProfile, Network, Router
 from repro.net.addr import IPAddress
 from repro.resolvers import (
+    DnsServerNode,
     NameDirectory,
     Provider,
     PublicResolverNode,
@@ -105,12 +106,6 @@ class ScenarioSpec:
     impairment: Optional[LinkProfile] = None
     impairment_seed: int = 0
     trace: bool = False
-    #: ``"fast"`` enables the resolver answer-template caches;
-    #: ``"reference"`` runs with every cache off. Both engines share one
-    #: event queue (a binary heap) and produce
-    #: byte-identical records/metrics — the reference engine exists so
-    #: equivalence is testable and regressions bisectable.
-    engine: str = "fast"
 
     def __post_init__(self) -> None:
         if not isinstance(self.probe, ProbeSpec):
@@ -123,10 +118,6 @@ class ScenarioSpec:
             raise TypeError(
                 f"impairment must be a LinkProfile, "
                 f"got {type(self.impairment).__name__}"
-            )
-        if self.engine not in ("fast", "reference"):
-            raise ValueError(
-                f'engine must be "fast" or "reference", got {self.engine!r}'
             )
 
     def effective_providers(self) -> tuple[Provider, ...]:
@@ -438,17 +429,6 @@ def build_scenario(
             core.routes.add(f"{address}/{suffix}", node.name)
         node.gateway = "core"
 
-    if sspec.engine == "fast":
-        # Answer-template caches on the pure responders only: resolver
-        # answers are functions of (query wire minus id, response
-        # signature), audited per class. The embedded forwarder and the
-        # middleboxes are stateful relays and stay uncached.
-        isp_resolver.response_cache_enabled = True
-        if off_as_resolver is not None:
-            off_as_resolver.response_cache_enabled = True
-        for node in providers.values():
-            node.response_cache_enabled = True
-
     scenario = Scenario(
         spec=spec,
         network=net,
@@ -464,15 +444,14 @@ def build_scenario(
     return scenario
 
 
-# -- scenario reuse (fast engine) --------------------------------------------
+# -- scenario reuse ------------------------------------------------------------
 #
 # Scenario construction is a fifth of a serial study's runtime, yet the
 # topology built for a probe depends on far less than the full spec:
 # every per-probe difference (WAN address, delegated v6 prefix,
-# impairment streams, event clock) can be re-homed in place. The fast
-# engine therefore keeps a small LRU of built scenarios keyed by the
-# *shape* below and resets one per probe; the reference engine always
-# builds fresh.
+# impairment streams, event clock) can be re-homed in place. A
+# ScenarioCache therefore keeps a small LRU of built scenarios keyed by
+# the *shape* below and resets one per probe.
 
 
 def scenario_signature(sspec: ScenarioSpec) -> Optional[tuple]:
@@ -493,7 +472,6 @@ def scenario_signature(sspec: ScenarioSpec) -> Optional[tuple]:
         sspec.external_policies,
         sspec.impairment,
         sspec.trace,
-        sspec.engine,
     )
     try:
         hash(signature)
@@ -517,7 +495,6 @@ def reset_scenario(scenario: Scenario, sspec: ScenarioSpec) -> Scenario:
     from repro.interceptors.middlebox import MiddleboxRouter as _Middlebox
     from repro.net import Chain, NatTable
     from repro.net.node import EPHEMERAL_PORT_BASE
-    from repro.resolvers.base import DnsServerNode
 
     spec = sspec.probe
     net = scenario.network
@@ -536,6 +513,7 @@ def reset_scenario(scenario: Scenario, sspec: ScenarioSpec) -> Scenario:
     host._addresses = {ipaddress.ip_address("192.168.1.100")}
     if spec.has_ipv6:
         host._addresses.add(home_v6.network_address + 0x100)
+    host.invalidate_addresses()
 
     # CPE: re-home WAN addressing, rebuild the state that embeds it.
     wan_v6 = (home_v6.network_address + 1) if spec.has_ipv6 else None
@@ -544,6 +522,7 @@ def reset_scenario(scenario: Scenario, sspec: ScenarioSpec) -> Scenario:
     cpe._addresses = {cpe.lan_gateway_v4, wan_v4}
     if wan_v6 is not None:
         cpe._addresses.add(wan_v6)
+    cpe.invalidate_addresses()
     cpe.nat = NatTable(wan_v4=wan_v4)
     if cpe.forwarder is not None:
         cpe.forwarder.reset()
@@ -583,23 +562,37 @@ def reset_scenario(scenario: Scenario, sspec: ScenarioSpec) -> Scenario:
             node._doq_streams.clear()
             node.intercepted_queries = 0
 
-    net.rebuild_address_index()
     scenario.spec = spec
     scenario.scenario_spec = sspec
     scenario.notes = {}
     return scenario
 
 
+def _answer_templates_on(scenario: Scenario) -> Scenario:
+    """Switch on the answer-template caches of ``scenario``'s resolvers.
+
+    Only the pure responders: resolver answers are functions of (query
+    wire minus id, response signature), audited per class. The embedded
+    forwarder and the middleboxes are stateful relays and stay uncached.
+    """
+    for node in scenario.network.nodes.values():
+        if isinstance(node, DnsServerNode):
+            node.response_cache_enabled = True
+    return scenario
+
+
 class ScenarioCache:
     """A small LRU of built scenarios, reset-and-reused per probe.
 
-    One cache per worker (or per serial path) of a
+    One cache per worker (or per serial path) of a fast-engine
     :class:`~repro.core.parallel.FleetSession` amortises topology
     construction across a study or a whole campaign run. It caches
     scenarios, not records: the probe-dedup memo lives on the session,
-    in the parent process. Only the fast engine uses it —
-    ``get`` on a reference-engine spec, an unhashable signature, or a
-    directory other than the cache's own always builds fresh.
+    in the parent process. ``get`` on an unhashable signature or on a
+    directory other than the cache's own builds fresh.
+
+    Every scenario it hands out has the answer-template caches of its
+    resolvers switched on; :func:`build_scenario` alone leaves them off.
     """
 
     def __init__(self, directory=None, max_entries: int = 512) -> None:
@@ -610,25 +603,23 @@ class ScenarioCache:
         self.misses = 0
 
     def get(self, sspec: ScenarioSpec, directory=None) -> Scenario:
-        if directory is not None:
-            if self.directory is None:
-                self.directory = directory
-            elif directory is not self.directory:
-                # A foreign directory would leak into reused resolver
-                # nodes; don't mix, don't cache.
-                return build_scenario(sspec, directory=directory)
-        signature = (
-            scenario_signature(sspec) if sspec.engine == "fast" else None
-        )
-        if signature is None:
-            return build_scenario(sspec, directory=directory or self.directory)
+        if self.directory is None:
+            self.directory = directory
+        signature = scenario_signature(sspec)
+        # A foreign directory would leak into reused resolver nodes;
+        # don't mix, don't cache.
+        foreign = directory is not None and directory is not self.directory
+        if signature is None or foreign:
+            return _answer_templates_on(
+                build_scenario(sspec, directory=directory or self.directory)
+            )
         cached = self._cache.pop(signature, None)
         if cached is not None:
             self._cache[signature] = cached  # re-insert = most recent
             self.hits += 1
             return reset_scenario(cached, sspec)
         self.misses += 1
-        scenario = build_scenario(sspec, directory=self.directory)
+        scenario = _answer_templates_on(build_scenario(sspec, directory=self.directory))
         if self.directory is None:
             self.directory = scenario.directory
         self._cache[signature] = scenario

@@ -26,19 +26,16 @@ from .catalog import (
     load_catalog,
 )
 from .schedule import (
-    FIRMWARE_PROFILES,
     CampaignSchedule,
     ChurnSpec,
     FirmwareUpgrade,
     LongitudinalCampaign,
     PolicyFlip,
-    run_campaign,
 )
 
 __all__ = [
     "CampaignSchedule",
     "ChurnSpec",
-    "FIRMWARE_PROFILES",
     "FirmwareUpgrade",
     "LongitudinalCampaign",
     "PolicyFlip",
@@ -50,5 +47,4 @@ __all__ = [
     "find_bundle",
     "load_catalog",
     "load_epoch_page",
-    "run_campaign",
 ]

@@ -16,7 +16,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.atlas.population import PopulationConfig, population_config_from_dict
 from repro.atlas.retry import ExponentialBackoffRetry
@@ -25,7 +25,6 @@ from repro.net.impairment import IMPAIRMENT_PROFILES, impairment_profile
 from repro.store.journal import canonical_value, fingerprint
 
 from .schedule import (
-    FIRMWARE_PROFILES,
     CampaignSchedule,
     ChurnSpec,
     FirmwareUpgrade,

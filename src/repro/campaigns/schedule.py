@@ -373,6 +373,7 @@ class LongitudinalCampaign:
                     epoch_done(epoch)
             return epochs
 
+        from repro.analysis.export import config_to_dict
         from repro.store import StoreInterrupted, epoch_manifest
 
         sizes = self.epoch_sizes()
@@ -384,7 +385,7 @@ class LongitudinalCampaign:
                 **epoch_manifest(sizes),
                 "scenario": self.bundle.name,
                 "seed": self.seed,
-                "config": _export_config_dict(config),
+                "config": config_to_dict(config),
             },
         )
         completed = len(done)
@@ -435,22 +436,3 @@ class LongitudinalCampaign:
         epochs, _metrics = store.collect()
         store.finalize()
         return epochs
-
-
-def _export_config_dict(config: "StudyConfig") -> dict:
-    from repro.analysis.export import config_to_dict
-
-    return config_to_dict(config)
-
-
-def run_campaign(
-    bundle: "ScenarioBundle",
-    store: Optional["ResultStore"] = None,
-    workers: Optional[int] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    epoch_done: Optional[Callable[[int], None]] = None,
-) -> "dict[int, list[ProbeRecord]]":
-    """Convenience wrapper: build the campaign and run it."""
-    return LongitudinalCampaign(bundle).run(
-        store=store, workers=workers, progress=progress, epoch_done=epoch_done
-    )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.dnswire import DnsName, Message, QClass, QType, make_query, name
+from repro.dnswire import DnsName, Message, QClass, QType, make_query
 from repro.dnswire.chaosnames import ID_SERVER
 from repro.resolvers.directory import GOOGLE_MYADDR, OPENDNS_DEBUG
 from repro.resolvers.public import PROVIDER_SPECS, Provider, ProviderSpec

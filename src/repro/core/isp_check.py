@@ -63,12 +63,6 @@ class IspCheckResult:
         """The paper's criterion: any response to an unroutable query."""
         return self.answered
 
-    def matches_observation(self, expected_text: str) -> bool:
-        """Does any bogon answer textually match a Step-2 observation?"""
-        return any(
-            p.answered and p.observed_text() == expected_text for p in self.probes
-        )
-
 
 def default_bogon(family: int) -> IPAddress:
     return DEFAULT_BOGON_V4 if family == 4 else DEFAULT_BOGON_V6

@@ -174,17 +174,25 @@ def _as_sibling(record: "ProbeRecord", spec: ProbeSpec) -> "ProbeRecord":
 _worker_state: dict = {}
 
 
-def _init_worker(config: "StudyConfig") -> None:
+def _scenario_cache(config: "StudyConfig", directory):
+    """A scenario cache over ``directory`` for the fast engine; None for
+    the reference engine, which builds every scenario fresh."""
+    if config.engine != "fast":
+        return None
     from repro.atlas.scenario import ScenarioCache
+
+    return ScenarioCache(directory=directory)
+
+
+def _init_worker(config: "StudyConfig") -> None:
     from repro.resolvers.directory import build_default_directory
 
     _worker_state["directory"] = build_default_directory()
     _worker_state["config"] = config
     # One scenario cache per worker process: shards reuse topologies
-    # across probes and across the session's fleets (fast engine only;
-    # a no-op for the reference engine).
-    _worker_state["scenario_cache"] = ScenarioCache(
-        directory=_worker_state["directory"]
+    # across probes and across the session's fleets.
+    _worker_state["scenario_cache"] = _scenario_cache(
+        config, _worker_state["directory"]
     )
 
 
@@ -200,9 +208,10 @@ def measure_shard(
     the ambient registry (see :func:`repro.core.metrics.use_registry`).
 
     ``directory`` and ``scenario_cache`` default to a fresh directory
-    and a cache local to this call; a worker process passes its own,
-    built once by its initializer. The cache amortises topology
-    construction across probes; records are byte-identical either way.
+    and, under the fast engine, a cache local to this call; a worker
+    process passes its own, built once by its initializer. The cache
+    amortises topology construction across probes; records are
+    byte-identical either way.
 
     Every probe of the shard is measured: probe dedup happens in the
     parent process (:class:`FleetSession`), which sends a pool only the
@@ -217,9 +226,7 @@ def measure_shard(
 
         directory = build_default_directory()
     if scenario_cache is None:
-        from repro.atlas.scenario import ScenarioCache
-
-        scenario_cache = ScenarioCache(directory=directory)
+        scenario_cache = _scenario_cache(config, directory)
     return list(_measure_pairs(shard, directory, config, scenario_cache))
 
 
@@ -319,7 +326,7 @@ class FleetSession:
         #: Records by :func:`_dedup_key`, for both paths; None when
         #: dedup is unsound under ``config``.
         self.memo: Optional[dict] = {} if _dedup_sound(config) else None
-        self._scenario_cache = None
+        self._serial: Optional[tuple] = None
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def __enter__(self) -> "FleetSession":
@@ -332,21 +339,19 @@ class FleetSession:
         """Drop the serial state and shut the pool down, cancelling any
         queued shards when ``cancel``."""
         pool, self._pool = self._pool, None
-        self._scenario_cache = None
+        self._serial = None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=cancel)
 
-    def scenario_cache(self):
-        """The serial path's scenario cache; its ``directory`` is the
-        session's :class:`~repro.resolvers.directory.NameDirectory`."""
-        if self._scenario_cache is None:
-            from repro.atlas.scenario import ScenarioCache
+    def serial_state(self) -> tuple:
+        """The serial path's :class:`~repro.resolvers.directory.NameDirectory`
+        and scenario cache (None under the reference engine)."""
+        if self._serial is None:
             from repro.resolvers.directory import build_default_directory
 
-            self._scenario_cache = ScenarioCache(
-                directory=build_default_directory()
-            )
-        return self._scenario_cache
+            directory = build_default_directory()
+            self._serial = (directory, _scenario_cache(self.config, directory))
+        return self._serial
 
     def pool(self) -> ProcessPoolExecutor:
         """The session's worker pool, sized by the config (not by any
@@ -374,8 +379,7 @@ def _measure_serial(
     # One cache across all segments: reused scenarios re-capture the
     # ambient registry per probe, so each segment's metrics still land
     # in that segment's own snapshot.
-    scenario_cache = session.scenario_cache()
-    directory = scenario_cache.directory
+    directory, scenario_cache = session.serial_state()
     for shard in shards:
         registry = MetricsRegistry(trace=config.trace) if config.metrics else None
         pairs = []

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.core.classifier import LocatorVerdict, ProbeClassification
 from repro.core.detector import InterceptionStatus
-from repro.core.transparency import ProbeTransparency
 
 
 def _step1_lines(classification: ProbeClassification) -> list[str]:

@@ -28,7 +28,7 @@ from repro.resolvers.public import Provider
 from .classifier import LocatorVerdict, ProbeClassification
 from .detector import InterceptionStatus
 from .detector_registry import STUDY_DETECTORS, get_detector
-from .encrypted_probe import EVASION_PRIORITY, evasion_outcome_of
+from .encrypted_probe import EVASION_PRIORITY
 from .metrics import TRACE_LEVELS, MetricsSnapshot
 from .transparency import ProbeTransparency
 
@@ -70,14 +70,15 @@ class StudyConfig:
         exchange; ``None`` keeps the classic single-transmission
         behaviour.
     ``engine``
-        ``"fast"`` (default) enables the resolver answer-template
-        caches and per-shard scenario reuse; ``"reference"`` runs with
-        every cache off and builds every scenario fresh. Both engines
-        share one event queue (a binary heap). Records,
-        metrics and store journals are byte-identical between the two
-        (like ``workers``, the engine changes *how*, never *what*, so
-        it is excluded from store fingerprints and exports — resumed
-        stores may mix segments from both engines).
+        ``"fast"`` (default) dedups probes and reuses scenarios through
+        a :class:`~repro.atlas.scenario.ScenarioCache`, whose scenarios
+        serve repeat queries from answer templates; ``"reference"``
+        measures every probe on a freshly built scenario with every
+        cache off. :mod:`repro.core.parallel` is the one reader of this
+        switch. Records, metrics and store journals are byte-identical
+        between the two (like ``workers``, the engine changes *how*,
+        never *what*, so it is excluded from store fingerprints and
+        exports — resumed stores may mix segments from both engines).
     ``transport`` / ``evasion``
         The encryption-evasion study axis: ``transport`` names the
         encrypted transport (``"dot"``, ``"doh"``, ``"doq"``) every
@@ -284,9 +285,6 @@ class StudyResult:
     def intercepted_records(self) -> list[ProbeRecord]:
         return [r for r in self.records if r.is_intercepted]
 
-    def records_with_verdict(self, verdict: LocatorVerdict) -> list[ProbeRecord]:
-        return [r for r in self.records if r.verdict == verdict.value]
-
 
 def classification_to_record(
     spec: ProbeSpec,
@@ -399,7 +397,6 @@ def measure_probe(
         probe=spec,
         impairment=config.impairment,
         impairment_seed=config.impairment_seed,
-        engine=config.engine,
     )
     if scenario_cache is not None:
         scenario = scenario_cache.get(sspec, directory=directory)

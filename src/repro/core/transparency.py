@@ -98,10 +98,6 @@ class TransparencyResult:
             return ProbeTransparency.STATUS_MODIFIED
         return ProbeTransparency.BOTH
 
-    @property
-    def interception_confirmed(self) -> bool:
-        return any(obs.confirms_interception for obs in self.observations)
-
 
 def check_transparency(
     client: MeasurementClient,

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.atlas.measurement import MeasurementClient
-from repro.net.addr import IPAddress
 from repro.net.packet import IcmpType
 from repro.resolvers.public import Provider
 

@@ -44,7 +44,6 @@ from repro.interceptors.encrypted import (
     parse_encrypted_query,
     wrap_encrypted_response,
 )
-from repro.resolvers.software import ServerSoftware
 
 from .encrypted import CPE_TLS_IDENTITY, DOWNGRADE_PORT, EncryptedDnsEngine
 from .forwarder import UPSTREAM_PORT, ForwarderEngine

@@ -191,6 +191,3 @@ class EncryptedDnsEngine:
             self._next_relay_id = (self._next_relay_id + 1) & 0xFFFF
         return self._next_relay_id
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)

@@ -8,7 +8,7 @@ Profiles are the unit the RIPE-Atlas-style fleet is sampled over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.interceptors.encrypted import (
@@ -18,7 +18,6 @@ from repro.interceptors.encrypted import (
     downgrade_all,
 )
 from repro.resolvers.software import (
-    ChaosBehavior,
     ServerSoftware,
     bind_debian,
     bind_redhat,
@@ -29,7 +28,6 @@ from repro.resolvers.software import (
     powerdns,
     q9,
     quirky,
-    silent_forwarder,
     unbound,
     windows_ns,
     xdns,

@@ -246,6 +246,3 @@ class ForwarderEngine:
             self._next_upstream_id = (self._next_upstream_id + 1) & 0xFFFF
         return self._next_upstream_id
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)

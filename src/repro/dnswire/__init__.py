@@ -40,7 +40,6 @@ from .chaosnames import (
     ID_SERVER,
     VERSION_BIND,
     make_chaos_query,
-    make_id_server_query,
     make_version_bind_query,
 )
 
@@ -86,6 +85,5 @@ __all__ = [
     "VERSION_BIND",
     "HOSTNAME_BIND",
     "make_chaos_query",
-    "make_id_server_query",
     "make_version_bind_query",
 ]

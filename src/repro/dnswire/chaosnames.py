@@ -30,7 +30,3 @@ def make_chaos_query(qname: "str | DnsName", msg_id: int | None = None) -> Messa
 
 def make_version_bind_query(msg_id: int | None = None) -> Message:
     return make_chaos_query(VERSION_BIND, msg_id=msg_id)
-
-
-def make_id_server_query(msg_id: int | None = None) -> Message:
-    return make_chaos_query(ID_SERVER, msg_id=msg_id)

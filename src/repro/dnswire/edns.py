@@ -12,10 +12,10 @@ the wild has to tolerate (our Google matcher strips it).
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .enums import QClass, QType
+from .enums import QType
 from .message import Message
 from .name import DnsName
 from .rr import OpaqueData, ResourceRecord

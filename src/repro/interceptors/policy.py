@@ -17,7 +17,7 @@ The pilot study observed several distinct interceptor behaviours
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
 from repro.dnswire import RCode

@@ -36,7 +36,7 @@ from .sim import Network, Node, SimulationError
 from .node import Host, ReceivedDatagram, ReceivedIcmp
 from .router import Router
 from .nat import NatTable
-from .firewall import Action, Chain, Verdict, network, udp53_dnat_rule
+from .firewall import Action, Chain, Verdict, udp53_dnat_rule
 from .trace import TraceRecorder
 
 __all__ = [
@@ -80,7 +80,6 @@ __all__ = [
     "Action",
     "Chain",
     "Verdict",
-    "network",
     "udp53_dnat_rule",
     "TraceRecorder",
 ]

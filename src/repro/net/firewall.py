@@ -12,7 +12,6 @@ firmware does.
 from __future__ import annotations
 
 import enum
-import ipaddress
 from dataclasses import dataclass
 from typing import Optional
 
@@ -145,8 +144,3 @@ def udp53_dnat_rule(
         dnat_port=dnat_port,
         comment=comment or "XDNS DNS redirection",
     )
-
-
-def network(prefix: str) -> IPNetwork:
-    """Shorthand used when building match criteria."""
-    return ipaddress.ip_network(prefix)

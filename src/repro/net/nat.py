@@ -109,6 +109,3 @@ class NatTable:
     def binding_for_public_port(self, family: int, port: int) -> Optional[NatBinding]:
         """Look up a binding by its WAN-side port (used for ICMP errors)."""
         return self._inbound.get((family, port))
-
-    def binding_count(self) -> int:
-        return len(self._outbound)

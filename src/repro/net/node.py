@@ -105,12 +105,6 @@ class Host(Node):
     def addresses(self) -> set[IPAddress]:
         return set(self._addresses)
 
-    def add_address(self, address: "str | IPAddress") -> None:
-        self._addresses.add(parse_ip(address))
-        self.invalidate_addresses()
-        if self.network is not None:
-            self.network.reindex(self)
-
     def invalidate_addresses(self) -> None:
         super().invalidate_addresses()
         self._family_source = {}

@@ -4,8 +4,8 @@ Packets are immutable; every rewriting device (NAT, DNAT interceptor,
 spoofing middlebox) produces a *new* packet through the ``with_*`` and
 ``truncated`` helpers, and every rewritten copy records its parent's
 ``uid`` in ``lineage``. That makes packet traces trustworthy: a captured
-packet can never be mutated after the fact by a later hop, and
-``TraceRecorder.for_lineage`` can follow one query through every
+packet can never be mutated after the fact by a later hop, and a
+reader of the recorded events can follow one query through every
 rewrite.
 
 Packets are built on every hop, so the builders (``make_udp``,

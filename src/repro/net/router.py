@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .addr import IPAddress, IPNetwork, is_bogon, parse_ip, parse_network
-from .packet import Packet, Protocol, make_icmp_time_exceeded
+from .packet import Packet, make_icmp_time_exceeded
 from .sim import Node
 
 #: Route-memo miss marker (a cached ``None`` means "no route").

@@ -19,7 +19,7 @@ import math
 import random
 from typing import Callable, Optional
 
-from .addr import IPAddress, parse_ip
+from .addr import IPAddress
 from .impairment import (
     ImpairedLink,
     LinkProfile,
@@ -59,8 +59,8 @@ class Node:
         self.asn = asn
         self.network: Optional["Network"] = None
         # Lazily built frozenset of addresses() for per-packet delivery
-        # checks; anything that changes a node's addresses must go
-        # through Network.reindex (or invalidate_addresses) to reset it.
+        # checks; anything that changes a node's addresses must call
+        # invalidate_addresses to reset it.
         self._addr_cache: Optional[frozenset] = None
 
     # -- wiring -----------------------------------------------------------
@@ -183,7 +183,6 @@ class Network:
         self._in_run = False
         self._run_scheduled = 0
         self.recorder = TraceRecorder(enabled=trace)
-        self._address_index: dict[IPAddress, str] = {}
         #: Seed source for link impairments: each profile install draws
         #: one token from it, and every link direction then draws from
         #: its own stream derived from that token (see
@@ -225,28 +224,7 @@ class Network:
         self.nodes[node.name] = node
         node.attached(self)
         node.invalidate_addresses()
-        for address in node.addresses():
-            self._address_index[address] = node.name
         return node
-
-    def reindex(self, node: Node) -> None:
-        """Refresh the address index after a node gains addresses."""
-        node.invalidate_addresses()
-        for address in node.addresses():
-            self._address_index[address] = node.name
-
-    def rebuild_address_index(self) -> None:
-        """Recompute the full address index (after re-homing nodes)."""
-        index: dict[IPAddress, str] = {}
-        for name, node in self.nodes.items():
-            node.invalidate_addresses()
-            for address in node.addresses():
-                index[address] = name
-        self._address_index = index
-
-    def node_for_address(self, address: "str | IPAddress") -> Optional[Node]:
-        name = self._address_index.get(parse_ip(address))
-        return self.nodes.get(name) if name else None
 
     def connect(
         self,
@@ -296,11 +274,6 @@ class Network:
             )
         self._install_profile(a, b, profile)
 
-    def link_profile(self, a: str, b: str) -> Optional[LinkProfile]:
-        """The profile active on link direction ``a -> b``, if any."""
-        state = self._impaired.get((a, b))
-        return None if state is None else state.profile
-
     def _install_profile(self, a: str, b: str, profile: LinkProfile) -> None:
         """Install ``profile`` on both directions with dedicated RNG
         streams. The seed token is drawn from ``loss_rng`` once per
@@ -328,9 +301,6 @@ class Network:
             self._impaired[(sender, receiver)] = ImpairedLink(
                 profile, link_stream(token, sender, receiver)
             )
-
-    def are_connected(self, a: str, b: str) -> bool:
-        return (a, b) in self._links
 
     def latency(self, a: str, b: str) -> float:
         try:
@@ -451,14 +421,6 @@ class Network:
                 self.recorder.record(self.now, sender, "send", packet, detail)
             self._schedule_us(round(delay * 1000), node.receive, packet)
 
-    def inject(self, at: str, packet: Packet, delay_ms: float = 0.0) -> None:
-        """Deliver ``packet`` directly to node ``at`` (test/measurement hook)."""
-        if delay_ms < 0:
-            raise SimulationError(f"negative delay: {delay_ms}")
-        if not math.isfinite(delay_ms):
-            raise SimulationError(f"non-finite delay: {delay_ms}")
-        self._schedule_us(round(delay_ms * 1000), self.nodes[at].receive, packet)
-
     def run(self, until: Optional[float] = None) -> int:
         """Process events (up to simulated time ``until``); return count.
 
@@ -493,10 +455,6 @@ class Network:
         if processed:
             self.metrics.inc("sim.events_dispatched", processed)
         return processed
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
 
     # -- per-probe reuse ----------------------------------------------------
 

@@ -48,29 +48,6 @@ class TraceRecorder:
     def clear(self) -> None:
         self.events.clear()
 
-    def for_lineage(self, packet: Packet) -> list[TraceEvent]:
-        """Events involving ``packet`` or any rewrite descended from it."""
-        family = {packet.uid}
-        out: list[TraceEvent] = []
-        for event in self.events:
-            ids = {event.packet.uid, *event.packet.lineage}
-            if ids & family:
-                family.add(event.packet.uid)
-                out.append(event)
-        return out
-
-    def filter(
-        self,
-        node: Optional[str] = None,
-        action: Optional[str] = None,
-    ) -> list[TraceEvent]:
-        return [
-            event
-            for event in self.events
-            if (node is None or event.node == node)
-            and (action is None or event.action == action)
-        ]
-
     def format(self, events: Optional[Iterable[TraceEvent]] = None) -> str:
         return "\n".join(event.format() for event in (events or self.events))
 

@@ -52,7 +52,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from repro.dnswire import DnsName, Message, Opcode, Question, RCode
+from repro.dnswire import DnsName, Message, Opcode, RCode
 from repro.dnswire.edns import Edns, EdnsOption, OPTION_CLIENT_SUBNET, get_edns, with_edns
 
 #: Option codes the software zoo understands; anything else is "unknown"

@@ -113,11 +113,11 @@ class DnsServerNode(Node):
         #: encrypted service entirely (ports 853 and 443 closed); set, it
         #: enables DoT and DoQ on 853 and DoH on 443 with this identity.
         self.tls_identity = tls_identity
-        #: Opt-in answer-template cache (fast engine only): serving is a
-        #: pure function of ``(payload minus id, response_signature)``,
-        #: so repeated identical queries replay the cached wire with the
-        #: new id spliced in. Stays off unless a scenario builder that
-        #: has audited this node's purity turns it on.
+        #: Opt-in answer-template cache: serving is a pure function of
+        #: ``(payload minus id, response_signature)``, so repeated
+        #: identical queries replay the cached wire with the new id
+        #: spliced in. Stays off unless a ScenarioCache, which has
+        #: audited this node's purity, turns it on.
         self.response_cache_enabled = False
         self._response_cache: dict = {}
 

@@ -31,7 +31,6 @@ from repro.dnswire import (
     name,
     txt_record,
 )
-from repro.dnswire.rr import AAAAData, AData
 from repro.dnswire.zone import LookupResult
 
 #: Domain names used throughout the reproduction.

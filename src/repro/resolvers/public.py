@@ -35,7 +35,7 @@ from repro.dnswire import (
     RCode,
     txt_record,
 )
-from repro.dnswire.chaosnames import ID_SERVER, VERSION_BIND
+from repro.dnswire.chaosnames import ID_SERVER
 from repro.net import Packet
 from repro.net.addr import IPAddress, IPNetwork, parse_ip
 

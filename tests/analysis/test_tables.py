@@ -134,5 +134,5 @@ class TestOnRealStudy:
         from repro.core.classifier import LocatorVerdict
 
         table = build_table5(study)
-        cpe_count = len(study.records_with_verdict(LocatorVerdict.CPE))
+        cpe_count = sum(r.verdict == LocatorVerdict.CPE.value for r in study.records)
         assert table.total == cpe_count

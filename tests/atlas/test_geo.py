@@ -6,7 +6,6 @@ import pytest
 
 from repro.atlas.geo import (
     ORGANIZATIONS,
-    countries,
     organization_by_name,
 )
 
@@ -79,5 +78,3 @@ class TestBiases:
         with pytest.raises(KeyError):
             organization_by_name("Nonexistent ISP")
 
-    def test_countries_list(self):
-        assert "US" in countries() and len(countries()) > 15

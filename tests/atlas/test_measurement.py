@@ -9,12 +9,12 @@ from repro.atlas.transport import udp53_exchange
 from repro.atlas.scenario import ScenarioSpec, build_scenario
 from repro.cpe.firmware import dnat_interceptor, honest_router
 from repro.dnswire import QType, make_query
-from repro.dnswire.chaosnames import make_id_server_query
 from repro.interceptors.policy import InterceptMode, intercept_all
 from repro.net import make_udp
 from repro.net.impairment import LinkProfile
 
 from tests.conftest import make_spec
+from tests.simstate import inject, make_id_server_query
 
 
 @pytest.fixture
@@ -41,7 +41,8 @@ class TestValidation:
         sock = clean.host.open_socket()
         sock.sendto(query.encode(), "1.1.1.1", 53)
         forged = query.with_id(11).reply()
-        clean.network.inject(
+        inject(
+            clean.network,
             "host",
             make_udp("1.1.1.1", 53, "192.168.1.100", sock.port, forged.encode()),
         )
@@ -79,7 +80,7 @@ class TestValidation:
         wrong_src = make_udp(
             "9.9.9.9", 53, "192.168.1.100", sock.port, query.reply().encode()
         )
-        clean.network.inject("host", wrong_src)
+        inject(clean.network, "host", wrong_src)
         clean.network.run()
         sock.close()
         result = udp53_exchange(
@@ -97,7 +98,7 @@ class TestValidation:
         fake = make_udp(
             "203.0.113.99", 53, "192.168.1.100", sock_port, query.reply().encode()
         )
-        sc.network.inject("host", fake, delay_ms=10.0)
+        inject(sc.network, "host", fake, delay_ms=10.0)
         result = udp53_exchange(sc.network, sc.host, "198.51.100.99", query)
         assert result.status is ExchangeStatus.TIMEOUT
         assert len(result.rejected) == 1
@@ -183,7 +184,7 @@ class TestRetries:
         junk = make_udp(
             "203.0.113.99", 53, "192.168.1.100", sock_port, query.reply().encode()
         )
-        sc.network.inject("host", junk, delay_ms=10.0)
+        inject(sc.network, "host", junk, delay_ms=10.0)
         before = sc.network.now
         result = udp53_exchange(
             sc.network,
@@ -236,7 +237,7 @@ class TestRetries:
         junk = make_udp(
             "203.0.113.99", 53, "192.168.1.100", sock_port, query.reply().encode()
         )
-        sc.network.inject("host", junk, delay_ms=5.0)
+        inject(sc.network, "host", junk, delay_ms=5.0)
         result = udp53_exchange(
             sc.network,
             sc.host,
@@ -292,11 +293,6 @@ class TestClientWrapper:
             "203.0.113.99", make_query("example.com.", QType.A, msg_id=9)
         )
         assert result.status is ExchangeStatus.TIMEOUT
-
-    def test_txt_answer_helper(self, clean):
-        client = MeasurementClient(clean.network, clean.host)
-        result = client.exchange("1.1.1.1", make_id_server_query(msg_id=5))
-        assert result.txt_answer() is not None
 
     @pytest.mark.parametrize(
         "transport, options",

@@ -13,11 +13,11 @@ from repro.atlas.retry import (
 )
 from repro.atlas.scenario import ScenarioSpec, build_scenario
 from repro.dnswire import QType, make_query
-from repro.dnswire.chaosnames import make_id_server_query
 from repro.net import make_udp
 from repro.net.impairment import LinkProfile
 
 from tests.conftest import make_spec
+from tests.simstate import inject, make_id_server_query
 
 
 @pytest.fixture
@@ -84,7 +84,7 @@ class TestDeadlineBoundaries:
         answer = make_udp(
             "198.51.100.99", 53, "192.168.1.100", sock_port, query.reply().encode()
         )
-        sc.network.inject("host", answer, delay_ms=1000.0)
+        inject(sc.network, "host", answer, delay_ms=1000.0)
         result = udp53_exchange(
             sc.network, sc.host, "198.51.100.99", query, timeout_ms=1000.0
         )

@@ -13,6 +13,7 @@ from repro.cpe.firmware import dnat_interceptor, honest_router
 from repro.interceptors.policy import intercept_all
 
 from tests.conftest import make_spec
+from tests.simstate import are_connected
 
 
 @pytest.fixture
@@ -81,7 +82,7 @@ class TestTopology:
             make_spec(org, probe_id=9, middlebox_policies=[intercept_all()])
         )
         assert sc.middlebox is not None
-        assert sc.network.are_connected("access", "middlebox")
+        assert are_connected(sc.network, "access", "middlebox")
 
     def test_external_present_with_policy(self, org):
         sc = build_scenario(
@@ -94,7 +95,7 @@ class TestTopology:
         sc = build_scenario(make_spec(org, probe_id=11))
         assert len(sc.providers) == 4
         for node in sc.providers.values():
-            assert sc.network.are_connected("core", node.name)
+            assert are_connected(sc.network, "core", node.name)
 
     def test_resolver_inside_as_by_default(self, org):
         import ipaddress
@@ -102,7 +103,7 @@ class TestTopology:
         sc = build_scenario(make_spec(org, probe_id=12))
         v4 = next(a for a in sc.isp_resolver.addresses() if a.version == 4)
         assert v4 in ipaddress.ip_network(org.v4_prefix)
-        assert sc.network.are_connected("border", "isp-resolver")
+        assert are_connected(sc.network, "border", "isp-resolver")
 
     def test_resolver_outside_as_variant(self, org):
         import ipaddress
@@ -114,7 +115,7 @@ class TestTopology:
         )
         v4 = next(a for a in sc.isp_resolver.addresses() if a.version == 4)
         assert v4 in HOSTED_DNS_V4_PREFIX
-        assert sc.network.are_connected("core", "isp-resolver")
+        assert are_connected(sc.network, "core", "isp-resolver")
 
     def test_cpe_model_from_firmware(self, org):
         sc = build_scenario(

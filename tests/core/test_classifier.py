@@ -75,7 +75,9 @@ class TestPipelineMechanics:
     def test_transparency_runs_for_intercepted(self, org):
         result = classify(org, 906, middlebox_policies=[intercept_all()])
         assert result.transparency is not None
-        assert result.transparency.interception_confirmed
+        assert any(
+            obs.confirms_interception for obs in result.transparency.observations
+        )
 
     def test_transparency_optional(self, org):
         spec = make_spec(org, probe_id=907, firmware=dnat_interceptor())

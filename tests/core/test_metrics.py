@@ -271,7 +271,7 @@ class TestExchangeResultSurface:
         assert result.transport == "udp"
         assert result.attempts >= 1
         assert result.rtt_ms is not None and result.rtt_ms > 0
-        assert result.txt_answer() is not None
+        assert result.response.txt_strings()
 
     def test_udp_timeout_shape(self, comcast):
         client = self._client(comcast)

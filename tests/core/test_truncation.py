@@ -20,6 +20,7 @@ from repro.dnswire import QType, make_query
 from repro.net import make_udp
 
 from tests.conftest import make_spec
+from tests.simstate import inject
 
 
 @pytest.fixture
@@ -48,7 +49,7 @@ class TestTransport:
             sock_port,
             query.reply(truncated=True).encode(),
         )
-        sc.network.inject("host", tc_reply, delay_ms=10.0)
+        inject(sc.network, "host", tc_reply, delay_ms=10.0)
         return udp53_exchange(sc.network, sc.host, "198.51.100.99", query)
 
     def test_tc_response_surfaces_truncated(self, org):

@@ -16,10 +16,11 @@ from repro.cpe.firmware import (
     open_wan_forwarder,
 )
 from repro.dnswire import QType, RCode, make_query
-from repro.dnswire.chaosnames import make_id_server_query, make_version_bind_query
+from repro.dnswire.chaosnames import make_version_bind_query
 from repro.resolvers.software import dnsmasq, unbound
 
 from tests.conftest import make_spec
+from tests.simstate import make_id_server_query, trace_lineage
 
 
 @pytest.fixture
@@ -80,7 +81,7 @@ class TestHonestRouter:
             e.packet for e in net.recorder.events if e.packet.icmp is not None
         )
         assert router_icmp.dst == sc.cpe_public_v4
-        lineage = net.recorder.for_lineage(router_icmp)
+        lineage = trace_lineage(net.recorder, router_icmp)
         assert ("cpe", "rewrite", "icmp un-SNAT") in [
             (e.node, e.action, e.detail) for e in lineage
         ]

@@ -100,7 +100,6 @@ class TestMiddleboxWithoutAlternate:
     def test_redirect_policy_without_alternate_passes_through(self):
         """A REDIRECT middlebox with no alternate resolver configured
         cannot hijack; packets flow normally."""
-        from repro.dnswire.chaosnames import make_id_server_query
         from repro.interceptors.middlebox import MiddleboxRouter
         from repro.interceptors.policy import intercept_all
 

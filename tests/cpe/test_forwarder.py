@@ -12,6 +12,7 @@ from repro.dnswire.chaosnames import make_version_bind_query
 from repro.resolvers.software import dnsmasq, silent_forwarder
 
 from tests.conftest import make_spec
+from tests.simstate import inject
 
 
 @pytest.fixture
@@ -35,7 +36,7 @@ class TestEngineState:
         engine = ForwarderEngine(dnsmasq())
         assert engine.client_queries == 0
         assert engine.upstream_queries == 0
-        assert engine.pending_count == 0
+        assert len(engine._pending) == 0
 
 
 class TestRelay:
@@ -51,7 +52,7 @@ class TestRelay:
     def test_pending_cleared_after_relay(self, org):
         sc, client = build(org, dnat_interceptor())
         client.exchange("8.8.8.8", make_query("www.example.com.", QType.A, msg_id=1))
-        assert sc.cpe.forwarder.pending_count == 0
+        assert len(sc.cpe.forwarder._pending) == 0
 
     def test_counters_increment(self, org):
         sc, client = build(org, dnat_interceptor(software=dnsmasq()))
@@ -84,7 +85,7 @@ class TestRelay:
         sock = sc.host.open_socket()
         sock.sendto(b"junk", "8.8.8.8", 53)
         sc.network.run()
-        assert sc.cpe.forwarder.pending_count == 0
+        assert len(sc.cpe.forwarder._pending) == 0
 
     def test_unexpected_upstream_response_dropped(self, org):
         sc, client = build(org, dnat_interceptor())
@@ -99,7 +100,7 @@ class TestRelay:
             UPSTREAM_PORT,
             stray.encode(),
         )
-        sc.network.inject("cpe", pkt)
+        inject(sc.network, "cpe", pkt)
         sc.network.run()  # must not crash
 
 
@@ -148,17 +149,18 @@ class TestRelayValidation:
             make_query(self.QNAME, QType.A, msg_id=msg_id).encode(), "8.8.8.8", 53
         )
         for _ in range(200):
-            if sc.cpe.forwarder.pending_count:
+            if sc.cpe.forwarder._pending:
                 break
             sc.network.run(until=sc.network.now + 0.5)
-        assert sc.cpe.forwarder.pending_count == 1
+        assert len(sc.cpe.forwarder._pending) == 1
         upstream_id = next(iter(sc.cpe.forwarder._pending))
         return sc, sock, upstream_id
 
     def inject_upstream(self, sc, src, sport, message):
         from repro.net import make_udp
 
-        sc.network.inject(
+        inject(
+            sc.network,
             "cpe",
             make_udp(src, sport, str(sc.cpe.wan_v4), UPSTREAM_PORT, message.encode()),
         )
@@ -180,7 +182,7 @@ class TestRelayValidation:
         self.inject_upstream(sc, "203.0.113.66", 53, junk)
         sc.network.run(until=sc.network.now + 0.01)
         # The junk must not have consumed the pending entry...
-        assert sc.cpe.forwarder.pending_count == 1
+        assert len(sc.cpe.forwarder._pending) == 1
         responses = self.finish(sc, sock, 0x7711)
         # ...so the client sees exactly the genuine NOERROR answer.
         assert [r.rcode for r in responses] == [int(RCode.NOERROR)]
@@ -201,7 +203,7 @@ class TestRelayValidation:
         )
         self.inject_upstream(sc, upstream, 5353, junk)
         sc.network.run(until=sc.network.now + 0.01)
-        assert sc.cpe.forwarder.pending_count == 1
+        assert len(sc.cpe.forwarder._pending) == 1
         responses = self.finish(sc, sock, 0x7711)
         assert [r.rcode for r in responses] == [int(RCode.NOERROR)]
 
@@ -215,7 +217,7 @@ class TestRelayValidation:
         )
         self.inject_upstream(sc, upstream, 53, junk)
         sc.network.run(until=sc.network.now + 0.01)
-        assert sc.cpe.forwarder.pending_count == 1
+        assert len(sc.cpe.forwarder._pending) == 1
         responses = self.finish(sc, sock, 0x7711)
         assert len(responses) == 1
         assert responses[0].question.qname.to_text() == self.QNAME

@@ -7,9 +7,10 @@ from repro.atlas.measurement import MeasurementClient
 from repro.atlas.scenario import build_scenario
 from repro.cpe.firmware import dnat_interceptor
 from repro.dnswire import QType, make_query
-from repro.dnswire.chaosnames import make_id_server_query, make_version_bind_query
+from repro.dnswire.chaosnames import make_version_bind_query
 
 from tests.conftest import make_spec
+from tests.simstate import make_id_server_query
 
 
 @pytest.fixture

@@ -3,10 +3,8 @@
 from repro.dnswire import QClass, QType
 from repro.dnswire.chaosnames import (
     HOSTNAME_BIND,
-    ID_SERVER,
     VERSION_BIND,
     make_chaos_query,
-    make_id_server_query,
     make_version_bind_query,
 )
 
@@ -18,10 +16,6 @@ class TestBuilders:
         assert int(q.question.qclass) == int(QClass.CH)
         assert int(q.question.qtype) == int(QType.TXT)
         assert q.msg_id == 7
-
-    def test_id_server_query_shape(self):
-        q = make_id_server_query(msg_id=8)
-        assert q.question.qname == ID_SERVER
 
     def test_make_chaos_query_arbitrary_name(self):
         q = make_chaos_query("hostname.bind.", msg_id=9)

@@ -134,7 +134,7 @@ class TestGarbageInterceptor:
             )
 
     def test_garbage_counted_as_rejected(self, org):
-        from repro.dnswire.chaosnames import make_id_server_query
+        from tests.simstate import make_id_server_query
         from repro.atlas.transport import udp53_exchange
 
         sc = build_scenario(make_spec(org, probe_id=2501))

@@ -6,7 +6,7 @@ from repro.atlas.geo import organization_by_name
 from repro.atlas.measurement import ExchangeStatus, MeasurementClient
 from repro.atlas.scenario import build_scenario
 from repro.dnswire import QType, RCode, make_query
-from repro.dnswire.chaosnames import make_id_server_query, make_version_bind_query
+from repro.dnswire.chaosnames import make_version_bind_query
 from repro.interceptors.middlebox import MiddleboxRouter
 from repro.interceptors.policy import (
     InterceptMode,
@@ -17,6 +17,7 @@ from repro.interceptors.policy import (
 )
 
 from tests.conftest import make_spec
+from tests.simstate import make_id_server_query
 
 
 @pytest.fixture

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.net import make_udp
+from repro.net.addr import parse_network
 from repro.net.firewall import (
     Action,
     Chain,
     Match,
     Rule,
-    network,
     udp53_dnat_rule,
 )
 from repro.net.packet import Protocol, make_icmp_time_exceeded
@@ -36,11 +36,11 @@ class TestMatch:
         assert not Match(sport=53).matches(dns_packet())
 
     def test_dst_prefix(self):
-        assert Match(dst=network("8.8.8.0/24")).matches(dns_packet())
-        assert not Match(dst=network("9.9.9.0/24")).matches(dns_packet())
+        assert Match(dst=parse_network("8.8.8.0/24")).matches(dns_packet())
+        assert not Match(dst=parse_network("9.9.9.0/24")).matches(dns_packet())
 
     def test_src_prefix(self):
-        assert Match(src=network("192.168.0.0/16")).matches(dns_packet())
+        assert Match(src=parse_network("192.168.0.0/16")).matches(dns_packet())
 
     def test_family(self):
         assert Match(family=4).matches(dns_packet())

@@ -7,11 +7,11 @@ from repro.atlas.measurement import ExchangeStatus
 from repro.atlas.retry import FixedIntervalRetry
 from repro.atlas.transport import udp53_exchange
 from repro.atlas.scenario import build_scenario
-from repro.dnswire.chaosnames import make_id_server_query
 from repro.net import Host, Network, SimulationError, make_udp
 from repro.net.impairment import LinkProfile
 
 from tests.conftest import make_spec
+from tests.simstate import make_id_server_query, trace_events
 
 
 def lossy_pair(loss, seed=0):
@@ -83,7 +83,7 @@ class TestLinkLoss:
         for port in range(40001, 40021):
             a.open_socket(port).sendto(b"x", "10.0.0.2", 6000)
         net.run()
-        assert net.recorder.filter(action="drop")
+        assert trace_events(net.recorder, action="drop")
 
 
 class TestRetransmission:

@@ -26,13 +26,13 @@ class TestOutbound:
         first = nat.translate_outbound(lan_packet())
         second = nat.translate_outbound(lan_packet())
         assert first.udp.sport == second.udp.sport
-        assert nat.binding_count() == 1
+        assert len(nat._outbound) == 1
 
     def test_different_flows_different_ports(self, nat):
         a = nat.translate_outbound(lan_packet(sport=40000))
         b = nat.translate_outbound(lan_packet(sport=40001))
         assert a.udp.sport != b.udp.sport
-        assert nat.binding_count() == 2
+        assert len(nat._outbound) == 2
 
     def test_different_destinations_are_different_flows(self, nat):
         a = nat.translate_outbound(lan_packet(dst="8.8.8.8"))

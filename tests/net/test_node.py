@@ -5,6 +5,8 @@ import pytest
 from repro.net import Host, Network, SimulationError, make_udp
 from repro.net.node import EPHEMERAL_PORT_BASE
 
+from tests.simstate import add_address
+
 
 def host_pair():
     net = Network()
@@ -68,8 +70,8 @@ class TestAddressing:
         _net, _a, b = host_pair()
         assert str(b.address_for_family(4)) == "10.0.0.2"
         assert b.address_for_family(6) is None
-        b.add_address("10.0.0.1")
-        b.add_address("2001:db8:2::9")
+        add_address(b, "10.0.0.1")
+        add_address(b, "2001:db8:2::9")
         assert str(b.address_for_family(4)) == "10.0.0.1"
         assert str(b.address_for_family(6)) == "2001:db8:2::9"
         pkt = b.open_socket().sendto(b"x", "10.0.0.9", 53)

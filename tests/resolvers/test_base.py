@@ -12,12 +12,13 @@ from repro.dnswire import (
 )
 from repro.dnswire.chaosnames import (
     make_chaos_query,
-    make_id_server_query,
     make_version_bind_query,
 )
 from repro.net.dot import DOT_PORT, wrap_dot
 from repro.resolvers.base import ChaosOutcome, DnsServerNode, chaos_respond
 from repro.resolvers.software import ChaosBehavior, ServerSoftware, dnsmasq, mute, silent_forwarder
+
+from tests.simstate import make_id_server_query, trace_events
 
 from .harness import wire_up
 
@@ -96,7 +97,7 @@ class TestServerNode:
         network.run()
         assert [
             e.detail
-            for e in network.recorder.filter(node="server", action="send")
+            for e in trace_events(network.recorder, node="server", action="send")
             if not e.detail.startswith("->")
         ] == ["dns response", "dns response (DoT)"]
 

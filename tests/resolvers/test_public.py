@@ -5,7 +5,7 @@ import re
 import pytest
 
 from repro.dnswire import QClass, QType, RCode, make_query
-from repro.dnswire.chaosnames import make_id_server_query, make_version_bind_query
+from repro.dnswire.chaosnames import make_version_bind_query
 from repro.resolvers.directory import (
     AKAMAI_WHOAMI,
     GOOGLE_MYADDR,
@@ -21,6 +21,8 @@ from repro.resolvers.public import (
 )
 
 from .harness import wire_up
+
+from tests.simstate import make_id_server_query
 
 
 def make_provider(provider):
