@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from repro.atlas.probe import ProbeSpec
@@ -117,15 +117,20 @@ def shard_fleet(
 
 # -- probe dedup -------------------------------------------------------------
 #
-# Two online probes with the same scenario signature and the same
-# ``responds_v4``/``responds_v6`` masks are *the same measurement*: every
-# answer template the pipeline compares is a pure function of those
-# inputs and the config, and the per-probe values the record does carry
-# (``probe_id``, organization facts, ``true_location``) come straight
-# from the spec. The parent process therefore has each distinct key
-# measured once per session and substitutes the identity fields for its
-# siblings. The reference engine never dedups, which is what lets the
-# equivalence tests certify the shortcut.
+# A probe's dedup key is every ``ProbeSpec`` field but ``probe_id`` and
+# ``organization``. The organization only labels a record: its prefixes
+# and ASN shape the scenario (addresses, the ISP resolver's per-AS TLS
+# identity), but every check compares such a value with an expectation
+# built from the same scenario, so no record field reads it. The
+# ``ScenarioSpec`` slots the key leaves out (providers, policy overrides,
+# impairment, trace) are constant within a session whose config passes
+# :func:`_dedup_sound`. Two probes with the same key are therefore *the
+# same measurement*: the parent process has each distinct key measured
+# once per session and gives its siblings copies with their own identity
+# fields (:func:`_as_sibling`). Scenario reuse still needs the
+# organization, since :func:`~repro.atlas.scenario.reset_scenario` does
+# not re-home prefixes or ASNs. The reference engine never dedups, which
+# is what lets the equivalence tests certify the shortcut.
 
 
 def _dedup_sound(config: "StudyConfig") -> bool:
@@ -142,26 +147,42 @@ def _dedup_sound(config: "StudyConfig") -> bool:
 
 
 def _dedup_key(spec: ProbeSpec) -> Optional[tuple]:
-    """The measurement ``spec`` stands for, or None when its scenario
-    signature is unhashable (such a probe is always measured)."""
-    from repro.atlas.scenario import ScenarioSpec, scenario_signature
-
-    signature = scenario_signature(ScenarioSpec(probe=spec))
-    if signature is None:
+    """The measurement ``spec`` stands for: its fields less ``probe_id``
+    and ``organization``. None when a field is unhashable (such a probe
+    is always measured)."""
+    key = (
+        spec.firmware,
+        spec.isp,
+        spec.external_policies,
+        spec.has_ipv6,
+        spec.responds_v4,
+        spec.responds_v6,
+        spec.online,
+    )
+    try:
+        hash(key)
+    except TypeError:
         return None
-    return (signature, spec.responds_v4, spec.responds_v6, spec.online)
+    return key
 
 
 def _as_sibling(record: "ProbeRecord", spec: ProbeSpec) -> "ProbeRecord":
-    """``record``, a measurement of ``spec``'s dedup key, as ``spec``'s own."""
-    return replace(
-        record,
-        probe_id=spec.probe_id,
-        organization=spec.organization.name,
-        asn=spec.asn,
-        country=spec.country,
-        true_location=spec.true_location().value,
-    )
+    """``record``, a measurement of ``spec``'s dedup key, as ``spec``'s own:
+    a copy of its fields with the five identity fields set from ``spec``,
+    made without the dataclass ``__init__``."""
+    sibling = object.__new__(type(record))
+    state = sibling.__dict__
+    state.update(record.__dict__)
+    # The record's lazy provider-status index is not a field; leave it
+    # out so a sibling pickles like a freshly built record.
+    state.pop("_status_map", None)
+    organization = spec.organization
+    state["probe_id"] = spec.probe_id
+    state["organization"] = organization.name
+    state["asn"] = organization.asn
+    state["country"] = organization.country
+    state["true_location"] = spec.true_location().value
+    return sibling
 
 
 # -- worker side -----------------------------------------------------------

@@ -7,7 +7,6 @@ from repro.atlas.measurement import ExchangeStatus, MeasurementClient
 from repro.atlas.retry import FixedIntervalRetry
 from repro.atlas.transport import udp53_exchange
 from repro.atlas.scenario import ScenarioSpec, build_scenario
-from repro.cpe.firmware import dnat_interceptor, honest_router
 from repro.dnswire import QType, make_query
 from repro.interceptors.policy import InterceptMode, intercept_all
 from repro.net import make_udp

@@ -9,7 +9,7 @@ from repro.atlas.scenario import (
     build_scenario,
     resolver_software,
 )
-from repro.cpe.firmware import dnat_interceptor, honest_router
+from repro.cpe.firmware import dnat_interceptor
 from repro.interceptors.policy import intercept_all
 
 from tests.conftest import make_spec

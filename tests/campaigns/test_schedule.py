@@ -369,8 +369,13 @@ class TestPoolSeesDistinctMeasurements:
 
         from tests.conftest import make_spec
 
-        org = organization_by_name("Comcast")
-        fleet = [make_spec(org, probe_id=700 + i) for i in range(12)]
+        # One household shape homed in four organizations: the
+        # organization only labels a record, so it is one measurement.
+        orgs = [
+            organization_by_name(name)
+            for name in ("Comcast", "Deutsche Telekom", "Telstra", "Rostelecom")
+        ]
+        fleet = [make_spec(orgs[i % len(orgs)], probe_id=700 + i) for i in range(12)]
         records = parallel.measure_fleet(fleet, study.StudyConfig(workers=3)).records
         assert pools[0].shard_sizes == [1]
         assert [record.probe_id for record in records] == [

@@ -10,13 +10,7 @@ from repro.atlas.geo import organization_by_name
 from repro.atlas.measurement import MeasurementClient
 from repro.atlas.probe import IspBehavior, ProbeSpec
 from repro.atlas.scenario import build_scenario
-from repro.cpe.firmware import (
-    dnat_interceptor,
-    honest_forwarder,
-    honest_router,
-    open_wan_forwarder,
-    xb6_profile,
-)
+from repro.cpe.firmware import honest_router, open_wan_forwarder, xb6_profile
 from repro.interceptors.policy import InterceptMode, intercept_all
 
 

@@ -1,18 +1,13 @@
 """The full three-step pipeline (Figure 2)."""
 
-import random
-
 import pytest
 
 from repro import diagnose_household
 from repro.atlas.geo import organization_by_name
-from repro.atlas.measurement import MeasurementClient
 from repro.atlas.population import example_probe_specs
-from repro.atlas.scenario import build_scenario
-from repro.core.classifier import InterceptionLocator, LocatorVerdict
-from repro.cpe.firmware import dnat_interceptor, honest_router, open_wan_forwarder
+from repro.core.classifier import LocatorVerdict
+from repro.cpe.firmware import dnat_interceptor
 from repro.interceptors.policy import InterceptMode, intercept_all, intercept_only
-from repro.resolvers.public import Provider
 
 from tests.conftest import make_spec
 

@@ -9,9 +9,12 @@ worker count, clean or impaired. These tests *are* the certification of
 every shortcut; weakening them weakens the contract.
 """
 
+from collections import defaultdict
+
 import pytest
 
 from repro.atlas.population import generate_population
+from repro.core.parallel import _dedup_key
 from repro.core.study import StudyConfig, run_pilot_study
 from repro.net.impairment import impairment_profile
 from repro.store import ResultStore, StoreInterrupted
@@ -60,20 +63,16 @@ class TestRecordEquivalence:
 
     def test_dedup_engages_and_substitutes_identity(self, fleet):
         """The serial fast path must dedup at least one probe on this
-        fleet (otherwise the test fleet stopped exercising the memo) and
-        the substituted identity fields must match each probe's spec."""
-        from repro.atlas.scenario import ScenarioSpec, scenario_signature
-
-        keys = {
-            (
-                scenario_signature(ScenarioSpec(probe=s)),
-                s.responds_v4,
-                s.responds_v6,
-                s.online,
-            )
-            for s in fleet
-        }
-        assert len(keys) < len(fleet), "fleet has no duplicate measurements"
+        fleet, across organizations too (otherwise the test fleet
+        stopped exercising the memo), and the substituted identity
+        fields must match each probe's spec."""
+        homes = defaultdict(set)
+        for spec in fleet:
+            homes[_dedup_key(spec)].add(spec.organization)
+        assert len(homes) < len(fleet), "fleet has no duplicate measurements"
+        assert any(len(orgs) > 1 for orgs in homes.values()), (
+            "no measurement is shared by two organizations"
+        )
         records = run(fleet, "fast").records
         for spec, record in zip(fleet, records):
             assert record.probe_id == spec.probe_id

@@ -8,7 +8,7 @@ from repro.atlas.geo import organization_by_name
 from repro.atlas.measurement import MeasurementClient
 from repro.atlas.scenario import build_scenario
 from repro.core.isp_check import check_isp, default_bogon
-from repro.cpe.firmware import dnat_interceptor, honest_router
+from repro.cpe.firmware import dnat_interceptor
 from repro.interceptors.policy import InterceptMode, intercept_all
 from repro.net.addr import is_bogon
 

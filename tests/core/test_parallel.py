@@ -8,7 +8,6 @@ from repro.atlas.geo import organization_by_name
 from repro.atlas.population import generate_population
 from repro.core.parallel import (
     FleetSession,
-    FleetShard,
     measure_fleet,
     merge_shard_records,
     shard_fleet,

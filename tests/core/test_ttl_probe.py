@@ -8,7 +8,7 @@ from repro.atlas.geo import organization_by_name
 from repro.atlas.measurement import MeasurementClient
 from repro.atlas.scenario import build_scenario
 from repro.core.ttl_probe import ttl_probe
-from repro.cpe.firmware import dnat_interceptor, honest_router
+from repro.cpe.firmware import dnat_interceptor
 from repro.interceptors.policy import intercept_all
 from repro.resolvers.public import Provider
 

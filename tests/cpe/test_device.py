@@ -15,7 +15,7 @@ from repro.cpe.firmware import (
     honest_router,
     open_wan_forwarder,
 )
-from repro.dnswire import QType, RCode, make_query
+from repro.dnswire import QType, make_query
 from repro.dnswire.chaosnames import make_version_bind_query
 from repro.resolvers.software import dnsmasq, unbound
 

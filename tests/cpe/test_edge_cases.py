@@ -6,7 +6,7 @@ from repro.atlas.geo import organization_by_name
 from repro.atlas.measurement import MeasurementClient
 from repro.atlas.scenario import build_scenario
 from repro.cpe.device import CpeDevice
-from repro.cpe.firmware import FirmwareProfile, dnat_interceptor
+from repro.cpe.firmware import FirmwareProfile
 from repro.cpe.forwarder import ForwarderEngine
 from repro.dnswire import QType, RCode, make_query
 from repro.net import Network, Host, Router, make_udp

@@ -1,8 +1,5 @@
 """The XB6/RDK-B/XDNS case study (§5)."""
 
-import pytest
-
-from repro.atlas.geo import organization_by_name
 from repro.atlas.measurement import ExchangeStatus, MeasurementClient
 from repro.net import Host, Network, Router
 from repro.cpe.device import CpeDevice

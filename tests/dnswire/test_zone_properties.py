@@ -4,7 +4,7 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dnswire import QClass, QType, RCode, Zone, a_record
+from repro.dnswire import QType, RCode, Zone, a_record
 from repro.dnswire.name import DnsName
 
 labels = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)

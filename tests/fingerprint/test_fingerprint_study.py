@@ -16,7 +16,7 @@ from repro.analysis.fingerprint_study import (
 from repro.atlas.geo import organization_by_name
 from repro.core.study import StudyConfig, run_pilot_study
 from repro.cpe.firmware import dnat_interceptor
-from repro.interceptors.policy import InterceptMode, intercept_all
+from repro.interceptors.policy import intercept_all
 from repro.resolvers.software import dnsmasq, pi_hole
 
 from tests.conftest import make_spec

@@ -27,7 +27,7 @@ from repro.fingerprint.signature import (
     expected_signature,
     replicate_signature,
 )
-from repro.interceptors.policy import InterceptMode, InterceptionPolicy, intercept_all
+from repro.interceptors.policy import InterceptMode, intercept_all
 from repro.resolvers.software import silent_forwarder
 
 from tests.conftest import make_spec

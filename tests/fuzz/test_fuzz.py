@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.dnswire import DnsName, Message, decode_or_none
+from repro.dnswire import Message, decode_or_none
 from repro.fuzz import (
     ByteMutator,
     FuzzConfig,

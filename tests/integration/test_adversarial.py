@@ -13,7 +13,7 @@ from repro.atlas.geo import organization_by_name
 from repro.atlas.measurement import ExchangeStatus, MeasurementClient
 from repro.atlas.scenario import build_scenario
 from repro.core.detector import InterceptionStatus, detect_all, detect_provider
-from repro.dnswire import DNS_PORT, QClass, QType, RCode, decode_or_none, txt_record
+from repro.dnswire import DNS_PORT, QClass, decode_or_none, txt_record
 from repro.net import Packet, Protocol, make_reply
 from repro.net.router import Router
 from repro.resolvers.public import Provider

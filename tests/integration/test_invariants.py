@@ -11,12 +11,10 @@ soundness properties the methodology claims:
 - timeouts never produce interception verdicts.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import diagnose_household
 from repro.atlas.geo import ORGANIZATIONS
-from repro.atlas.probe import InterceptorLocation
 from repro.core.classifier import LocatorVerdict
 from repro.cpe.firmware import (
     dnat_interceptor,

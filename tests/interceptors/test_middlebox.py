@@ -6,7 +6,6 @@ from repro.atlas.geo import organization_by_name
 from repro.atlas.measurement import ExchangeStatus, MeasurementClient
 from repro.atlas.scenario import build_scenario
 from repro.dnswire import QType, RCode, make_query
-from repro.dnswire.chaosnames import make_version_bind_query
 from repro.interceptors.middlebox import MiddleboxRouter
 from repro.interceptors.policy import (
     InterceptMode,

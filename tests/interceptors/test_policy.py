@@ -1,7 +1,5 @@
 """Interception policies: matching semantics."""
 
-import pytest
-
 from repro.dnswire import RCode
 from repro.interceptors.policy import (
     InterceptMode,

@@ -7,7 +7,7 @@ from repro.atlas.measurement import ExchangeStatus
 from repro.atlas.retry import FixedIntervalRetry
 from repro.atlas.transport import udp53_exchange
 from repro.atlas.scenario import build_scenario
-from repro.net import Host, Network, SimulationError, make_udp
+from repro.net import Host, Network, SimulationError
 from repro.net.impairment import LinkProfile
 
 from tests.conftest import make_spec

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Host, Network, SimulationError, make_udp
+from repro.net import Host, Network, SimulationError
 from repro.net.node import EPHEMERAL_PORT_BASE
 
 from tests.simstate import add_address

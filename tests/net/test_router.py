@@ -1,8 +1,6 @@
 """Routing tables, TTL handling, ICMP generation, bogon filtering."""
 
-import pytest
-
-from repro.net import Host, Network, Router, make_udp
+from repro.net import Host, Network, Router
 from repro.net.packet import IcmpType
 from repro.net.router import RoutingTable
 

@@ -1,7 +1,5 @@
 """DnsServerNode plumbing and CHAOS dispatch."""
 
-import pytest
-
 from repro.atlas.measurement import ExchangeStatus
 from repro.dnswire import (
     Message,
@@ -16,7 +14,7 @@ from repro.dnswire.chaosnames import (
 )
 from repro.net.dot import DOT_PORT, wrap_dot
 from repro.resolvers.base import ChaosOutcome, DnsServerNode, chaos_respond
-from repro.resolvers.software import ChaosBehavior, ServerSoftware, dnsmasq, mute, silent_forwarder
+from repro.resolvers.software import dnsmasq, mute, silent_forwarder
 
 from tests.simstate import make_id_server_query, trace_events
 

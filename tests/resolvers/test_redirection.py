@@ -7,8 +7,6 @@ location-query technique is about *interception* and is neither fooled
 nor triggered by wildcarding alone.
 """
 
-import pytest
-
 from repro.dnswire import QType, RCode, make_query
 from repro.resolvers.directory import build_default_directory
 from repro.resolvers.recursive import RecursiveResolverNode

@@ -1,7 +1,5 @@
 """Software personalities and their version.bind strings."""
 
-import pytest
-
 from repro.dnswire import RCode
 from repro.resolvers.software import (
     ChaosAction,

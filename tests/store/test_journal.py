@@ -2,7 +2,6 @@
 
 import enum
 import json
-import os
 from dataclasses import dataclass
 
 import pytest

@@ -1,7 +1,6 @@
 """ResultStore behaviour: resume identity, guards, and the archive API."""
 
 import json
-import os
 
 import pytest
 

@@ -9,7 +9,9 @@ re-export, its docs and its tests with it.
 
 Below ``__all__``, two ``ast`` passes hold the same line. Every
 module-level import of a non-``__init__`` module is used in that module
-or listed in its ``__all__``. Every public function, method and property
+or listed in its ``__all__``; the same holds for every file under
+``tests/``, where a fixture imported to be injected by parameter name
+counts as used. Every public function, method and property
 is referenced outside ``tests/`` and outside its own definition. A
 module-level function counts as referenced in its own module, or in a
 file that imports it, imports its module or package and reads it as an
@@ -276,19 +278,47 @@ def _method_reached(module: str, qualname: str, span: tuple) -> bool:
     return False
 
 
+def _unused_imports(source: _Source, used: set) -> list:
+    """The names ``source`` imports at module level and neither reads
+    nor lists in ``used``."""
+    used = used | {name for name, _ in source.names} | _annotation_names(source.tree)
+    return [name for name in source.module_imports() if name not in used]
+
+
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_module_imports_are_used(module):
     source = MODULES[module]
-    used = {name for name, _ in source.names} | _annotation_names(source.tree)
+    exported = set()
     for node in source.tree.body:
         if isinstance(node, ast.Assign):
             if getattr(node.targets[0], "id", "") == "__all__":
-                used |= set(ast.literal_eval(node.value))
+                exported |= set(ast.literal_eval(node.value))
     unused = [
-        name for name in source.module_imports()
-        if name not in used and (module, name) not in IMPORT_EXEMPT
+        name for name in _unused_imports(source, exported)
+        if (module, name) not in IMPORT_EXEMPT
     ]
     assert unused == [], f"{module} imports names it never uses"
+
+
+TEST_FILES = sorted((ROOT / "tests").rglob("*.py"))
+
+
+@pytest.mark.parametrize(
+    "path", TEST_FILES, ids=lambda path: path.relative_to(ROOT).as_posix()
+)
+def test_test_module_imports_are_used(path):
+    """The same pass over ``tests/``. pytest injects a fixture by
+    parameter name, so an imported name that some function of the file
+    takes as a parameter counts as used."""
+    source = _Source(path)
+    parameters = {
+        arg.arg
+        for node in ast.walk(source.tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+    }
+    unused = _unused_imports(source, parameters)
+    assert unused == [], f"{source.module} imports names it never uses"
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))
