@@ -15,14 +15,14 @@ physical fact Step 3 of the methodology exploits.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cpe.device import CpeDevice
 from repro.cpe.forwarder import ForwarderEngine
 from repro.interceptors.middlebox import ExternalInterceptor, MiddleboxRouter
 from repro.interceptors.policy import InterceptionPolicy
-from repro.net import Host, LinkProfile, Network, Router
+from repro.net import Chain, Host, LinkProfile, Network, Router
 from repro.net.addr import IPAddress
 from repro.resolvers import (
     DnsServerNode,
@@ -147,7 +147,6 @@ class Scenario:
     providers: dict[Provider, PublicResolverNode]
     middlebox: Optional[MiddleboxRouter] = None
     external: Optional[ExternalInterceptor] = None
-    notes: dict[str, str] = field(default_factory=dict)
     #: The declarative spec this scenario was built from.
     scenario_spec: Optional[ScenarioSpec] = None
 
@@ -160,8 +159,13 @@ class Scenario:
         return self.cpe.wan_v6
 
 
+#: The measured host's LAN address.
+_HOST_LAN_V4 = ipaddress.ip_address("192.168.1.100")
+
+
 def _home_addresses(spec: ProbeSpec):
-    """Deterministic per-probe addressing derived from the organization."""
+    """The probe's WAN IPv4 address and delegated IPv6 /64, derived from
+    its ``probe_id`` inside the organization's prefixes."""
     org = spec.organization
     v4_net = ipaddress.ip_network(org.v4_prefix)
     wan_v4 = v4_net.network_address + 1024 + (spec.probe_id % 60000)
@@ -169,7 +173,50 @@ def _home_addresses(spec: ProbeSpec):
     home_v6 = ipaddress.ip_network(
         (int(v6_net.network_address) + ((1024 + spec.probe_id) << 64), 64)
     )
-    return v4_net, wan_v4, v6_net, home_v6
+    return wan_v4, home_v6
+
+
+def _home(scenario: "Scenario", sspec: ScenarioSpec) -> None:
+    """Give ``scenario`` the per-probe part of ``sspec``.
+
+    The only reader of ``probe_id``-derived values: the impairment
+    streams' seed, the WAN IPv4 address and delegated IPv6 prefix, and
+    everything that embeds them (the host's v6 address, the CPE's
+    addresses, NAT, LAN v6 route and DNAT rules, and the access router's
+    two routes toward the CPE). :func:`build_scenario` calls it on a
+    fresh topology, :func:`reset_scenario` on a reset one.
+    """
+    spec = sspec.probe
+    net = scenario.network
+    net.reset_events(f"impair:{sspec.impairment_seed}:{spec.probe_id}")
+    wan_v4, home_v6 = _home_addresses(spec)
+    v6 = spec.has_ipv6
+    scenario.host.set_addresses(
+        [_HOST_LAN_V4] + ([home_v6.network_address + 0x100] if v6 else [])
+    )
+    cpe = scenario.cpe
+    access = net.nodes["access"]
+    if cpe.wan_v4 is not None:
+        access.routes.remove(f"{cpe.wan_v4}/32")
+    if cpe.lan_v6_prefix is not None:
+        access.routes.remove(cpe.lan_v6_prefix)
+    cpe.assign_wan(
+        wan_v4,
+        (home_v6.network_address + 1) if v6 else None,
+        home_v6 if v6 else None,
+    )
+    # The v6 DNAT rule targets the WAN v6 address, so the chain is
+    # rebuilt; the signature pins the firmware flags that shape it.
+    cpe.prerouting = Chain("PREROUTING")
+    if spec.firmware.intercepts_v4:
+        cpe.enable_interception(family=4)
+    if spec.firmware.intercepts_v6 and v6:
+        cpe.enable_interception(family=6)
+    access.routes.add(f"{wan_v4}/32", "cpe")
+    if v6:
+        access.routes.add(home_v6, "cpe")
+    scenario.spec = spec
+    scenario.scenario_spec = sspec
 
 
 def build_scenario(
@@ -181,18 +228,18 @@ def build_scenario(
     ``spec`` is a :class:`ScenarioSpec`; a bare
     :class:`~repro.atlas.probe.ProbeSpec` is accepted as shorthand for
     ``ScenarioSpec(probe=spec)`` (the overwhelmingly common call).
+
+    It builds the topology :func:`scenario_signature` determines, then
+    homes the probe in it (:func:`_home`).
     """
     sspec = spec if isinstance(spec, ScenarioSpec) else ScenarioSpec(probe=spec)
     spec = sspec.probe
     org = spec.organization
     directory = directory or build_default_directory()
-    net = Network(
-        trace=sspec.trace,
-        loss_seed=f"impair:{sspec.impairment_seed}:{spec.probe_id}",
-        impairment=sspec.impairment,
-    )
+    net = Network(trace=sspec.trace, impairment=sspec.impairment)
 
-    v4_net, wan_v4, v6_net, home_v6 = _home_addresses(spec)
+    v4_net = ipaddress.ip_network(org.v4_prefix)
+    v6_net = ipaddress.ip_network(org.v6_prefix)
     isp_base_v4 = v4_net.network_address
     isp_base_v6 = v6_net.network_address
 
@@ -219,13 +266,7 @@ def build_scenario(
     )
 
     # -- home -----------------------------------------------------------------
-    host = Host(
-        "host",
-        addresses=["192.168.1.100"]
-        + ([home_v6.network_address + 0x100] if spec.has_ipv6 else []),
-        gateway="cpe",
-        asn=org.asn,
-    )
+    host = Host("host", gateway="cpe", asn=org.asn)
     forwarder = None
     if spec.firmware.software is not None:
         forwarder = ForwarderEngine(
@@ -236,21 +277,14 @@ def build_scenario(
     cpe = CpeDevice(
         "cpe",
         lan_v4_prefix="192.168.1.0/24",
-        wan_v4=wan_v4,
         wan_gateway="access",
         lan_host="host",
-        wan_v6=(home_v6.network_address + 1) if spec.has_ipv6 else None,
-        lan_v6_prefix=home_v6 if spec.has_ipv6 else None,
         forwarder=forwarder,
         wan_port53_open=spec.firmware.wan_port53_open,
         model=spec.firmware.model,
         asn=org.asn,
         encrypted_dns=spec.firmware.encrypted_dns,
     )
-    if spec.firmware.intercepts_v4:
-        cpe.enable_interception(family=4)
-    if spec.firmware.intercepts_v6 and spec.has_ipv6:
-        cpe.enable_interception(family=6)
 
     # -- ISP fabric ---------------------------------------------------------------
     access = Router("access", addresses=[isp_base_v4 + 2], asn=org.asn)
@@ -314,6 +348,21 @@ def build_scenario(
         net.add_node(off_as_resolver)
     for node in providers.values():
         net.add_node(node)
+    scenario = Scenario(
+        spec=spec,
+        network=net,
+        host=host,
+        cpe=cpe,
+        directory=directory,
+        isp_resolver=isp_resolver,
+        providers=providers,
+        middlebox=middlebox,
+        external=external,
+    )
+    # Homed before any link exists: each link's impairment streams are
+    # drawn from the homed seed as it is connected, just as
+    # Network.reset_events re-draws them when a reused scenario is homed.
+    _home(scenario, sspec)
 
     # -- links ---------------------------------------------------------------------
     # When the ISP hosts its DNS infrastructure outside the client AS
@@ -350,10 +399,6 @@ def build_scenario(
         net.connect("core", node.name, 6.0)
 
     # -- routes -----------------------------------------------------------------------
-    wan_host_route = f"{wan_v4}/32"
-    access.routes.add(wan_host_route, "cpe")
-    if spec.has_ipv6:
-        access.routes.add(str(home_v6), "cpe")
     upstream_of_access = "middlebox" if middlebox_inside else "border"
     access.routes.add_default(upstream_of_access, family=4)
     access.routes.add_default(upstream_of_access, family=6)
@@ -429,18 +474,6 @@ def build_scenario(
             core.routes.add(f"{address}/{suffix}", node.name)
         node.gateway = "core"
 
-    scenario = Scenario(
-        spec=spec,
-        network=net,
-        host=host,
-        cpe=cpe,
-        directory=directory,
-        isp_resolver=isp_resolver,
-        providers=providers,
-        middlebox=middlebox,
-        external=external,
-        scenario_spec=sspec,
-    )
     return scenario
 
 
@@ -449,17 +482,19 @@ def build_scenario(
 # Scenario construction is a fifth of a serial study's runtime, yet the
 # topology built for a probe depends on far less than the full spec:
 # every per-probe difference (WAN address, delegated v6 prefix,
-# impairment streams, event clock) can be re-homed in place. A
-# ScenarioCache therefore keeps a small LRU of built scenarios keyed by
-# the *shape* below and resets one per probe.
+# impairment streams, event clock) is set by _home, which a fresh build
+# runs too. A ScenarioCache therefore keeps a small LRU of built
+# scenarios keyed by the *shape* below and resets one per probe.
+
+#: Scenarios a ScenarioCache keeps before evicting the least recently used.
+_CACHE_ENTRIES = 512
 
 
 def scenario_signature(sspec: ScenarioSpec) -> Optional[tuple]:
     """Hashable key of everything :func:`build_scenario` reads besides
-    the per-probe values that :func:`reset_scenario` re-homes
-    (``probe_id``-derived addressing and the impairment seed stream).
-    Returns None when any component is unhashable — callers must then
-    build fresh."""
+    the per-probe values :func:`_home` sets (``probe_id``-derived
+    addressing and the impairment seed). Returns None when any component
+    is unhashable — callers must then build fresh."""
     p = sspec.probe
     signature = (
         p.organization,
@@ -483,88 +518,15 @@ def scenario_signature(sspec: ScenarioSpec) -> Optional[tuple]:
 def reset_scenario(scenario: Scenario, sspec: ScenarioSpec) -> Scenario:
     """Re-home a built scenario for a new probe of the same signature.
 
-    Rewinds the event loop, clock and impairment streams
-    (:meth:`~repro.net.sim.Network.reset_events`), clears every piece of
-    per-probe node state (sockets, NAT table, forwarder relays, flow
-    tables, query counters) and re-derives the probe-id-dependent
-    addressing (WAN IPv4, delegated IPv6 prefix) including the routes
-    and DNAT rules that embed those addresses. The result is
-    indistinguishable from ``build_scenario(sspec)`` output in records,
-    metrics and journals (packet uids differ, but they never surface).
+    Every node drops the state the last probe left behind
+    (:meth:`~repro.net.sim.Node.reset`), then :func:`_home` gives the
+    scenario ``sspec``'s per-probe part through the step a fresh build
+    takes. The result is indistinguishable from ``build_scenario(sspec)``
+    in records, metrics snapshots and trace events.
     """
-    from repro.interceptors.middlebox import MiddleboxRouter as _Middlebox
-    from repro.net import Chain, NatTable
-    from repro.net.node import EPHEMERAL_PORT_BASE
-
-    spec = sspec.probe
-    net = scenario.network
-    net.reset_events(f"impair:{sspec.impairment_seed}:{spec.probe_id}")
-
-    _v4_net, wan_v4, _v6_net, home_v6 = _home_addresses(spec)
-    cpe = scenario.cpe
-    host = scenario.host
-    old_wan_v4 = cpe.wan_v4
-    old_lan_v6 = cpe.lan_v6_prefix
-
-    # Host: fresh sockets, ports, ICMP inbox, per-probe v6 address.
-    host._sockets.clear()
-    host._next_port = EPHEMERAL_PORT_BASE
-    host.icmp_inbox.clear()
-    host._addresses = {ipaddress.ip_address("192.168.1.100")}
-    if spec.has_ipv6:
-        host._addresses.add(home_v6.network_address + 0x100)
-    host.invalidate_addresses()
-
-    # CPE: re-home WAN addressing, rebuild the state that embeds it.
-    wan_v6 = (home_v6.network_address + 1) if spec.has_ipv6 else None
-    cpe.wan_v4 = wan_v4
-    cpe.wan_v6 = wan_v6
-    cpe._addresses = {cpe.lan_gateway_v4, wan_v4}
-    if wan_v6 is not None:
-        cpe._addresses.add(wan_v6)
-    cpe.invalidate_addresses()
-    cpe.nat = NatTable(wan_v4=wan_v4)
-    if cpe.forwarder is not None:
-        cpe.forwarder.reset()
-    cpe.encrypted.reset()
-    if old_lan_v6 is not None:
-        cpe.routes.remove(str(old_lan_v6))
-    cpe.lan_v6_prefix = home_v6 if spec.has_ipv6 else None
-    if cpe.lan_v6_prefix is not None:
-        cpe.routes.add(str(cpe.lan_v6_prefix), cpe.lan_host)
-    # The v6 DNAT rule targets the (per-probe) WAN v6 address, so the
-    # whole PREROUTING chain is rebuilt; the signature pins the firmware
-    # flags, so the rebuilt rule set is structurally identical.
-    cpe.prerouting = Chain("PREROUTING")
-    if spec.firmware.intercepts_v4:
-        cpe.enable_interception(family=4)
-    if spec.firmware.intercepts_v6 and spec.has_ipv6:
-        cpe.enable_interception(family=6)
-
-    # Access router: the two per-probe host routes toward the CPE.
-    access = net.nodes["access"]
-    access.routes.remove(f"{old_wan_v4}/32")
-    access.routes.add(f"{wan_v4}/32", "cpe")
-    if old_lan_v6 is not None:
-        access.routes.remove(str(old_lan_v6))
-    if spec.has_ipv6:
-        access.routes.add(str(home_v6), "cpe")
-
-    # Per-probe counters and flow state everywhere else. Answer-template
-    # caches survive: their keys include every per-probe input (the
-    # query wire and the response signature).
-    for node in net.nodes.values():
-        if isinstance(node, DnsServerNode):
-            node.queries_seen = 0
-        elif isinstance(node, _Middlebox):
-            node._flows.clear()
-            node._encrypted_flows.clear()
-            node._doq_streams.clear()
-            node.intercepted_queries = 0
-
-    scenario.spec = spec
-    scenario.scenario_spec = sspec
-    scenario.notes = {}
+    for node in scenario.network.nodes.values():
+        node.reset()
+    _home(scenario, sspec)
     return scenario
 
 
@@ -582,48 +544,35 @@ def _answer_templates_on(scenario: Scenario) -> Scenario:
 
 
 class ScenarioCache:
-    """A small LRU of built scenarios, reset-and-reused per probe.
+    """A small LRU of scenarios built over one directory, reset and
+    reused per probe.
 
     One cache per worker (or per serial path) of a fast-engine
     :class:`~repro.core.parallel.FleetSession` amortises topology
     construction across a study or a whole campaign run. It caches
     scenarios, not records: the probe-dedup memo lives on the session,
-    in the parent process. ``get`` on an unhashable signature or on a
-    directory other than the cache's own builds fresh.
+    in the parent process. ``get`` on an unhashable signature builds
+    fresh and keeps nothing.
 
     Every scenario it hands out has the answer-template caches of its
     resolvers switched on; :func:`build_scenario` alone leaves them off.
     """
 
-    def __init__(self, directory=None, max_entries: int = 512) -> None:
+    def __init__(self, directory: NameDirectory) -> None:
         self.directory = directory
-        self.max_entries = max_entries
         self._cache: "dict[tuple, Scenario]" = {}
-        self.hits = 0
-        self.misses = 0
 
-    def get(self, sspec: ScenarioSpec, directory=None) -> Scenario:
-        if self.directory is None:
-            self.directory = directory
+    def get(self, sspec: ScenarioSpec) -> Scenario:
         signature = scenario_signature(sspec)
-        # A foreign directory would leak into reused resolver nodes;
-        # don't mix, don't cache.
-        foreign = directory is not None and directory is not self.directory
-        if signature is None or foreign:
-            return _answer_templates_on(
-                build_scenario(sspec, directory=directory or self.directory)
-            )
+        if signature is None:
+            return _answer_templates_on(build_scenario(sspec, self.directory))
         cached = self._cache.pop(signature, None)
         if cached is not None:
             self._cache[signature] = cached  # re-insert = most recent
-            self.hits += 1
             return reset_scenario(cached, sspec)
-        self.misses += 1
-        scenario = _answer_templates_on(build_scenario(sspec, directory=self.directory))
-        if self.directory is None:
-            self.directory = scenario.directory
+        scenario = _answer_templates_on(build_scenario(sspec, self.directory))
         self._cache[signature] = scenario
-        if len(self._cache) > self.max_entries:
+        if len(self._cache) > _CACHE_ENTRIES:
             # dicts iterate in insertion order; the first key is the
             # least recently used thanks to the pop/re-insert above.
             self._cache.pop(next(iter(self._cache)))

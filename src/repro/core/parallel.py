@@ -128,9 +128,10 @@ def shard_fleet(
 # same measurement*: the parent process has each distinct key measured
 # once per session and gives its siblings copies with their own identity
 # fields (:func:`_as_sibling`). Scenario reuse still needs the
-# organization, since :func:`~repro.atlas.scenario.reset_scenario` does
-# not re-home prefixes or ASNs. The reference engine never dedups, which
-# is what lets the equivalence tests certify the shortcut.
+# organization, since :func:`~repro.atlas.scenario.reset_scenario`
+# re-homes only ``probe_id``-derived values, not prefixes or ASNs. The
+# reference engine never dedups, which is what lets the equivalence
+# tests certify the shortcut.
 
 
 def _dedup_sound(config: "StudyConfig") -> bool:

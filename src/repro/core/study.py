@@ -73,12 +73,14 @@ class StudyConfig:
         ``"fast"`` (default) dedups probes and reuses scenarios through
         a :class:`~repro.atlas.scenario.ScenarioCache`, whose scenarios
         serve repeat queries from answer templates; ``"reference"``
-        measures every probe on a freshly built scenario with every
-        cache off. :mod:`repro.core.parallel` is the one reader of this
-        switch. Records, metrics and store journals are byte-identical
-        between the two (like ``workers``, the engine changes *how*,
-        never *what*, so it is excluded from store fingerprints and
-        exports — resumed stores may mix segments from both engines).
+        measures every probe on a freshly built scenario, with no dedup,
+        no reuse and no answer templates. The codec, address and route
+        memos run under both engines. :mod:`repro.core.parallel` is the
+        one reader of this switch. Records, metrics and store journals
+        are byte-identical between the two (like ``workers``, the
+        engine changes *how*, never *what*, so it is excluded from store
+        fingerprints and exports — resumed stores may mix segments from
+        both engines).
     ``transport`` / ``evasion``
         The encryption-evasion study axis: ``transport`` names the
         encrypted transport (``"dot"``, ``"doh"``, ``"doq"``) every
@@ -379,9 +381,9 @@ def measure_probe(
     :class:`~repro.resolvers.directory.NameDirectory` across probes —
     safe because the pipeline only reads it, and it saves rebuilding the
     zones ten thousand times in a fleet study. ``scenario_cache`` (a
-    :class:`~repro.atlas.scenario.ScenarioCache`) lets fleet executors
-    reuse one topology across a shard; results are byte-identical with
-    or without it.
+    :class:`~repro.atlas.scenario.ScenarioCache`, which builds over its
+    own directory) lets fleet executors reuse one topology across a
+    shard; results are byte-identical with or without it.
 
     ``config.detector`` picks the registry detector(s); with ``"both"``
     the heuristic locator runs first, then certificate cross-validation
@@ -399,7 +401,7 @@ def measure_probe(
         impairment_seed=config.impairment_seed,
     )
     if scenario_cache is not None:
-        scenario = scenario_cache.get(sspec, directory=directory)
+        scenario = scenario_cache.get(sspec)
     else:
         scenario = build_scenario(sspec, directory=directory)
     client = MeasurementClient(

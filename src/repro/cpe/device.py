@@ -35,7 +35,7 @@ from repro.net import (
     make_reply,
     udp53_dnat_rule,
 )
-from repro.net.addr import IPAddress, IPNetwork, parse_ip
+from repro.net.addr import IPAddress, IPNetwork, parse_ip, parse_network
 from repro.net.doh import DOH_PORT
 from repro.net.dot import DOT_PORT
 from repro.net.router import Router
@@ -59,14 +59,13 @@ class CpeDevice(Router):
     lan_v4_prefix:
         The home IPv4 subnet (e.g. ``192.168.1.0/24``); the CPE owns
         its ``.1``.
-    wan_v4 / wan_v6:
-        Public addresses assigned by the ISP.
-    lan_v6_prefix:
-        The delegated IPv6 prefix routed to the home (no NAT).
     wan_gateway:
         Node name of the ISP access router.
     lan_host:
         Node name of the (single) measured host inside the home.
+    wan_v4 / wan_v6 / lan_v6_prefix:
+        The addressing the ISP assigns (see :meth:`assign_wan`); a CPE
+        built without it has only its LAN address until assigned one.
     forwarder:
         The embedded DNS forwarder, or None for a pure router.
     wan_port53_open:
@@ -80,9 +79,9 @@ class CpeDevice(Router):
         self,
         name: str,
         lan_v4_prefix: "str | IPNetwork",
-        wan_v4: "str | IPAddress",
         wan_gateway: str,
         lan_host: str,
+        wan_v4: "str | IPAddress | None" = None,
         wan_v6: "str | IPAddress | None" = None,
         lan_v6_prefix: "str | IPNetwork | None" = None,
         forwarder: Optional[ForwarderEngine] = None,
@@ -91,32 +90,16 @@ class CpeDevice(Router):
         asn: Optional[int] = None,
         encrypted_dns: Optional[EncryptedDnsPolicy] = None,
     ) -> None:
-        import ipaddress as _ip
-
-        lan_v4_prefix = (
-            _ip.ip_network(lan_v4_prefix)
-            if isinstance(lan_v4_prefix, str)
-            else lan_v4_prefix
-        )
+        if isinstance(lan_v4_prefix, str):
+            lan_v4_prefix = parse_network(lan_v4_prefix)
         lan_gateway_v4 = lan_v4_prefix.network_address + 1
-        super().__init__(
-            name,
-            addresses=[lan_gateway_v4, wan_v4] + ([wan_v6] if wan_v6 else []),
-            asn=asn,
-        )
+        super().__init__(name, asn=asn)
         self.model = model
         self.lan_v4_prefix = lan_v4_prefix
         self.lan_gateway_v4 = lan_gateway_v4
-        self.wan_v4 = parse_ip(wan_v4)
-        self.wan_v6 = parse_ip(wan_v6) if wan_v6 else None
-        self.lan_v6_prefix = (
-            _ip.ip_network(lan_v6_prefix)
-            if isinstance(lan_v6_prefix, str)
-            else lan_v6_prefix
-        )
         self.wan_gateway = wan_gateway
         self.lan_host = lan_host
-        self.nat = NatTable(wan_v4=self.wan_v4)
+        self.nat = NatTable()
         self.prerouting = Chain("PREROUTING")
         self.forwarder = forwarder
         self.wan_port53_open = wan_port53_open
@@ -124,10 +107,41 @@ class CpeDevice(Router):
 
         # LAN-side routes: home prefixes to the host, default upstream.
         self.routes.add(str(lan_v4_prefix), lan_host)
-        if self.lan_v6_prefix is not None:
-            self.routes.add(str(self.lan_v6_prefix), lan_host)
         self.routes.add_default(wan_gateway, family=4)
         self.routes.add_default(wan_gateway, family=6)
+        self.lan_v6_prefix: Optional[IPNetwork] = None
+        self.assign_wan(wan_v4, wan_v6, lan_v6_prefix)
+
+    def assign_wan(
+        self,
+        wan_v4: "str | IPAddress | None",
+        wan_v6: "str | IPAddress | None" = None,
+        lan_v6_prefix: "str | IPNetwork | None" = None,
+    ) -> None:
+        """Take the addressing the ISP assigns: the WAN addresses and the
+        delegated IPv6 prefix, with the NAT address and the LAN route that
+        embed them. NAT bindings and ``prerouting`` rules are kept."""
+        if self.lan_v6_prefix is not None:
+            self.routes.remove(self.lan_v6_prefix)
+        self.wan_v4 = parse_ip(wan_v4) if wan_v4 else None
+        self.wan_v6 = parse_ip(wan_v6) if wan_v6 else None
+        if isinstance(lan_v6_prefix, str):
+            lan_v6_prefix = parse_network(lan_v6_prefix)
+        self.lan_v6_prefix = lan_v6_prefix
+        wan = (self.wan_v4, self.wan_v6)
+        self._addresses = {self.lan_gateway_v4, *(a for a in wan if a is not None)}
+        self.invalidate_addresses()
+        self.nat.wan_v4 = self.wan_v4
+        if self.lan_v6_prefix is not None:
+            self.routes.add(self.lan_v6_prefix, self.lan_host)
+
+    def reset(self) -> None:
+        """Drop NAT bindings and the forwarder's and encrypted engine's
+        relays (scenario reuse)."""
+        self.nat = NatTable(wan_v4=self.wan_v4)
+        if self.forwarder is not None:
+            self.forwarder.reset()
+        self.encrypted.reset()
 
     # -- configuration -----------------------------------------------------
 

@@ -265,20 +265,8 @@ class DnsName:
         return self.to_text()
 
 
-#: Presentation-text parse memo for :func:`name`. Keys are the raw input
-#: strings, so distinct spellings (case, escapes) stay distinct.
-_NAME_CACHE: dict[str, DnsName] = {}
-_NAME_CACHE_MAX = 4096
-
-
 def name(text: "str | DnsName") -> DnsName:
     """Coerce ``text`` to a :class:`DnsName` (identity for DnsName input)."""
     if isinstance(text, DnsName):
         return text
-    cached = _NAME_CACHE.get(text)
-    if cached is None:
-        cached = DnsName.from_text(text)
-        if len(_NAME_CACHE) >= _NAME_CACHE_MAX:
-            _NAME_CACHE.clear()
-        _NAME_CACHE[text] = cached
-    return cached
+    return DnsName.from_text(text)

@@ -107,6 +107,14 @@ class MiddleboxRouter(Router):
         self._doq_streams: dict[tuple[IPAddress, int], set[int]] = {}
         self.intercepted_queries = 0
 
+    def reset(self) -> None:
+        """Forget every flow, downgraded session and DoQ stream, and
+        rewind the interception counter (scenario reuse)."""
+        self._flows.clear()
+        self._encrypted_flows.clear()
+        self._doq_streams.clear()
+        self.intercepted_queries = 0
+
     def alternate_for_family(self, family: int) -> Optional[IPAddress]:
         return self.alternate_v4 if family == 4 else self.alternate_v6
 

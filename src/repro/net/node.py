@@ -91,19 +91,31 @@ class Host(Node):
         asn: Optional[int] = None,
     ) -> None:
         super().__init__(name, asn=asn)
-        self._addresses: set[IPAddress] = {parse_ip(a) for a in (addresses or [])}
         #: family -> source address memo for ``address_for_family``;
         #: reset by ``invalidate_addresses``.
         self._family_source: dict[int, Optional[IPAddress]] = {}
+        self.set_addresses(addresses or [])
         self.gateway = gateway
         self._sockets: dict[int, UdpSocket] = {}
         self._next_port = EPHEMERAL_PORT_BASE
         self.icmp_inbox: list[ReceivedIcmp] = []
 
+    def reset(self) -> None:
+        """Unbind every socket, rewind the port allocator and forget
+        received ICMP (scenario reuse)."""
+        self._sockets.clear()
+        self._next_port = EPHEMERAL_PORT_BASE
+        self.icmp_inbox.clear()
+
     # -- addressing -----------------------------------------------------
 
     def addresses(self) -> set[IPAddress]:
         return set(self._addresses)
+
+    def set_addresses(self, addresses: "list[str | IPAddress]") -> None:
+        """Replace the host's addresses."""
+        self._addresses: set[IPAddress] = {parse_ip(a) for a in addresses}
+        self.invalidate_addresses()
 
     def invalidate_addresses(self) -> None:
         super().invalidate_addresses()

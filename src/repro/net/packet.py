@@ -2,11 +2,9 @@
 
 Packets are immutable; every rewriting device (NAT, DNAT interceptor,
 spoofing middlebox) produces a *new* packet through the ``with_*`` and
-``truncated`` helpers, and every rewritten copy records its parent's
-``uid`` in ``lineage``. That makes packet traces trustworthy: a captured
-packet can never be mutated after the fact by a later hop, and a
-reader of the recorded events can follow one query through every
-rewrite.
+``truncated`` helpers. That makes packet traces trustworthy: a captured
+packet can never be mutated after the fact by a later hop. Packets
+compare by value, so two runs of one probe record equal trace events.
 
 Packets are built on every hop, so the builders (``make_udp``,
 ``make_reply``, ``make_icmp_time_exceeded``) and the rewrite helpers
@@ -19,16 +17,13 @@ built either way is accepted or refused alike.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .addr import IPAddress, parse_ip
 
 #: Default initial TTL, matching common OS defaults.
 DEFAULT_TTL = 64
-
-_packet_counter = itertools.count(1)
 
 
 class Protocol(enum.Enum):
@@ -82,12 +77,7 @@ def _check(
 
 @dataclass(frozen=True)
 class Packet:
-    """A simulated IP packet.
-
-    ``uid`` is a monotonically increasing identity used only for tracing;
-    rewritten copies keep their ancestor's uid in ``lineage`` so a trace
-    can follow one query through NAT and DNAT rewrites.
-    """
+    """A simulated IP packet."""
 
     src: IPAddress
     dst: IPAddress
@@ -95,8 +85,6 @@ class Packet:
     udp: Optional[UdpData] = None
     icmp: Optional[IcmpData] = None
     ttl: int = DEFAULT_TTL
-    uid: int = field(default_factory=lambda: next(_packet_counter))
-    lineage: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "src", parse_ip(self.src))
@@ -116,8 +104,6 @@ class Packet:
         state = child.__dict__
         state.update(self.__dict__)
         state["ttl"] = self.ttl - 1
-        state["uid"] = next(_packet_counter)
-        state["lineage"] = self.lineage + (self.uid,)
         return child
 
     def with_dst(self, dst: "str | IPAddress", dport: int | None = None) -> "Packet":
@@ -158,11 +144,8 @@ class Packet:
         udp: Optional[UdpData],
         icmp: Optional[IcmpData],
     ) -> "Packet":
-        # The child keeps protocol and ttl and appends this packet's uid
-        # to its lineage.
-        return _build(
-            src, dst, self.protocol, udp, icmp, self.ttl, self.lineage + (self.uid,)
-        )
+        # The child keeps protocol and ttl.
+        return _build(src, dst, self.protocol, udp, icmp, self.ttl)
 
     def describe(self) -> str:
         if self.protocol is Protocol.UDP:
@@ -182,7 +165,6 @@ def _build(
     udp: Optional[UdpData],
     icmp: Optional[IcmpData],
     ttl: int,
-    lineage: tuple[int, ...],
 ) -> Packet:
     """A new packet from already-parsed fields, without the dataclass
     ``__init__``: behind every builder and rewrite in this module but
@@ -196,8 +178,6 @@ def _build(
     state["udp"] = udp
     state["icmp"] = icmp
     state["ttl"] = ttl
-    state["uid"] = next(_packet_counter)
-    state["lineage"] = lineage
     return packet
 
 
@@ -212,7 +192,7 @@ def make_udp(
     """Build a UDP packet."""
     src, dst = parse_ip(src), parse_ip(dst)
     udp = UdpData(sport, dport, payload)
-    return _build(src, dst, Protocol.UDP, udp, None, ttl, ())
+    return _build(src, dst, Protocol.UDP, udp, None, ttl)
 
 
 def make_reply(request: Packet, payload: bytes, src: "str | IPAddress | None" = None) -> Packet:
@@ -226,11 +206,11 @@ def make_reply(request: Packet, payload: bytes, src: "str | IPAddress | None" = 
     assert request.udp is not None
     reply_src = parse_ip(src) if src is not None else request.dst
     udp = UdpData(request.udp.dport, request.udp.sport, payload)
-    return _build(reply_src, request.src, Protocol.UDP, udp, None, DEFAULT_TTL, ())
+    return _build(reply_src, request.src, Protocol.UDP, udp, None, DEFAULT_TTL)
 
 
 def make_icmp_time_exceeded(offender: Packet, reporter: "str | IPAddress") -> Packet:
     """Build the ICMP Time Exceeded a router sends when TTL hits zero."""
     src = parse_ip(reporter)
     icmp = IcmpData(IcmpType.TIME_EXCEEDED, quoted=offender)
-    return _build(src, offender.src, Protocol.ICMP, None, icmp, DEFAULT_TTL, ())
+    return _build(src, offender.src, Protocol.ICMP, None, icmp, DEFAULT_TTL)

@@ -77,6 +77,10 @@ class Node:
         """Drop the cached address set after an addressing change."""
         self._addr_cache = None
 
+    def reset(self) -> None:
+        """Drop the state one probe left behind, for scenario reuse.
+        Default: a node that keeps none."""
+
     def cached_addresses(self) -> frozenset:
         """``addresses()`` as a cached frozenset for per-packet checks."""
         cache = self._addr_cache
@@ -459,7 +463,8 @@ class Network:
     # -- per-probe reuse ----------------------------------------------------
 
     def reset_events(self, loss_seed: "int | str") -> None:
-        """Return the event loop to its just-built state for probe reuse.
+        """Return the event loop to its just-built state, seeded with
+        ``loss_seed``: how a scenario, fresh or reused, is homed.
 
         Clears the queue, clock, sequence counter, trace buffer and any
         host of leftover events; re-captures the ambient metrics registry

@@ -31,7 +31,7 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Collects :class:`TraceEvent` records; can be scoped to one packet's lineage."""
+    """Collects :class:`TraceEvent` records, up to ``limit`` of them."""
 
     def __init__(self, enabled: bool = True, limit: int = 100_000) -> None:
         self.enabled = enabled

@@ -124,6 +124,11 @@ class DnsServerNode(Node):
     def addresses(self) -> set[IPAddress]:
         return set(self._addresses)
 
+    def reset(self) -> None:
+        """Rewind the query counter (scenario reuse). The answer-template
+        cache survives: its keys hold every per-probe input."""
+        self.queries_seen = 0
+
     # -- plumbing ----------------------------------------------------------
 
     def deliver_local(self, packet: Packet) -> None:

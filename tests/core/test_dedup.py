@@ -5,8 +5,10 @@ probe with that key a copy of the record with its own identity fields
 (:func:`repro.core.parallel._as_sibling`). The key leaves out
 ``probe_id`` and ``organization``, so this suite re-homes households
 into organizations with different prefixes, ASNs and countries, measures
-every copy on the reference engine (no dedup, no caches) and checks that
-the first copy's record, re-labelled, *is* each other copy's record.
+every copy on the reference engine (no dedup, no scenario reuse) and
+checks that the first copy's record, re-labelled, *is* each other copy's
+record. Beside the dedup key, it pins what the scenario-reuse key
+(:func:`repro.atlas.scenario.scenario_signature`) covers.
 """
 
 import dataclasses
@@ -17,11 +19,14 @@ import pytest
 from repro.analysis.export import record_to_dict
 from repro.atlas.geo import organization_by_name
 from repro.atlas.probe import IspBehavior, ProbeSpec
+from repro.atlas.scenario import ScenarioSpec, scenario_signature
 from repro.core.parallel import _as_sibling, _dedup_key, measure_fleet
 from repro.core.study import StudyConfig
 from repro.cpe.firmware import dnat_interceptor, xb6_profile
 from repro.interceptors.encrypted import downgrade_all
 from repro.interceptors.policy import intercept_all
+from repro.net.impairment import impairment_profile
+from repro.resolvers import Provider
 
 from tests.conftest import make_spec
 
@@ -140,6 +145,52 @@ def test_key_covers_every_field_but_identity():
             base
         ), name
     assert _dedup_key(dataclasses.replace(base, **identity)) == _dedup_key(base)
+
+
+def test_scenario_signature_covers_every_field_a_build_reads():
+    """Changing any ``ProbeSpec`` field but the homed ``probe_id`` and
+    the three a build never reads, or any ``ScenarioSpec`` field but
+    ``probe`` and the homed ``impairment_seed``, changes the signature.
+    A new field must be added here, and then fails unless the signature
+    reads it: a topology-shaping field it left out would reuse the
+    wrong topology."""
+    base = ScenarioSpec(make_spec(ORGANIZATIONS[0]))
+    probe_altered = {
+        "organization": ORGANIZATIONS[1],
+        "firmware": xb6_profile(),
+        "isp": IspBehavior(resolver_outside_as=True),
+        "external_policies": (intercept_all(),),
+        "has_ipv6": True,
+    }
+    probe_unread = {
+        "probe_id": 2,
+        "online": False,
+        "responds_v4": (False, True, True, True),
+        "responds_v6": (True, False, True, True),
+    }
+    spec_altered = {
+        "providers": (Provider.GOOGLE,),
+        "isp_policies": (intercept_all(),),
+        "external_policies": (intercept_all(),),
+        "impairment": impairment_profile("residential"),
+        "trace": True,
+    }
+    spec_homed = {"impairment_seed": 3}
+    names = {field.name for field in dataclasses.fields(ProbeSpec)}
+    assert names == set(probe_altered) | set(probe_unread)
+    names = {field.name for field in dataclasses.fields(ScenarioSpec)}
+    assert names == set(spec_altered) | set(spec_homed) | {"probe"}
+    signature = scenario_signature(base)
+    for name, value in probe_altered.items():
+        probe = dataclasses.replace(base.probe, **{name: value})
+        altered = dataclasses.replace(base, probe=probe)
+        assert scenario_signature(altered) != signature, name
+    for name, value in spec_altered.items():
+        altered = dataclasses.replace(base, **{name: value})
+        assert scenario_signature(altered) != signature, name
+    probe = dataclasses.replace(base.probe, **probe_unread)
+    unread = dataclasses.replace(base, probe=probe, **spec_homed)
+    assert scenario_signature(unread) == signature
 
 
 def test_unhashable_spec_has_no_key():

@@ -3,9 +3,10 @@
 The fast engine layers per-personality answer templates, scenario reuse
 and probe dedup under the measurement pipeline. None of that may be
 observable: records, metrics snapshots and store journals must be
-byte-identical to the reference engine (no caches, every probe measured
-from a fresh topology; both engines share one heap event queue) at any
-worker count, clean or impaired. These tests *are* the certification of
+byte-identical to the reference engine (no dedup, no answer templates,
+every probe measured on a fresh topology; the codec, address and route
+memos and the heap event queue are shared by both) at any worker count,
+clean or impaired. These tests *are* the certification of
 every shortcut; weakening them weakens the contract.
 """
 
@@ -160,7 +161,7 @@ class TestScenarioReset:
     rewinds ephemeral ports, so a stale entry collides with the next
     probe's first session — the DoQ stream-reuse guard then kills a
     perfectly fresh query. These tests failed before ``reset_scenario``
-    learned to clear that state."""
+    learned to clear that state; each node's ``reset`` clears it now."""
 
     def _doq_verdict(self, scenario):
         import random

@@ -20,7 +20,7 @@ from repro.dnswire.chaosnames import make_version_bind_query
 from repro.resolvers.software import dnsmasq, unbound
 
 from tests.conftest import make_spec
-from tests.simstate import make_id_server_query, trace_lineage
+from tests.simstate import make_id_server_query, trace_events
 
 
 @pytest.fixture
@@ -66,9 +66,10 @@ class TestHonestRouter:
             ("cpe", "rewrite", "un-SNAT -> 192.168.1.100"),
         ]
 
-    def test_icmp_un_snat_keeps_lineage(self, org):
-        """The ICMP error a router sends to the WAN address reaches the LAN
-        host as a rewrite of that error, so its lineage leads to the host."""
+    def test_icmp_un_snat_reaches_host(self, org):
+        """The ICMP error a router sends to the WAN address is un-SNAT'd
+        by the CPE and delivered to the LAN host, quoting the probe as
+        the host sent it."""
         sc = scenario_with(org, honest_router())
         net = sc.network
         net.recorder.enabled = True
@@ -81,12 +82,11 @@ class TestHonestRouter:
             e.packet for e in net.recorder.events if e.packet.icmp is not None
         )
         assert router_icmp.dst == sc.cpe_public_v4
-        lineage = trace_lineage(net.recorder, router_icmp)
-        assert ("cpe", "rewrite", "icmp un-SNAT") in [
-            (e.node, e.action, e.detail) for e in lineage
-        ]
-        delivered = [e for e in lineage if e.node == sc.host.name]
-        assert [e.action for e in delivered] == ["deliver"]
+        unsnat = [e for e in net.recorder.events if e.detail == "icmp un-SNAT"]
+        assert [(e.node, e.action) for e in unsnat] == [("cpe", "rewrite")]
+        delivered = trace_events(net.recorder, node=sc.host.name, action="deliver")
+        assert [e.packet for e in delivered] == [unsnat[0].packet]
+        assert delivered[0].packet.src == router_icmp.src
         quoted = delivered[0].packet.icmp.quoted
         assert str(quoted.src) == "192.168.1.100"
         assert quoted.udp.sport == sock.port

@@ -50,10 +50,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             UdpData(sport=1, dport=70000, payload=b"")
 
-    def test_uids_unique(self):
+    def test_packets_compare_by_value(self):
         a = make_udp("1.1.1.1", 1, "2.2.2.2", 2, b"")
         b = make_udp("1.1.1.1", 1, "2.2.2.2", 2, b"")
-        assert a.uid != b.uid
+        assert a == b and hash(a) == hash(b)
+        assert a != a.decrement_ttl()
 
 
 class TestRewriting:
@@ -61,10 +62,6 @@ class TestRewriting:
         child = udp_packet.decrement_ttl()
         assert child.ttl == udp_packet.ttl - 1
         assert udp_packet.ttl == DEFAULT_TTL  # original untouched
-
-    def test_lineage_tracks_ancestry(self, udp_packet):
-        child = udp_packet.decrement_ttl().with_dst("9.9.9.9")
-        assert udp_packet.uid in child.lineage
 
     def test_with_dst_dnat(self, udp_packet):
         rewritten = udp_packet.with_dst("10.0.0.1", dport=5353)
@@ -122,8 +119,8 @@ class TestIcmp:
 # -- the builder against the dataclass machinery it stands in for ----------
 #
 # Every helper must give the packet ``Packet(...)`` or
-# ``dataclasses.replace`` would give (all fields but the fresh ``uid``),
-# or refuse it with the same ValueError.
+# ``dataclasses.replace`` would give, or refuse it with the same
+# ValueError.
 
 addresses = st.one_of(
     st.integers(0, 2**32 - 1).map(ipaddress.IPv4Address),
@@ -137,13 +134,13 @@ ttls = st.integers(0, 255)
 
 
 def _outcome(build):
-    """("ok", every field but uid) or ("error", the ValueError's text)."""
+    """("ok", every field) or ("error", the ValueError's text)."""
     try:
         packet = build()
     except ValueError as exc:
         return ("error", str(exc))
     fields = dataclasses.fields(Packet)
-    return ("ok", {f.name: getattr(packet, f.name) for f in fields if f.name != "uid"})
+    return ("ok", {f.name: getattr(packet, f.name) for f in fields})
 
 
 def _same(fast, reference):
@@ -154,7 +151,7 @@ def _same(fast, reference):
 
 @st.composite
 def udp_packets(draw):
-    """A valid UDP packet, a rewrite or two deep (so lineage is non-empty)."""
+    """A valid UDP packet, up to two hops deep."""
     src = draw(addresses)
     dst = draw(addresses.filter(lambda a: a.version == src.version))
     sport, dport = draw(st.integers(1, 0xFFFF)), draw(st.integers(1, 0xFFFF))
@@ -166,24 +163,10 @@ def udp_packets(draw):
 
 
 def _rewrites(parent, rewrite, reference):
-    """``rewrite(parent)`` equals ``reference(parent)`` with the parent's
-    uid appended to lineage, gets a fresh uid and leaves the parent as
-    it was."""
+    """``rewrite(parent)`` equals ``reference(parent)`` and leaves the
+    parent as it was."""
     before = dict(parent.__dict__)
-    child = None
-
-    def fast():
-        nonlocal child
-        child = rewrite(parent)
-        return child
-
-    def slow():
-        child = reference(parent)
-        return dataclasses.replace(child, lineage=parent.lineage + (parent.uid,))
-
-    if _same(fast, slow):
-        assert child.uid not in (parent.uid, *parent.lineage)
-        assert child.lineage[-1] == parent.uid
+    _same(lambda: rewrite(parent), lambda: reference(parent))
     assert parent.__dict__ == before
 
 
@@ -195,7 +178,7 @@ class TestBuilderMatchesDataclass:
         udp = UdpData(1, 53, b"q") if with_udp else None
         icmp = IcmpData(IcmpType.TIME_EXCEEDED) if with_icmp else None
         _same(
-            lambda: _build(src, dst, protocol, udp, icmp, ttl, ()),
+            lambda: _build(src, dst, protocol, udp, icmp, ttl),
             lambda: Packet(
                 src=src, dst=dst, protocol=protocol, udp=udp, icmp=icmp, ttl=ttl
             ),

@@ -51,16 +51,5 @@ def trace_events(
     ]
 
 
-def trace_lineage(recorder: TraceRecorder, packet: Packet) -> list[TraceEvent]:
-    """Events involving ``packet`` or any rewrite descended from it."""
-    family = {packet.uid}
-    out = []
-    for event in recorder.events:
-        if {event.packet.uid, *event.packet.lineage} & family:
-            family.add(event.packet.uid)
-            out.append(event)
-    return out
-
-
 def make_id_server_query(msg_id: Optional[int] = None) -> Message:
     return make_chaos_query(ID_SERVER, msg_id=msg_id)
