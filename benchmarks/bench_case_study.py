@@ -70,5 +70,10 @@ def test_xb6_with_redirection_dormant(benchmark):
 
     result = benchmark(clean_resolution)
     assert result.response is not None
-    # Google itself answered: the forwarder saw nothing.
-    assert scenario.cpe.forwarder.client_queries == 0
+    # Google itself answered: one more resolution, traced, shows the CPE
+    # only source-NATing the query, never DNATing it to the forwarder.
+    scenario.network.recorder.enabled = True
+    assert clean_resolution().response is not None
+    cpe = [e for e in scenario.network.recorder.events if e.node == "cpe"]
+    assert any(e.action == "rewrite" and e.detail.startswith("SNAT") for e in cpe)
+    assert not [e for e in cpe if e.action == "intercept"]

@@ -479,15 +479,13 @@ def build_scenario(
 
 # -- scenario reuse ------------------------------------------------------------
 #
-# Scenario construction is a fifth of a serial study's runtime, yet the
-# topology built for a probe depends on far less than the full spec:
+# The topology built for a probe depends on far less than the full spec:
 # every per-probe difference (WAN address, delegated v6 prefix,
 # impairment streams, event clock) is set by _home, which a fresh build
-# runs too. A ScenarioCache therefore keeps a small LRU of built
-# scenarios keyed by the *shape* below and resets one per probe.
-
-#: Scenarios a ScenarioCache keeps before evicting the least recently used.
-_CACHE_ENTRIES = 512
+# runs too. A ScenarioCache therefore keys built scenarios by the
+# *shape* below and resets one for a later probe of the same shape. The
+# fleet driver plans which probes have such a later probe, so the cache
+# keeps a scenario only while it will be asked for again.
 
 
 def scenario_signature(sspec: ScenarioSpec) -> Optional[tuple]:
@@ -544,15 +542,17 @@ def _answer_templates_on(scenario: Scenario) -> Scenario:
 
 
 class ScenarioCache:
-    """A small LRU of scenarios built over one directory, reset and
-    reused per probe.
+    """Scenarios built over one directory, each kept only while a later
+    probe will ask for its signature, then reset and reused.
 
     One cache per worker (or per serial path) of a fast-engine
-    :class:`~repro.core.parallel.FleetSession` amortises topology
-    construction across a study or a whole campaign run. It caches
-    scenarios, not records: the probe-dedup memo lives on the session,
-    in the parent process. ``get`` on an unhashable signature builds
-    fresh and keeps nothing.
+    :class:`~repro.core.parallel.FleetSession`. It caches scenarios, not
+    records: the probe-dedup memo lives on the session, in the parent
+    process. The caller says, through :attr:`keep_next`, whether the
+    scenario the next :meth:`get` hands out will be asked for again;
+    :mod:`repro.core.parallel` plans that from the fleet, so the cache
+    holds only the scenarios a later probe of the same call still needs.
+    ``get`` on an unhashable signature builds fresh and keeps nothing.
 
     Every scenario it hands out has the answer-template caches of its
     resolvers switched on; :func:`build_scenario` alone leaves them off.
@@ -561,19 +561,24 @@ class ScenarioCache:
     def __init__(self, directory: NameDirectory) -> None:
         self.directory = directory
         self._cache: "dict[tuple, Scenario]" = {}
+        #: Whether the next :meth:`get` keeps its scenario for a later
+        #: probe of the same signature; every ``get`` clears it.
+        self.keep_next = False
 
     def get(self, sspec: ScenarioSpec) -> Scenario:
+        keep, self.keep_next = self.keep_next, False
         signature = scenario_signature(sspec)
         if signature is None:
             return _answer_templates_on(build_scenario(sspec, self.directory))
-        cached = self._cache.pop(signature, None)
-        if cached is not None:
-            self._cache[signature] = cached  # re-insert = most recent
-            return reset_scenario(cached, sspec)
-        scenario = _answer_templates_on(build_scenario(sspec, self.directory))
-        self._cache[signature] = scenario
-        if len(self._cache) > _CACHE_ENTRIES:
-            # dicts iterate in insertion order; the first key is the
-            # least recently used thanks to the pop/re-insert above.
-            self._cache.pop(next(iter(self._cache)))
+        scenario = self._cache.pop(signature, None)
+        if scenario is None:
+            scenario = _answer_templates_on(build_scenario(sspec, self.directory))
+        else:
+            reset_scenario(scenario, sspec)
+        if keep:
+            self._cache[signature] = scenario
         return scenario
+
+    def clear(self) -> None:
+        """Drop every kept scenario."""
+        self._cache.clear()

@@ -341,9 +341,10 @@ class LongitudinalCampaign:
         there, incrementally.
 
         The whole call is one :class:`~repro.core.parallel.FleetSession`:
-        the worker pool, scenario cache and dedup memo are built on the
-        first epoch, serve every later one and are closed when the call
-        returns or raises. A second call starts cold.
+        the worker pool and dedup memo are built on the first epoch,
+        serve every later one and are closed when the call returns or
+        raises (a scenario is kept only within its epoch). A second call
+        starts cold.
         """
         from repro.core.parallel import FleetSession
 

@@ -11,9 +11,12 @@ memory (records merged back in fleet order) or a
 :class:`~repro.store.ResultStore` journal. A :class:`FleetSession`
 holds what a run of fleet measurements under one config shares — the
 probe-dedup memo, the serial path's directory and scenario cache, and
-the worker pool — so a campaign's epochs reuse scenarios and dedup
-against earlier epochs. Dedup happens in the parent process: a pool is
-sent only the measurements nobody in the session has made yet.
+the worker pool — so a campaign's epochs dedup against earlier epochs.
+Dedup happens in the parent process: a pool is sent only the
+measurements nobody in the session has made yet. The same walk plans
+scenario reuse: it marks each measurement whose scenario signature a
+later one of the same call asks for, and a scenario cache keeps only
+what is marked.
 
 Determinism guarantee: because each worker builds the same read-only
 :class:`~repro.resolvers.directory.NameDirectory`, and every probe is
@@ -60,6 +63,9 @@ class FleetShard:
 
     indices: tuple[int, ...]
     specs: tuple[ProbeSpec, ...]
+    #: Fleet indices whose scenario stays cached, because a later probe
+    #: of the same call asks for its signature (see :func:`_recurring`).
+    retain: frozenset[int] = frozenset()
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -86,6 +92,7 @@ def shard_fleet(
     specs: Sequence[ProbeSpec],
     shards: int,
     indices: Optional[Sequence[int]] = None,
+    retain: frozenset[int] = frozenset(),
 ) -> list[FleetShard]:
     """Split ``specs`` into at most ``shards`` contiguous, near-equal slices.
 
@@ -94,7 +101,8 @@ def shard_fleet(
     contiguous. Order is preserved: concatenating the shards' specs
     reproduces the input, and each shard remembers the fleet index of
     every spec so :func:`merge_shard_records` can restore fleet order
-    exactly.
+    exactly. Each shard carries the part of ``retain`` (fleet indices)
+    that falls in it.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -106,9 +114,12 @@ def shard_fleet(
     start = 0
     for position in range(count):
         stop = start + base + (1 if position < extra else 0)
+        shard_indices = tuple(indices[start:stop])
         out.append(
             FleetShard(
-                indices=tuple(indices[start:stop]), specs=tuple(specs[start:stop])
+                indices=shard_indices,
+                specs=tuple(specs[start:stop]),
+                retain=retain.intersection(shard_indices),
             )
         )
         start = stop
@@ -186,13 +197,63 @@ def _as_sibling(record: "ProbeRecord", spec: ProbeSpec) -> "ProbeRecord":
     return sibling
 
 
+def _walk(
+    indices: Sequence[int], specs: Sequence[ProbeSpec], memo: Optional[dict]
+) -> tuple[list, list, dict]:
+    """Walk one call's pending probes in fleet order.
+
+    A probe whose dedup key is memoised, or is the key of an earlier
+    probe of the walk, *follows*; every other probe *leads* (every
+    probe, with dedup off). Returns the leaders and the followers as
+    ``(index, spec)`` pairs, and each probe's dedup key by fleet index
+    (probes without one left out)."""
+    leaders: list[tuple[int, ProbeSpec]] = []
+    followers: list[tuple[int, ProbeSpec]] = []
+    keys: dict[int, tuple] = {}
+    led: set[tuple] = set()
+    for index, spec in zip(indices, specs):
+        key = _dedup_key(spec) if memo is not None else None
+        if key is not None:
+            keys[index] = key
+            if key in memo or key in led:
+                followers.append((index, spec))
+                continue
+            led.add(key)
+        leaders.append((index, spec))
+    return leaders, followers, keys
+
+
+def _recurring(
+    leaders: Sequence[tuple[int, ProbeSpec]], config: "StudyConfig"
+) -> frozenset[int]:
+    """Fleet indices of the ``leaders`` whose scenario signature a later
+    online leader of the same call asks for. The signature is read from
+    :func:`~repro.core.study.scenario_spec`, the spec the probe is
+    measured on."""
+    from repro.atlas.scenario import scenario_signature
+    from repro.core.study import scenario_spec
+
+    last: dict[tuple, int] = {}
+    recurring: set[int] = set()
+    for index, spec in leaders:
+        if not spec.online:
+            continue
+        signature = scenario_signature(scenario_spec(spec, config))
+        if signature is None:
+            continue
+        if signature in last:
+            recurring.add(last[signature])
+        last[signature] = index
+    return frozenset(recurring)
+
+
 # -- worker side -----------------------------------------------------------
 
 #: Per-process state: the shared read-only NameDirectory is built once
 #: per worker (not once per probe — zone construction dominates small
 #: probes) and the whole StudyConfig rides along from the initializer.
 #: It lives as long as the worker, i.e. one :class:`FleetSession`.
-#: The keys are :func:`measure_shard`'s keyword arguments.
+#: ``call`` numbers the session's call the worker last measured for.
 _worker_state: dict = {}
 
 
@@ -209,12 +270,14 @@ def _scenario_cache(config: "StudyConfig", directory):
 def _init_worker(config: "StudyConfig") -> None:
     from repro.resolvers.directory import build_default_directory
 
-    _worker_state["directory"] = build_default_directory()
-    _worker_state["config"] = config
-    # One scenario cache per worker process: shards reuse topologies
-    # across probes and across the session's fleets.
-    _worker_state["scenario_cache"] = _scenario_cache(
-        config, _worker_state["directory"]
+    directory = build_default_directory()
+    _worker_state.update(
+        directory=directory,
+        config=config,
+        # One scenario cache per worker process: the shards it takes,
+        # in submission order, reuse the scenarios their marks keep.
+        scenario_cache=_scenario_cache(config, directory),
+        call=None,
     )
 
 
@@ -232,8 +295,9 @@ def measure_shard(
     ``directory`` and ``scenario_cache`` default to a fresh directory
     and, under the fast engine, a cache local to this call; a worker
     process passes its own, built once by its initializer. The cache
-    amortises topology construction across probes; records are
-    byte-identical either way.
+    keeps the scenario of each probe in ``shard.retain`` for the later
+    probe that asks for its signature, in this shard or in a later one
+    the same worker takes; records are byte-identical either way.
 
     Every probe of the shard is measured: probe dedup happens in the
     parent process (:class:`FleetSession`), which sends a pool only the
@@ -258,24 +322,29 @@ def _measure_pairs(
     config: "StudyConfig",
     scenario_cache,
     memo: Optional[dict] = None,
+    keys: Optional[dict] = None,
 ) -> Iterator[tuple[int, "ProbeRecord"]]:
     """:func:`measure_shard`'s loop, one ``(index, record)`` at a time.
 
-    With ``memo`` (the serial path's :attr:`FleetSession.memo`), a probe
-    whose :func:`_dedup_key` is memoised becomes a sibling of that record
-    instead of a measurement, and every new measurement is memoised, in
-    fleet order."""
+    With ``memo`` (the serial path's :attr:`FleetSession.memo`) and
+    ``keys`` (each probe's :func:`_dedup_key` by fleet index, from
+    :func:`_walk`), a probe whose key is memoised becomes a sibling of
+    that record instead of a measurement, and every new measurement is
+    memoised, in fleet order."""
     from repro.core.study import classification_to_record, measure_probe
 
     registry = active_registry()
+    retain = shard.retain
     for index, spec in zip(shard.indices, shard.specs):
         key = record = None
         if memo is not None:
-            key = _dedup_key(spec)
+            key = keys.get(index)
             cached = memo.get(key) if key is not None else None
             if cached is not None:
                 record = _as_sibling(cached, spec)
         if record is None:
+            if scenario_cache is not None:
+                scenario_cache.keep_next = index in retain
             classification = measure_probe(
                 spec, config, directory=directory, scenario_cache=scenario_cache
             )
@@ -300,16 +369,25 @@ def _measure_pairs(
 
 
 def _measure_shard_job(
-    shard: FleetShard,
+    shard: FleetShard, call: int
 ) -> tuple[list[tuple[int, "ProbeRecord"]], Optional[MetricsSnapshot]]:
-    """Pool entry point: measure a shard, optionally under a fresh
-    per-shard registry, and ship the snapshot home with the records."""
-    config = _worker_state["config"]
+    """Pool entry point: measure a shard of the session's ``call``-th
+    pool call, optionally under a fresh per-shard registry, and ship the
+    snapshot home with the records. The first shard of a new call drops
+    what the worker kept for the last one: its marks covered only that
+    call."""
+    state = _worker_state
+    config, scenario_cache = state["config"], state["scenario_cache"]
+    if state["call"] != call:
+        state["call"] = call
+        if scenario_cache is not None:
+            scenario_cache.clear()
+    args = (shard, state["directory"], config, scenario_cache)
     if not config.metrics:
-        return measure_shard(shard, **_worker_state), None
+        return measure_shard(*args), None
     registry = MetricsRegistry(trace=config.trace)
     with use_registry(registry):
-        pairs = measure_shard(shard, **_worker_state)
+        pairs = measure_shard(*args)
     return pairs, registry.snapshot()
 
 
@@ -338,9 +416,12 @@ class FleetSession:
     on exit. On an error exit, queued shards are cancelled.
 
     A study is one session; a campaign run is one session across all
-    its epochs, so later epochs reuse the scenarios and memoised records
-    of earlier ones. The memo key carries no config field, which is why
-    a session is bound to the one config it was opened with.
+    its epochs, so later epochs reuse the memoised records of earlier
+    ones. Scenarios are reused only within a call: each call plans which
+    of its measurements a later one needs the scenario of, and a cache
+    holds a scenario no longer than that. The memo key carries no config
+    field, which is why a session is bound to the one config it was
+    opened with.
     """
 
     def __init__(self, config: "StudyConfig") -> None:
@@ -350,6 +431,8 @@ class FleetSession:
         self.memo: Optional[dict] = {} if _dedup_sound(config) else None
         self._serial: Optional[tuple] = None
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: Pool calls made so far; numbers each call's shards.
+        self.pool_calls = 0
 
     def __enter__(self) -> "FleetSession":
         return self
@@ -388,16 +471,30 @@ class FleetSession:
 
 
 def _measure_serial(
-    shards: Sequence[FleetShard],
+    indices: Sequence[int],
+    specs: Sequence[ProbeSpec],
     session: FleetSession,
     sink: Callable,
     advance: Callable[[int], None],
 ) -> None:
-    """Measure in-process, one segment (and metrics registry) per shard,
-    advancing progress after every probe."""
-    if not shards:
+    """Measure in-process, one segment (and metrics registry) per
+    :data:`SERIAL_SEGMENT_PROBES` probes, advancing progress after every
+    probe.
+
+    :func:`_walk` finds the leaders the memo will not resolve, and the
+    scenario cache keeps a leader's scenario only when a later leader
+    asks for its signature (:func:`_recurring`), so it holds nothing
+    once the call returns."""
+    if not specs:
         return
     config = session.config
+    leaders, _followers, keys = _walk(indices, specs, session.memo)
+    shards = shard_fleet(
+        specs,
+        max(1, len(specs) // SERIAL_SEGMENT_PROBES),
+        indices,
+        _recurring(leaders, config),
+    )
     # One cache across all segments: reused scenarios re-capture the
     # ambient registry per probe, so each segment's metrics still land
     # in that segment's own snapshot.
@@ -407,7 +504,7 @@ def _measure_serial(
         pairs = []
         with use_registry(registry) if registry is not None else nullcontext():
             for pair in _measure_pairs(
-                shard, directory, config, scenario_cache, session.memo
+                shard, directory, config, scenario_cache, session.memo, keys
             ):
                 pairs.append(pair)
                 advance(1)
@@ -425,44 +522,40 @@ def _measure_pool(
     """Measure in the session's process pool, sinking shards in the
     order they were submitted.
 
-    Walking the probes in fleet order, one whose dedup key is memoised
-    resolves at once, the first with a new key becomes a *leader*, and a
-    later one with that key waits for its leader. Only leaders go to the
-    pool (every probe, with dedup off); a finished shard memoises its
-    leaders' records and sinks them together with their siblings. A
-    shard that finishes early is held until every earlier one is sunk,
-    so a store journals the same bytes on every run; progress advances
-    as each shard finishes."""
+    Of :func:`_walk`'s followers, one whose dedup key is memoised
+    resolves at once and the rest wait for their leader. Only leaders go
+    to the pool, with the marks of :func:`_recurring`; a worker takes
+    shards in submission order, so it reuses every same-call repeat it
+    runs. A finished shard memoises its leaders' records and sinks them
+    together with their siblings. A shard that finishes early is held
+    until every earlier one is sunk, so a store journals the same bytes
+    on every run; progress advances as each shard finishes."""
     memo = session.memo
-    resolved: list[tuple[int, "ProbeRecord"]] = []
-    leader_indices: list[int] = []
-    leader_specs: list[ProbeSpec] = []
+    leaders, followers, keys = _walk(indices, specs, memo)
     #: dedup key -> the probes waiting for that key's leader.
-    waiting: dict[tuple, list[tuple[int, ProbeSpec]]] = {}
-    #: leader index -> its dedup key.
-    leader_keys: dict[int, tuple] = {}
-    for index, spec in zip(indices, specs):
-        key = _dedup_key(spec) if memo is not None else None
-        if key is not None:
-            cached = memo.get(key)
-            if cached is not None:
-                resolved.append((index, _as_sibling(cached, spec)))
-                continue
-            siblings = waiting.get(key)
-            if siblings is not None:
-                siblings.append((index, spec))
-                continue
-            waiting[key] = []
-            leader_keys[index] = key
-        leader_indices.append(index)
-        leader_specs.append(spec)
+    waiting: dict[tuple, list[tuple[int, ProbeSpec]]] = {
+        keys[index]: [] for index, _spec in leaders if index in keys
+    }
+    resolved: list[tuple[int, "ProbeRecord"]] = []
+    for index, spec in followers:
+        siblings = waiting.get(keys[index])
+        if siblings is not None:
+            siblings.append((index, spec))
+        else:
+            resolved.append((index, _as_sibling(memo[keys[index]], spec)))
 
     submitted = []
-    if leader_specs:
+    if leaders:
         pool = session.pool()
+        session.pool_calls += 1
         submitted = [
-            pool.submit(_measure_shard_job, shard)
-            for shard in shard_fleet(leader_specs, shards, leader_indices)
+            pool.submit(_measure_shard_job, shard, session.pool_calls)
+            for shard in shard_fleet(
+                [spec for _index, spec in leaders],
+                shards,
+                [index for index, _spec in leaders],
+                _recurring(leaders, session.config),
+            )
         ]
     if resolved:
         sink(resolved, None)
@@ -476,7 +569,7 @@ def _measure_pool(
             pairs, snapshot = future.result()
             siblings = []
             for index, record in pairs:
-                key = leader_keys.get(index)
+                key = keys.get(index)
                 if key is not None:
                     memo[key] = record
                     siblings.extend(
@@ -503,9 +596,9 @@ def measure_fleet(
     says; return records in fleet order plus the merged metrics.
 
     ``session`` (a :class:`FleetSession` opened on this very ``config``)
-    carries the pool, scenario cache and dedup memo over from earlier
-    calls; without one, the call opens and closes its own. A session
-    opened on any other config raises :class:`ValueError`: memoised
+    carries the pool, directory and dedup memo over from earlier calls;
+    without one, the call opens and closes its own. A session opened on
+    any other config raises :class:`ValueError`: memoised
     records would otherwise be served to a config they were not
     measured under.
 
@@ -567,10 +660,7 @@ def measure_fleet(
         scope = FleetSession(config) if session is None else nullcontext(session)
         with scope as active:
             if workers == 1:
-                shards = shard_fleet(
-                    pending, max(1, len(pending) // SERIAL_SEGMENT_PROBES), indices
-                )
-                _measure_serial(shards, active, sink, advance)
+                _measure_serial(indices, pending, active, sink, advance)
             else:
                 _measure_pool(
                     indices,

@@ -367,6 +367,17 @@ def classification_to_record(
     )
 
 
+def scenario_spec(spec: ProbeSpec, config: StudyConfig) -> ScenarioSpec:
+    """The :class:`~repro.atlas.scenario.ScenarioSpec` :func:`measure_probe`
+    measures ``spec`` on under ``config``. The fleet driver plans scenario
+    reuse from its signature, so plan and use read the same spec."""
+    return ScenarioSpec(
+        probe=spec,
+        impairment=config.impairment,
+        impairment_seed=config.impairment_seed,
+    )
+
+
 def measure_probe(
     spec: ProbeSpec,
     config: Optional[StudyConfig] = None,
@@ -382,8 +393,8 @@ def measure_probe(
     safe because the pipeline only reads it, and it saves rebuilding the
     zones ten thousand times in a fleet study. ``scenario_cache`` (a
     :class:`~repro.atlas.scenario.ScenarioCache`, which builds over its
-    own directory) lets fleet executors reuse one topology across a
-    shard; results are byte-identical with or without it.
+    own directory) lets fleet executors reuse one topology across the
+    probes of a call; results are byte-identical with or without it.
 
     ``config.detector`` picks the registry detector(s); with ``"both"``
     the heuristic locator runs first, then certificate cross-validation
@@ -395,11 +406,7 @@ def measure_probe(
         return None
     if config is None:
         config = StudyConfig()
-    sspec = ScenarioSpec(
-        probe=spec,
-        impairment=config.impairment,
-        impairment_seed=config.impairment_seed,
-    )
+    sspec = scenario_spec(spec, config)
     if scenario_cache is not None:
         scenario = scenario_cache.get(sspec)
     else:

@@ -75,18 +75,14 @@ class EncryptedDnsEngine:
         # Per-connection DoQ stream ids already consumed.
         self._streams: dict[tuple[IPAddress, int], set[int]] = {}
         self._next_relay_id = 0x4000
-        self.blocked_sessions = 0
-        self.downgraded_sessions = 0
 
     def reset(self) -> None:
         """Return the engine to its just-constructed state (scenario
-        reuse): no pending relays, no remembered streams, counters and
-        the id allocator rewound."""
+        reuse): no pending relays, no remembered streams, the id
+        allocator rewound."""
         self._pending.clear()
         self._streams.clear()
         self._next_relay_id = 0x4000
-        self.blocked_sessions = 0
-        self.downgraded_sessions = 0
 
     # -- LAN side -----------------------------------------------------------
 
@@ -105,7 +101,6 @@ class EncryptedDnsEngine:
         if action is EncryptedAction.PASS:
             return False
         if action is EncryptedAction.BLOCK:
-            self.blocked_sessions += 1
             cpe.trace("drop", packet, f"encrypted BLOCK ({query.protocol})")
             return True
         # DOWNGRADE: terminate with the gateway's certificate and force
@@ -128,10 +123,8 @@ class EncryptedDnsEngine:
         if upstream is None or source is None:
             # Downgrade configured but nowhere to relay to: the session
             # dies, indistinguishable from BLOCK on the wire.
-            self.blocked_sessions += 1
             cpe.trace("drop", packet, "downgrade with no upstream")
             return True
-        self.downgraded_sessions += 1
         relay_id = self._allocate_id()
         self._pending[relay_id] = PendingDowngrade(
             client_addr=packet.src,

@@ -64,19 +64,15 @@ class ForwarderEngine:
         self.upstream_v6 = parse_ip(upstream_v6) if upstream_v6 else None
         self._pending: dict[int, PendingQuery] = {}
         self._next_upstream_id = 0x1000
-        self.client_queries = 0
-        self.upstream_queries = 0
 
     def upstream_for_family(self, family: int) -> Optional[IPAddress]:
         return self.upstream_v4 if family == 4 else self.upstream_v6
 
     def reset(self) -> None:
         """Return the engine to its just-constructed state (scenario
-        reuse): no pending relays, id allocator and counters rewound."""
+        reuse): no pending relays, id allocator rewound."""
         self._pending.clear()
         self._next_upstream_id = 0x1000
-        self.client_queries = 0
-        self.upstream_queries = 0
 
     # -- client side --------------------------------------------------------
 
@@ -90,7 +86,6 @@ class ForwarderEngine:
         original (hijacked) destination for DNAT'd queries.
         """
         assert packet.udp is not None
-        self.client_queries += 1
         query = decode_or_none(packet.udp.payload)
         if query is None or query.is_response or query.question is None:
             cpe.trace("drop", packet, "forwarder: not a query")
@@ -164,7 +159,6 @@ class ForwarderEngine:
             qname_text=query.question.qname.to_text() if query.question else ".",
             edns_echo=edns_echo,
         )
-        self.upstream_queries += 1
         relay = make_udp(
             source, UPSTREAM_PORT, upstream, DNS_PORT, query.with_id(upstream_id).encode()
         )

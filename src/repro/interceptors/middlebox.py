@@ -105,15 +105,13 @@ class MiddleboxRouter(Router):
         # Per-connection DoQ stream ids already consumed (RFC 9250: a
         # terminating proxy must reset streams it sees reused).
         self._doq_streams: dict[tuple[IPAddress, int], set[int]] = {}
-        self.intercepted_queries = 0
 
     def reset(self) -> None:
-        """Forget every flow, downgraded session and DoQ stream, and
-        rewind the interception counter (scenario reuse)."""
+        """Forget every flow, downgraded session and DoQ stream (scenario
+        reuse)."""
         self._flows.clear()
         self._encrypted_flows.clear()
         self._doq_streams.clear()
-        self.intercepted_queries = 0
 
     def alternate_for_family(self, family: int) -> Optional[IPAddress]:
         return self.alternate_v4 if family == 4 else self.alternate_v6
@@ -153,7 +151,6 @@ class MiddleboxRouter(Router):
                         self.trace("drop", packet, "policy DROP")
                     else:
                         self._answer_error(packet, policy)
-                    self.intercepted_queries += 1
                     return
         super().forward(packet)
 
@@ -196,11 +193,9 @@ class MiddleboxRouter(Router):
         mode = policy.mode
         if mode is InterceptMode.DROP:
             self.trace("drop", packet, "policy DROP")
-            self.intercepted_queries += 1
             return True
         if mode is InterceptMode.BLOCK:
             self._answer_error(packet, policy)
-            self.intercepted_queries += 1
             return True
 
         # REDIRECT / REPLICATE need an alternate resolver to hand off to.
@@ -211,7 +206,6 @@ class MiddleboxRouter(Router):
             self.forward_by_route(packet)
         self._flows[(packet.src, packet.udp.sport)] = InterceptedFlow(packet.dst)
         hijacked = packet.with_dst(alternate)
-        self.intercepted_queries += 1
         if self.observing:
             self.trace("intercept", hijacked, f"DNAT {packet.dst} -> {alternate}")
         self.forward_by_route(hijacked)
@@ -265,7 +259,6 @@ class MiddleboxRouter(Router):
         action = self._encrypted_action(packet, query)
         if action is EncryptedAction.PASS:
             return False
-        self.intercepted_queries += 1
         if action is EncryptedAction.BLOCK:
             self.trace("drop", packet, f"encrypted BLOCK ({query.protocol})")
             return True

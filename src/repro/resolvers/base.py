@@ -108,7 +108,6 @@ class DnsServerNode(Node):
         self._addresses = {parse_ip(a) for a in addresses}
         self.software = software or mute()
         self.gateway: Optional[str] = None
-        self.queries_seen = 0
         #: Name presented on the server's TLS certificate. None disables
         #: encrypted service entirely (ports 853 and 443 closed); set, it
         #: enables DoT and DoQ on 853 and DoH on 443 with this identity.
@@ -117,17 +116,13 @@ class DnsServerNode(Node):
         #: ``(payload minus id, response_signature)``, so repeated
         #: identical queries replay the cached wire with the new id
         #: spliced in. Stays off unless a ScenarioCache, which has
-        #: audited this node's purity, turns it on.
+        #: audited this node's purity, turns it on. It survives scenario
+        #: reuse: its keys hold every per-probe input.
         self.response_cache_enabled = False
         self._response_cache: dict = {}
 
     def addresses(self) -> set[IPAddress]:
         return set(self._addresses)
-
-    def reset(self) -> None:
-        """Rewind the query counter (scenario reuse). The answer-template
-        cache survives: its keys hold every per-probe input."""
-        self.queries_seen = 0
 
     # -- plumbing ----------------------------------------------------------
 
@@ -215,7 +210,6 @@ class DnsServerNode(Node):
                 kind, tail = hit
                 if kind == _CACHE_INVALID:
                     return
-                self.queries_seen += 1
                 if kind == _CACHE_NO_ANSWER:
                     return
                 self.emit(make_reply(packet, payload[:2] + tail))
@@ -226,7 +220,6 @@ class DnsServerNode(Node):
             if cache is not None:
                 self._cache_store(key, (_CACHE_INVALID, b""))
             return
-        self.queries_seen += 1
         response = self.respond(query, packet)
         if response is None:
             self.trace("drop", packet, "server chose not to answer")

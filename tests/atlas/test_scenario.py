@@ -52,6 +52,7 @@ class TestAddressing:
         probe's host must send from its own delegated v6 address, not
         the memoised answer of the first."""
         cache = ScenarioCache(build_default_directory())
+        cache.keep_next = True  # the first probe's signature recurs
         first = cache.get(ScenarioSpec(make_spec(org, probe_id=11, has_ipv6=True)))
         first_v6 = first.host.address_for_family(6)
         second_spec = make_spec(org, probe_id=12, has_ipv6=True)

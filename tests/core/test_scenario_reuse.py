@@ -178,6 +178,7 @@ def test_traced_probe_matches_fresh_build(config, directory):
 def test_cached_record_matches_fresh_build(config, directory):
     for first, second in PAIR_LIST:
         cache = ScenarioCache(directory)
+        cache.keep_next = True  # the first probe's signature recurs
         measure_probe(first, config, scenario_cache=cache)
         reused = measure_probe(second, config, scenario_cache=cache)
         fresh = measure_probe(second, config, directory=directory)

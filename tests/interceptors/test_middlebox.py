@@ -16,7 +16,7 @@ from repro.interceptors.policy import (
 )
 
 from tests.conftest import make_spec
-from tests.simstate import make_id_server_query
+from tests.simstate import make_id_server_query, trace_events
 
 
 @pytest.fixture
@@ -79,19 +79,20 @@ class TestRedirect:
 
     def test_interception_counter(self, org):
         sc, client = build(org, [intercept_all()])
+        sc.network.recorder.enabled = True
         client.exchange("8.8.8.8", make_query("example.com.", QType.A, msg_id=3))
-        assert sc.middlebox.intercepted_queries == 1
+        assert len(trace_events(sc.network.recorder, "middlebox", "intercept")) == 1
 
     def test_queries_to_isp_resolver_passed_through(self, org):
         sc, client = build(org, [intercept_all()])
         resolver_addr = str(
             next(a for a in sc.isp_resolver.addresses() if a.version == 4)
         )
-        before = sc.middlebox.intercepted_queries
+        sc.network.recorder.enabled = True
         result = client.exchange(
             resolver_addr, make_query("example.com.", QType.A, msg_id=4)
         )
-        assert sc.middlebox.intercepted_queries == before
+        assert trace_events(sc.network.recorder, "middlebox", "intercept") == []
         assert result.response is not None
 
     def test_bogon_query_answered_when_policy_eats_bogons(self, org):

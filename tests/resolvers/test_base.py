@@ -102,9 +102,15 @@ class TestServerNode:
     def test_counts_queries(self):
         server = self.make_server()
         client = wire_up(server)
+        client.network.recorder.enabled = True
         client.exchange("198.51.100.53", make_version_bind_query(msg_id=1))
         client.exchange("198.51.100.53", make_version_bind_query(msg_id=2))
-        assert server.queries_seen == 2
+        # The server decoded both queries: it answered each.
+        assert [
+            e.detail
+            for e in trace_events(client.network.recorder, node="server", action="send")
+            if not e.detail.startswith("->")
+        ] == ["dns response", "dns response"]
 
     def test_wrong_port_dropped(self):
         server = self.make_server()

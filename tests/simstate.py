@@ -53,3 +53,8 @@ def trace_events(
 
 def make_id_server_query(msg_id: Optional[int] = None) -> Message:
     return make_chaos_query(ID_SERVER, msg_id=msg_id)
+
+
+def cached_scenarios(cache) -> int:
+    """Scenarios a :class:`~repro.atlas.scenario.ScenarioCache` holds."""
+    return len(cache._cache)
