@@ -21,6 +21,8 @@ Calibration notes (derivation in EXPERIMENTS.md):
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -32,6 +34,7 @@ from repro.cpe.firmware import (
     honest_router,
     open_wan_forwarder,
     pihole_profile,
+    shared_profile,
 )
 from repro.interceptors.encrypted import (
     EncryptedAction,
@@ -66,7 +69,7 @@ from repro.resolvers.software import (
 )
 
 from .geo import ORGANIZATIONS, Organization, organization_by_name
-from .probe import IspBehavior, ProbeSpec
+from .probe import IspBehavior, ProbeSpec, isp_behavior
 
 #: Provider ordering used for the per-provider response tuples.
 PROVIDERS = (Provider.CLOUDFLARE, Provider.GOOGLE, Provider.QUAD9, Provider.OPENDNS)
@@ -169,6 +172,9 @@ CPE_TRUE_SOFTWARE: tuple[ServerSoftware, ...] = (
     quirky("huuh?"),
 )
 
+#: dnsmasq versions of honest LAN forwarders.
+_DNSMASQ_VERSIONS = ["2.78", "2.80", "2.85"]
+
 _RESOLVER_KEYS = (
     "unbound-1.9.0",
     "unbound-1.13.1",
@@ -181,6 +187,48 @@ _RESOLVER_KEYS = (
 def _org_resolver_key(org: Organization) -> str:
     """Deterministic resolver software per organization."""
     return _RESOLVER_KEYS[org.asn % len(_RESOLVER_KEYS)]
+
+
+@functools.cache
+def _honest_firmware(
+    dnsmasq_version: Optional[str] = None, wan_open: bool = False
+) -> FirmwareProfile:
+    """The one profile of an honest CPE: a plain router without
+    ``dnsmasq_version``, else a LAN forwarder running that dnsmasq, open
+    on the WAN or not. Built once per value, not once per probe."""
+    if dnsmasq_version is None:
+        return honest_router()
+    software = dnsmasq(dnsmasq_version)
+    if wan_open:
+        return open_wan_forwarder(software=software)
+    return honest_forwarder(software=software)
+
+
+@functools.cache
+def _flag_tuples(count: int) -> tuple[tuple[bool, ...], ...]:
+    """Every ``count``-tuple of bools, indexed by the bits of
+    :func:`_draw_flags` (the first flag is the highest bit)."""
+    return tuple(itertools.product((False, True), repeat=count))
+
+
+def _draw_flags(draw, rates) -> int:
+    """One ``draw() < rate`` flag per rate, in order, as the bits of an
+    index into :func:`_flag_tuples`."""
+    index = 0
+    for rate in rates:
+        index = 2 * index + (draw() < rate)
+    return index
+
+
+#: One instance per distinct non-empty policy tuple of a spec.
+_POLICY_TUPLES: dict[tuple, tuple] = {}
+
+
+def _shared_policies(policies: list[InterceptionPolicy]) -> tuple:
+    """``policies`` as the one tuple of its value (only interceptors have
+    any, so this runs for a few hundred probes at most)."""
+    policies = tuple(policies)
+    return _POLICY_TUPLES.setdefault(policies, policies) if policies else ()
 
 
 def _provider_targets(provider: Provider, families=(4,)) -> list[str]:
@@ -198,7 +246,7 @@ class _Draft:
     """Mutable pre-spec while the generator assembles a probe."""
 
     organization: Organization
-    firmware: FirmwareProfile = field(default_factory=honest_router)
+    firmware: FirmwareProfile = field(default_factory=_honest_firmware)
     middlebox_policies: list[InterceptionPolicy] = field(default_factory=list)
     external_policies: list[InterceptionPolicy] = field(default_factory=list)
     force_ipv6: Optional[bool] = None
@@ -259,6 +307,7 @@ class PopulationGenerator:
             model = "XB6" if is_rdkb else (
                 "pi-hole" if software.family.startswith("dnsmasq-pi-hole") else "cpe-dnat"
             )
+            # Shared once _assign_encrypted_postures adds its posture.
             firmware = FirmwareProfile(
                 model=model,
                 software=software,
@@ -274,11 +323,13 @@ class PopulationGenerator:
         drafts = []
         for _ in range(self._scale(self.config.cpe_misclassified_count)):
             org = self._sample_org(by_interception=True)
-            firmware = FirmwareProfile(
-                model="open-forwarder",
-                software=silent_forwarder(),
-                wan_port53_open=True,
-                notes="forwards version.bind upstream",
+            firmware = shared_profile(
+                FirmwareProfile(
+                    model="open-forwarder",
+                    software=silent_forwarder(),
+                    wan_port53_open=True,
+                    notes="forwards version.bind upstream",
+                )
             )
             draft = _Draft(
                 organization=org,
@@ -424,15 +475,13 @@ class PopulationGenerator:
             org = self._sample_org()
             roll = self.rng.random()
             if roll < cfg.honest_forwarder_share * cfg.honest_wan_open_share:
-                firmware = open_wan_forwarder(
-                    software=dnsmasq(self.rng.choice(["2.78", "2.80", "2.85"]))
+                firmware = _honest_firmware(
+                    self.rng.choice(_DNSMASQ_VERSIONS), wan_open=True
                 )
             elif roll < cfg.honest_forwarder_share:
-                firmware = honest_forwarder(
-                    software=dnsmasq(self.rng.choice(["2.78", "2.80", "2.85"]))
-                )
+                firmware = _honest_firmware(self.rng.choice(_DNSMASQ_VERSIONS))
             else:
-                firmware = honest_router()
+                firmware = _honest_firmware()
             drafts.append(_Draft(organization=org, firmware=firmware, note="honest"))
         return drafts
 
@@ -465,8 +514,8 @@ class PopulationGenerator:
                     posture = pihole_profile().encrypted_dns
                 else:
                     posture = dnat_interceptor().encrypted_dns
-                draft.firmware = dataclasses.replace(
-                    firmware, encrypted_dns=posture
+                draft.firmware = shared_profile(
+                    dataclasses.replace(firmware, encrypted_dns=posture)
                 )
                 continue
             if not (draft.middlebox_policies or draft.external_policies):
@@ -564,35 +613,36 @@ class PopulationGenerator:
         self.rng.shuffle(drafts)
         self._convert_encrypted_only(drafts)
 
+        # Every value a spec holds is built once and shared by every spec
+        # that holds it: firmware and policy tuples above, ISP behaviours
+        # by isp_behavior, response tuples from one table per length.
+        draw = self.rng.random
+        flags_v4 = _flag_tuples(len(cfg.response_v4))
+        flags_v6 = _flag_tuples(len(cfg.response_v6))
         specs: list[ProbeSpec] = []
         for index, draft in enumerate(drafts):
             probe_id = 10_000 + index
             has_ipv6 = (
                 draft.force_ipv6
                 if draft.force_ipv6 is not None
-                else self.rng.random() < cfg.v6_share
+                else draw() < cfg.v6_share
             )
-            online = self.rng.random() < cfg.availability
-            responds_v4 = tuple(
-                self.rng.random() < p for p in cfg.response_v4
-            )
-            responds_v6 = tuple(
-                self.rng.random() < p for p in cfg.response_v6
-            )
+            online = draw() < cfg.availability
+            responds_v4 = flags_v4[_draw_flags(draw, cfg.response_v4)]
+            responds_v6 = flags_v6[_draw_flags(draw, cfg.response_v6)]
             specs.append(
                 ProbeSpec(
                     probe_id=probe_id,
                     organization=draft.organization,
                     firmware=draft.firmware,
-                    isp=IspBehavior(
-                        resolver_software_key=(
-                            draft.resolver_key_override
-                            or _org_resolver_key(draft.organization)
-                        ),
-                        middlebox_policies=tuple(draft.middlebox_policies),
-                        nxdomain_wildcard_to=draft.nxdomain_wildcard_to,
+                    isp=isp_behavior(
+                        draft.resolver_key_override
+                        or _org_resolver_key(draft.organization),
+                        tuple(draft.middlebox_policies),
+                        False,
+                        draft.nxdomain_wildcard_to,
                     ),
-                    external_policies=tuple(draft.external_policies),
+                    external_policies=_shared_policies(draft.external_policies),
                     has_ipv6=has_ipv6,
                     responds_v4=responds_v4,
                     responds_v6=responds_v6,

@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro.cpe.firmware import FirmwareProfile, honest_router
 from repro.interceptors.policy import InterceptionPolicy
+from repro.values import hash_once
 
 from .geo import Organization
 
@@ -28,6 +29,7 @@ class InterceptorLocation(enum.Enum):
     BEYOND = "beyond"  # transit path outside the client's AS
 
 
+@hash_once
 @dataclass(frozen=True)
 class IspBehavior:
     """The probe's ISP: resolver software and optional middlebox policies.
@@ -48,6 +50,44 @@ class IspBehavior:
     #: never query a nonexistent name).
     nxdomain_wildcard_to: Optional[str] = None
 
+    def with_policies(
+        self, middlebox_policies: tuple[InterceptionPolicy, ...]
+    ) -> "IspBehavior":
+        """This behaviour with other middlebox policies, shared as
+        :func:`isp_behavior` shares it."""
+        return isp_behavior(
+            self.resolver_software_key,
+            middlebox_policies,
+            self.resolver_outside_as,
+            self.nxdomain_wildcard_to,
+        )
+
+
+#: One instance per argument tuple handed to :func:`isp_behavior`.
+_ISP_BEHAVIORS: dict[tuple, IspBehavior] = {}
+
+
+def isp_behavior(
+    resolver_software_key: str = "unbound-1.9.0",
+    middlebox_policies: tuple[InterceptionPolicy, ...] = (),
+    resolver_outside_as: bool = False,
+    nxdomain_wildcard_to: Optional[str] = None,
+) -> IspBehavior:
+    """The one :class:`IspBehavior` of these field values, built on first
+    use. A fleet holds a few hundred distinct ones at most, so memoising
+    on the small constructor arguments lets every spec with the same ISP
+    share one instance."""
+    args = (
+        resolver_software_key,
+        middlebox_policies,
+        resolver_outside_as,
+        nxdomain_wildcard_to,
+    )
+    behavior = _ISP_BEHAVIORS.get(args)
+    if behavior is None:
+        behavior = _ISP_BEHAVIORS[args] = IspBehavior(*args)
+    return behavior
+
 
 @dataclass(frozen=True)
 class ProbeSpec:
@@ -56,7 +96,7 @@ class ProbeSpec:
     probe_id: int
     organization: Organization
     firmware: FirmwareProfile = field(default_factory=honest_router)
-    isp: IspBehavior = field(default_factory=IspBehavior)
+    isp: IspBehavior = field(default_factory=isp_behavior)
     external_policies: tuple[InterceptionPolicy, ...] = ()
     has_ipv6: bool = False
     #: Per-provider response availability: order matches PROVIDERS in the

@@ -14,6 +14,7 @@ physical fact Step 3 of the methodology exploits.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 from dataclasses import dataclass
 from typing import Optional
@@ -23,7 +24,7 @@ from repro.cpe.forwarder import ForwarderEngine
 from repro.interceptors.middlebox import ExternalInterceptor, MiddleboxRouter
 from repro.interceptors.policy import InterceptionPolicy
 from repro.net import Chain, Host, LinkProfile, Network, Router
-from repro.net.addr import IPAddress
+from repro.net.addr import IPAddress, parse_network
 from repro.resolvers import (
     DnsServerNode,
     NameDirectory,
@@ -41,7 +42,7 @@ from repro.resolvers.software import (
     unbound_hidden,
 )
 
-from .geo import as_identity
+from .geo import Organization, as_identity
 from .probe import ProbeSpec
 
 #: Transit-network prefix hosting the external interceptor and the
@@ -167,26 +168,128 @@ def _home_addresses(spec: ProbeSpec):
     """The probe's WAN IPv4 address and delegated IPv6 /64, derived from
     its ``probe_id`` inside the organization's prefixes."""
     org = spec.organization
-    v4_net = ipaddress.ip_network(org.v4_prefix)
+    v4_net = parse_network(org.v4_prefix)
     wan_v4 = v4_net.network_address + 1024 + (spec.probe_id % 60000)
-    v6_net = ipaddress.ip_network(org.v6_prefix)
+    v6_net = parse_network(org.v6_prefix)
     home_v6 = ipaddress.ip_network(
         (int(v6_net.network_address) + ((1024 + spec.probe_id) << 64), 64)
     )
     return wan_v4, home_v6
 
 
+@functools.cache
+def _isp_resolver(org: Organization, inside_as: bool):
+    """The ISP resolver's IPv4 and IPv6 addresses, inside ``org``'s
+    prefixes or in hosted-DNS space outside the client AS, and their
+    host-route prefixes."""
+    if inside_as:
+        v4 = parse_network(org.v4_prefix).network_address + 53
+        v6 = parse_network(org.v6_prefix).network_address + 0x53
+    else:
+        v4 = HOSTED_DNS_V4_PREFIX.network_address + 53
+        v6 = HOSTED_DNS_V6_PREFIX.network_address + 0x53
+    return (v4, v6), (f"{v4}/32", f"{v6}/128")
+
+
+def _isp_routes(scenario: "Scenario", org: Organization, inside_as: bool):
+    """``(router, prefix, next hop)`` of every route that names ``org``'s
+    prefixes or its resolver's addresses, in ``scenario``'s shape."""
+    nodes = scenario.network.nodes
+    access, border, core = nodes["access"], nodes["border"], nodes["core"]
+    middlebox, external = scenario.middlebox, scenario.external
+    resolver = _isp_resolver(org, inside_as)[1]
+    prefixes = (org.v4_prefix, org.v6_prefix)
+    routes = []
+
+    def via(router, destinations, next_hop):
+        routes.extend((router, prefix, next_hop) for prefix in destinations)
+
+    upstream_of_access = toward_isp = "border"
+    if middlebox is None:
+        via(border, prefixes, "access")
+    elif inside_as:
+        upstream_of_access = "middlebox"
+        via(middlebox, prefixes, "access")
+        via(middlebox, resolver, "border")
+        via(border, prefixes, "middlebox")
+    else:
+        toward_isp = "middlebox"
+        via(middlebox, prefixes, "border")
+        via(middlebox, resolver, "isp-resolver")
+        via(border, prefixes, "access")
+    if inside_as:
+        # The resolver's address falls inside the org prefix; without
+        # these host routes the org-prefix routes would bounce resolver
+        # traffic back toward the access layer.
+        via(access, resolver, upstream_of_access)
+        via(border, resolver, "isp-resolver")
+    else:
+        via(core, resolver, "isp-resolver")
+    if external is not None:
+        toward_isp = "external"
+        via(external, prefixes, "border")
+    via(core, prefixes, toward_isp)
+    return routes
+
+
+def _home_organization(
+    scenario: "Scenario", spec: ProbeSpec, previous: Optional[Organization]
+) -> None:
+    """Give ``scenario`` everything ``spec``'s organization decides, in
+    place of what ``previous`` (None on a fresh build) decided: every
+    ISP-side node's ``asn`` (and the middlebox's TLS identity with it),
+    the access, border and middlebox addresses, the ISP resolver's
+    addresses and TLS identity (with the CPE forwarder's upstreams and
+    the middlebox's alternates), and every route naming the org's
+    prefixes or its resolver (:func:`_isp_routes`)."""
+    org = spec.organization
+    inside_as = not spec.isp.resolver_outside_as
+    if previous is not None:
+        for router, prefix, _next_hop in _isp_routes(scenario, previous, inside_as):
+            router.routes.remove(prefix)
+    nodes = scenario.network.nodes
+    for name in ("host", "cpe", "access", "border", "middlebox"):
+        if name in nodes:
+            nodes[name].asn = org.asn
+    base_v4 = parse_network(org.v4_prefix).network_address
+    base_v6 = parse_network(org.v6_prefix).network_address
+    nodes["access"].set_addresses([base_v4 + 2])
+    nodes["border"].set_addresses([base_v4 + 4, base_v6 + 4])
+    resolver_v4, resolver_v6 = _isp_resolver(org, inside_as)[0]
+    middlebox = scenario.middlebox
+    if middlebox is not None:
+        middlebox.set_addresses([base_v4 + 3])
+        middlebox.alternate_v4, middlebox.alternate_v6 = resolver_v4, resolver_v6
+    forwarder = scenario.cpe.forwarder
+    if forwarder is not None:
+        forwarder.upstream_v4, forwarder.upstream_v6 = resolver_v4, resolver_v6
+    resolver = scenario.isp_resolver
+    # Operator-derived certificate identity: an in-AS resolver presents
+    # its ISP's per-AS name, a hosted one the generic one.
+    resolver.asn = org.asn if inside_as else None
+    resolver.tls_identity = as_identity(resolver.asn, "dot.isp-resolver")
+    resolver.set_addresses([resolver_v4, resolver_v6])
+    for router, prefix, next_hop in _isp_routes(scenario, org, inside_as):
+        router.routes.add(prefix, next_hop)
+
+
 def _home(scenario: "Scenario", sspec: ScenarioSpec) -> None:
     """Give ``scenario`` the per-probe part of ``sspec``.
 
-    The only reader of ``probe_id``-derived values: the impairment
-    streams' seed, the WAN IPv4 address and delegated IPv6 prefix, and
-    everything that embeds them (the host's v6 address, the CPE's
-    addresses, NAT, LAN v6 route and DNAT rules, and the access router's
-    two routes toward the CPE). :func:`build_scenario` calls it on a
-    fresh topology, :func:`reset_scenario` on a reset one.
+    The only reader of the organization and of ``probe_id``-derived
+    values. A new organization is homed by
+    :func:`_home_organization`; then the impairment streams' seed, the
+    WAN IPv4 address and delegated IPv6 prefix, and everything that
+    embeds them (the host's v6 address, the CPE's addresses, NAT, LAN
+    v6 route and DNAT rules, and the access router's two routes toward
+    the CPE). :func:`build_scenario` calls it on a fresh topology,
+    :func:`reset_scenario` on a reset one.
     """
     spec = sspec.probe
+    homed = scenario.scenario_spec  # None on a fresh build
+    previous = homed.probe.organization if homed is not None else None
+    if spec.organization != previous:
+        _home_organization(scenario, spec, previous)
     net = scenario.network
     net.reset_events(f"impair:{sspec.impairment_seed}:{spec.probe_id}")
     wan_v4, home_v6 = _home_addresses(spec)
@@ -229,51 +332,28 @@ def build_scenario(
     :class:`~repro.atlas.probe.ProbeSpec` is accepted as shorthand for
     ``ScenarioSpec(probe=spec)`` (the overwhelmingly common call).
 
-    It builds the topology :func:`scenario_signature` determines, then
-    homes the probe in it (:func:`_home`).
+    It builds the topology :func:`scenario_signature` determines, with
+    no organization in it, then homes the probe in it (:func:`_home`).
     """
     sspec = spec if isinstance(spec, ScenarioSpec) else ScenarioSpec(probe=spec)
     spec = sspec.probe
-    org = spec.organization
     directory = directory or build_default_directory()
     net = Network(trace=sspec.trace, impairment=sspec.impairment)
-
-    v4_net = ipaddress.ip_network(org.v4_prefix)
-    v6_net = ipaddress.ip_network(org.v6_prefix)
-    isp_base_v4 = v4_net.network_address
-    isp_base_v6 = v6_net.network_address
-
-    # -- ISP resolver placement -------------------------------------------
     inside_as = not spec.isp.resolver_outside_as
-    if inside_as:
-        resolver_v4 = isp_base_v4 + 53
-        resolver_v6 = isp_base_v6 + 0x53
-    else:
-        resolver_v4 = HOSTED_DNS_V4_PREFIX.network_address + 53
-        resolver_v6 = HOSTED_DNS_V6_PREFIX.network_address + 0x53
+
     isp_resolver = RecursiveResolverNode(
         "isp-resolver",
-        addresses=[resolver_v4, resolver_v6],
+        addresses=[],
         directory=directory,
         software=resolver_software(spec.isp.resolver_software_key),
-        asn=org.asn if inside_as else None,
-        # Operator-derived certificate identity: an in-AS resolver
-        # presents its ISP's per-AS name, a hosted one the generic one.
-        tls_identity=as_identity(
-            org.asn if inside_as else None, "dot.isp-resolver"
-        ),
         nxdomain_wildcard_to=spec.isp.nxdomain_wildcard_to,
     )
 
     # -- home -----------------------------------------------------------------
-    host = Host("host", gateway="cpe", asn=org.asn)
+    host = Host("host", gateway="cpe")
     forwarder = None
     if spec.firmware.software is not None:
-        forwarder = ForwarderEngine(
-            software=spec.firmware.software,
-            upstream_v4=resolver_v4,
-            upstream_v6=resolver_v6,
-        )
+        forwarder = ForwarderEngine(software=spec.firmware.software)
     cpe = CpeDevice(
         "cpe",
         lan_v4_prefix="192.168.1.0/24",
@@ -282,29 +362,16 @@ def build_scenario(
         forwarder=forwarder,
         wan_port53_open=spec.firmware.wan_port53_open,
         model=spec.firmware.model,
-        asn=org.asn,
         encrypted_dns=spec.firmware.encrypted_dns,
     )
 
     # -- ISP fabric ---------------------------------------------------------------
-    access = Router("access", addresses=[isp_base_v4 + 2], asn=org.asn)
-    border = Router(
-        "border",
-        addresses=[isp_base_v4 + 4, isp_base_v6 + 4],
-        asn=org.asn,
-        drop_bogons=True,
-    )
+    access = Router("access")
+    border = Router("border", drop_bogons=True)
     isp_policies = sspec.effective_isp_policies()
     middlebox: Optional[MiddleboxRouter] = None
     if isp_policies:
-        middlebox = MiddleboxRouter(
-            "middlebox",
-            policies=isp_policies,
-            alternate_resolver_v4=resolver_v4,
-            alternate_resolver_v6=resolver_v6,
-            addresses=[isp_base_v4 + 3],
-            asn=org.asn,
-        )
+        middlebox = MiddleboxRouter("middlebox", policies=isp_policies)
 
     # -- beyond the AS -----------------------------------------------------------
     core = Router(
@@ -398,42 +465,19 @@ def build_scenario(
     for provider, node in providers.items():
         net.connect("core", node.name, 6.0)
 
-    # -- routes -----------------------------------------------------------------------
+    # -- routes the organization does not decide (_isp_routes has the rest) --
     upstream_of_access = "middlebox" if middlebox_inside else "border"
     access.routes.add_default(upstream_of_access, family=4)
     access.routes.add_default(upstream_of_access, family=6)
-    if inside_as:
-        # The resolver's address falls inside the org prefix; without
-        # these host routes the org-prefix routes would bounce resolver
-        # traffic back toward the access layer.
-        access.routes.add(f"{resolver_v4}/32", upstream_of_access)
-        access.routes.add(f"{resolver_v6}/128", upstream_of_access)
-
     if middlebox_inside:
-        middlebox.routes.add(str(v4_net), "access")
-        middlebox.routes.add(str(v6_net), "access")
         middlebox.routes.add_default("border", family=4)
         middlebox.routes.add_default("border", family=6)
-        middlebox.routes.add(f"{resolver_v4}/32", "border")
-        middlebox.routes.add(f"{resolver_v6}/128", "border")
     elif middlebox_outside:
-        middlebox.routes.add(str(v4_net), "border")
-        middlebox.routes.add(str(v6_net), "border")
-        middlebox.routes.add(f"{resolver_v4}/32", "isp-resolver")
-        middlebox.routes.add(f"{resolver_v6}/128", "isp-resolver")
         middlebox.routes.add_default("core", family=4)
         middlebox.routes.add_default("core", family=6)
-
-    toward_access = "middlebox" if middlebox_inside else "access"
-    border.routes.add(str(v4_net), toward_access)
-    border.routes.add(str(v6_net), toward_access)
     if inside_as:
-        border.routes.add(f"{resolver_v4}/32", "isp-resolver")
-        border.routes.add(f"{resolver_v6}/128", "isp-resolver")
         isp_resolver.gateway = "border"
     else:
-        core.routes.add(f"{resolver_v4}/32", "isp-resolver")
-        core.routes.add(f"{resolver_v6}/128", "isp-resolver")
         isp_resolver.gateway = "middlebox" if middlebox_outside else "core"
     if external is not None:
         upstream_of_border = "external"
@@ -446,8 +490,6 @@ def build_scenario(
 
     if external is not None:
         assert off_as_resolver is not None
-        external.routes.add(str(v4_net), "border")
-        external.routes.add(str(v6_net), "border")
         off_v4, off_v6 = sorted(off_as_resolver.addresses(), key=lambda a: a.version)
         external.routes.add(f"{off_v4}/32", "offas-resolver")
         external.routes.add(f"{off_v6}/128", "offas-resolver")
@@ -458,15 +500,6 @@ def build_scenario(
         off_as_resolver.gateway = "core"
         core.routes.add(str(TRANSIT_V4_PREFIX), "external")
         core.routes.add(str(TRANSIT_V6_PREFIX), "external")
-
-    if external is not None:
-        toward_isp = "external"
-    elif middlebox_outside:
-        toward_isp = "middlebox"
-    else:
-        toward_isp = "border"
-    core.routes.add(str(v4_net), toward_isp)
-    core.routes.add(str(v6_net), toward_isp)
 
     for provider, node in providers.items():
         for address in node.addresses():
@@ -480,22 +513,23 @@ def build_scenario(
 # -- scenario reuse ------------------------------------------------------------
 #
 # The topology built for a probe depends on far less than the full spec:
-# every per-probe difference (WAN address, delegated v6 prefix,
-# impairment streams, event clock) is set by _home, which a fresh build
-# runs too. A ScenarioCache therefore keys built scenarios by the
-# *shape* below and resets one for a later probe of the same shape. The
-# fleet driver plans which probes have such a later probe, so the cache
-# keeps a scenario only while it will be asked for again.
+# every per-probe difference (the organization's addresses, ASNs and
+# routes, the WAN address, delegated v6 prefix, impairment streams,
+# event clock) is set by _home, which a fresh build runs too. A
+# ScenarioCache therefore keys built scenarios by the *shape* below and
+# resets one for a later probe of the same shape. The fleet driver plans
+# which probes have such a later probe, so the cache keeps a scenario
+# only while it will be asked for again.
 
 
 def scenario_signature(sspec: ScenarioSpec) -> Optional[tuple]:
     """Hashable key of everything :func:`build_scenario` reads besides
-    the per-probe values :func:`_home` sets (``probe_id``-derived
-    addressing and the impairment seed). Returns None when any component
-    is unhashable — callers must then build fresh."""
+    the per-probe values :func:`_home` sets (the organization,
+    ``probe_id``-derived addressing and the impairment seed). Returns
+    None when any component is unhashable — callers must then build
+    fresh."""
     p = sspec.probe
     signature = (
-        p.organization,
         p.firmware,
         p.isp,
         p.external_policies,

@@ -45,7 +45,7 @@ from repro.cpe.firmware import (
     xb6_profile,
 )
 from repro.interceptors.policy import InterceptMode, intercept_all
-from repro.store.journal import canonical_value, fingerprint
+from repro.store.journal import fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.parallel import FleetSession
@@ -66,6 +66,12 @@ FIRMWARE_PROFILES: dict[str, Callable[[], object]] = {
     "xb6-buggy": lambda: xb6_profile(buggy=True),
     "xb6-fixed": lambda: xb6_profile(buggy=False),
 }
+
+
+#: The middlebox policies a "start-intercepting" flip installs.
+_START_POLICIES = (
+    intercept_all(mode=InterceptMode.REDIRECT, intercept_bogons=True),
+)
 
 #: Policy-flip actions a schedule may apply mid-study.
 FLIP_ACTIONS = ("stop-intercepting", "start-intercepting")
@@ -212,6 +218,7 @@ class LongitudinalCampaign:
                 ).random()
                 if draw >= upgrade.fraction:
                     continue
+            # The profile factories return one shared instance per value.
             spec = dataclasses.replace(
                 spec, firmware=FIRMWARE_PROFILES[upgrade.profile]()
             )
@@ -227,10 +234,7 @@ class LongitudinalCampaign:
                     ).random()
                     if draw >= flip.fraction:
                         continue
-                spec = dataclasses.replace(
-                    spec,
-                    isp=dataclasses.replace(spec.isp, middlebox_policies=()),
-                )
+                spec = dataclasses.replace(spec, isp=spec.isp.with_policies(()))
             else:  # start-intercepting
                 if spec.isp.middlebox_policies or spec.firmware.is_interceptor:
                     continue
@@ -241,16 +245,7 @@ class LongitudinalCampaign:
                     if draw >= flip.fraction:
                         continue
                 spec = dataclasses.replace(
-                    spec,
-                    isp=dataclasses.replace(
-                        spec.isp,
-                        middlebox_policies=(
-                            intercept_all(
-                                mode=InterceptMode.REDIRECT,
-                                intercept_bogons=True,
-                            ),
-                        ),
-                    ),
+                    spec, isp=spec.isp.with_policies(_START_POLICIES)
                 )
         return spec
 
@@ -295,15 +290,13 @@ class LongitudinalCampaign:
         can never mix records into an old journal)."""
         from repro.analysis.export import config_to_dict
 
-        memo: dict = {}
         return fingerprint(
             {
                 "kind": "longitudinal",
                 "bundle": self.bundle.canonical(),
                 "config": config_to_dict(self.bundle.study),
                 "fleets": [
-                    [canonical_value(spec, memo) for spec in self.epoch_fleet(e)]
-                    for e in range(self.schedule.epochs)
+                    self.epoch_fleet(e) for e in range(self.schedule.epochs)
                 ],
             }
         )

@@ -138,11 +138,18 @@ def shard_fleet(
 # :func:`_dedup_sound`. Two probes with the same key are therefore *the
 # same measurement*: the parent process has each distinct key measured
 # once per session and gives its siblings copies with their own identity
-# fields (:func:`_as_sibling`). Scenario reuse still needs the
-# organization, since :func:`~repro.atlas.scenario.reset_scenario`
-# re-homes only ``probe_id``-derived values, not prefixes or ASNs. The
-# reference engine never dedups, which is what lets the equivalence
-# tests certify the shortcut.
+# fields (:func:`_as_sibling`). The scenario signature is the key's
+# scenario fields plus those constant slots: it leaves the organization
+# out too, since :func:`~repro.atlas.scenario.reset_scenario` re-homes
+# prefixes, ASNs and the ISP resolver along with ``probe_id``-derived
+# values. The reference engine never dedups, which is what lets the
+# equivalence tests certify the shortcut.
+#
+# A fleet shares each distinct firmware profile and ISP behaviour among
+# its specs, and those cache their hash, so a key hashes cheaply. The
+# session numbers every distinct key once (:func:`_key_number`); the
+# walk, the memo and the pool's waiting lists then use the number, so
+# each probe's key is hashed once per call.
 
 
 def _dedup_sound(config: "StudyConfig") -> bool:
@@ -158,11 +165,10 @@ def _dedup_sound(config: "StudyConfig") -> bool:
     )
 
 
-def _dedup_key(spec: ProbeSpec) -> Optional[tuple]:
+def _dedup_key(spec: ProbeSpec) -> tuple:
     """The measurement ``spec`` stands for: its fields less ``probe_id``
-    and ``organization``. None when a field is unhashable (such a probe
-    is always measured)."""
-    key = (
+    and ``organization``."""
+    return (
         spec.firmware,
         spec.isp,
         spec.external_policies,
@@ -171,11 +177,16 @@ def _dedup_key(spec: ProbeSpec) -> Optional[tuple]:
         spec.responds_v6,
         spec.online,
     )
+
+
+def _key_number(spec: ProbeSpec, numbers: dict) -> Optional[int]:
+    """The number of ``spec``'s dedup key in ``numbers``, which numbers
+    every distinct key in order of first sight. None when a field is
+    unhashable (such a probe is always measured)."""
     try:
-        hash(key)
+        return numbers.setdefault(_dedup_key(spec), len(numbers))
     except TypeError:
         return None
-    return key
 
 
 def _as_sibling(record: "ProbeRecord", spec: ProbeSpec) -> "ProbeRecord":
@@ -198,21 +209,23 @@ def _as_sibling(record: "ProbeRecord", spec: ProbeSpec) -> "ProbeRecord":
 
 
 def _walk(
-    indices: Sequence[int], specs: Sequence[ProbeSpec], memo: Optional[dict]
+    indices: Sequence[int], specs: Sequence[ProbeSpec], session: "FleetSession"
 ) -> tuple[list, list, dict]:
     """Walk one call's pending probes in fleet order.
 
     A probe whose dedup key is memoised, or is the key of an earlier
     probe of the walk, *follows*; every other probe *leads* (every
     probe, with dedup off). Returns the leaders and the followers as
-    ``(index, spec)`` pairs, and each probe's dedup key by fleet index
-    (probes without one left out)."""
+    ``(index, spec)`` pairs, and each probe's key number
+    (:func:`_key_number`) by fleet index (probes without one left
+    out)."""
     leaders: list[tuple[int, ProbeSpec]] = []
     followers: list[tuple[int, ProbeSpec]] = []
-    keys: dict[int, tuple] = {}
-    led: set[tuple] = set()
+    keys: dict[int, int] = {}
+    memo, numbers = session.memo, session.key_numbers
+    led: set[int] = set()
     for index, spec in zip(indices, specs):
-        key = _dedup_key(spec) if memo is not None else None
+        key = _key_number(spec, numbers) if memo is not None else None
         if key is not None:
             keys[index] = key
             if key in memo or key in led:
@@ -327,7 +340,7 @@ def _measure_pairs(
     """:func:`measure_shard`'s loop, one ``(index, record)`` at a time.
 
     With ``memo`` (the serial path's :attr:`FleetSession.memo`) and
-    ``keys`` (each probe's :func:`_dedup_key` by fleet index, from
+    ``keys`` (each probe's key number by fleet index, from
     :func:`_walk`), a probe whose key is memoised becomes a sibling of
     that record instead of a measurement, and every new measurement is
     memoised, in fleet order."""
@@ -426,9 +439,11 @@ class FleetSession:
 
     def __init__(self, config: "StudyConfig") -> None:
         self.config = config
-        #: Records by :func:`_dedup_key`, for both paths; None when
-        #: dedup is unsound under ``config``.
+        #: Records by dedup key number (:func:`_key_number`), for both
+        #: paths; None when dedup is unsound under ``config``.
         self.memo: Optional[dict] = {} if _dedup_sound(config) else None
+        #: Number of every dedup key seen in the session, by key.
+        self.key_numbers: dict[tuple, int] = {}
         self._serial: Optional[tuple] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         #: Pool calls made so far; numbers each call's shards.
@@ -488,7 +503,7 @@ def _measure_serial(
     if not specs:
         return
     config = session.config
-    leaders, _followers, keys = _walk(indices, specs, session.memo)
+    leaders, _followers, keys = _walk(indices, specs, session)
     shards = shard_fleet(
         specs,
         max(1, len(specs) // SERIAL_SEGMENT_PROBES),
@@ -531,9 +546,9 @@ def _measure_pool(
     until every earlier one is sunk, so a store journals the same bytes
     on every run; progress advances as each shard finishes."""
     memo = session.memo
-    leaders, followers, keys = _walk(indices, specs, memo)
-    #: dedup key -> the probes waiting for that key's leader.
-    waiting: dict[tuple, list[tuple[int, ProbeSpec]]] = {
+    leaders, followers, keys = _walk(indices, specs, session)
+    #: key number -> the probes waiting for that key's leader.
+    waiting: dict[int, list[tuple[int, ProbeSpec]]] = {
         keys[index]: [] for index, _spec in leaders if index in keys
     }
     resolved: list[tuple[int, "ProbeRecord"]] = []

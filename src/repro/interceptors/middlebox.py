@@ -83,15 +83,6 @@ class MiddleboxRouter(Router):
         if not policies:
             raise ValueError("a middlebox needs at least one policy")
         self.policies: tuple[InterceptionPolicy, ...] = tuple(policies)
-        # Certificate identity of this box's TLS termination: derived
-        # from the operator AS when known (a late import: repro.atlas
-        # builds scenarios out of this module).
-        if asn is not None:
-            from repro.atlas.geo import as_identity
-
-            self.tls_identity = as_identity(asn, "dns-proxy")
-        else:
-            self.tls_identity = MIDDLEBOX_TLS_IDENTITY
         self.alternate_v4 = (
             parse_ip(alternate_resolver_v4) if alternate_resolver_v4 else None
         )
@@ -112,6 +103,17 @@ class MiddleboxRouter(Router):
         self._flows.clear()
         self._encrypted_flows.clear()
         self._doq_streams.clear()
+
+    @property
+    def tls_identity(self) -> str:
+        """Certificate identity of this box's TLS termination: derived
+        from the operator AS when known, so it follows ``asn`` (a late
+        import: repro.atlas builds scenarios out of this module)."""
+        if self.asn is None:
+            return MIDDLEBOX_TLS_IDENTITY
+        from repro.atlas.geo import as_identity
+
+        return as_identity(self.asn, "dns-proxy")
 
     def alternate_for_family(self, family: int) -> Optional[IPAddress]:
         return self.alternate_v4 if family == 4 else self.alternate_v6

@@ -109,14 +109,6 @@ class Host(Node):
 
     # -- addressing -----------------------------------------------------
 
-    def addresses(self) -> set[IPAddress]:
-        return set(self._addresses)
-
-    def set_addresses(self, addresses: "list[str | IPAddress]") -> None:
-        """Replace the host's addresses."""
-        self._addresses: set[IPAddress] = {parse_ip(a) for a in addresses}
-        self.invalidate_addresses()
-
     def invalidate_addresses(self) -> None:
         super().invalidate_addresses()
         self._family_source = {}

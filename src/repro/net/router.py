@@ -126,12 +126,9 @@ class Router(Node):
         drop_bogons: bool = False,
     ) -> None:
         super().__init__(name, asn=asn)
-        self._addresses: set[IPAddress] = {parse_ip(a) for a in (addresses or [])}
+        self.set_addresses(addresses or [])
         self.routes = RoutingTable()
         self.drop_bogons = drop_bogons
-
-    def addresses(self) -> set[IPAddress]:
-        return set(self._addresses)
 
     # -- forwarding ---------------------------------------------------------
 

@@ -19,7 +19,7 @@ import math
 import random
 from typing import Callable, Optional
 
-from .addr import IPAddress
+from .addr import IPAddress, parse_ip
 from .impairment import (
     ImpairedLink,
     LinkProfile,
@@ -58,6 +58,7 @@ class Node:
         self.name = name
         self.asn = asn
         self.network: Optional["Network"] = None
+        self._addresses: set[IPAddress] = set()
         # Lazily built frozenset of addresses() for per-packet delivery
         # checks; anything that changes a node's addresses must call
         # invalidate_addresses to reset it.
@@ -71,7 +72,12 @@ class Node:
 
     def addresses(self) -> set[IPAddress]:
         """Addresses owned by this node (local delivery targets)."""
-        return set()
+        return set(self._addresses)
+
+    def set_addresses(self, addresses: "list[str | IPAddress]") -> None:
+        """Replace the node's addresses."""
+        self._addresses = {parse_ip(a) for a in addresses}
+        self.invalidate_addresses()
 
     def invalidate_addresses(self) -> None:
         """Drop the cached address set after an addressing change."""

@@ -103,9 +103,6 @@ class DnsServerNode(Node):
         tls_identity: Optional[str] = None,
     ) -> None:
         super().__init__(name, asn=asn)
-        from repro.net.addr import parse_ip
-
-        self._addresses = {parse_ip(a) for a in addresses}
         self.software = software or mute()
         self.gateway: Optional[str] = None
         #: Name presented on the server's TLS certificate. None disables
@@ -117,12 +114,20 @@ class DnsServerNode(Node):
         #: identical queries replay the cached wire with the new id
         #: spliced in. Stays off unless a ScenarioCache, which has
         #: audited this node's purity, turns it on. It survives scenario
-        #: reuse: its keys hold every per-probe input.
+        #: reuse: its keys hold every per-probe input but the server's
+        #: own addresses, and a change of those empties it.
         self.response_cache_enabled = False
         self._response_cache: dict = {}
+        self.set_addresses(addresses)
 
-    def addresses(self) -> set[IPAddress]:
-        return set(self._addresses)
+    def set_addresses(self, addresses: "list[str | IPAddress]") -> None:
+        """Replace the server's addresses. A new address set drops the
+        answer templates: an answer may embed the server's own address
+        (a recursive resolver's egress)."""
+        before = self._addresses
+        super().set_addresses(addresses)
+        if self._addresses != before:
+            self._response_cache.clear()
 
     # -- plumbing ----------------------------------------------------------
 

@@ -139,13 +139,8 @@ def study_fingerprint(config: Any, specs: Iterable[Any]) -> str:
     """
     from repro.analysis.export import config_to_dict
 
-    memo: dict = {}
     return fingerprint(
-        {
-            "kind": "study",
-            "config": config_to_dict(config),
-            "fleet": [canonical_value(spec, memo) for spec in specs],
-        }
+        {"kind": "study", "config": config_to_dict(config), "fleet": list(specs)}
     )
 
 

@@ -20,7 +20,7 @@ from repro.analysis.export import record_to_dict
 from repro.atlas.geo import organization_by_name
 from repro.atlas.probe import IspBehavior, ProbeSpec
 from repro.atlas.scenario import ScenarioSpec, scenario_signature
-from repro.core.parallel import _as_sibling, _dedup_key, measure_fleet
+from repro.core.parallel import _as_sibling, _dedup_key, _key_number, measure_fleet
 from repro.core.study import StudyConfig
 from repro.cpe.firmware import dnat_interceptor, xb6_profile
 from repro.interceptors.encrypted import downgrade_all
@@ -149,21 +149,20 @@ def test_key_covers_every_field_but_identity():
 
 def test_scenario_signature_covers_every_field_a_build_reads():
     """Changing any ``ProbeSpec`` field but the homed ``probe_id`` and
-    the three a build never reads, or any ``ScenarioSpec`` field but
-    ``probe`` and the homed ``impairment_seed``, changes the signature.
-    A new field must be added here, and then fails unless the signature
-    reads it: a topology-shaping field it left out would reuse the
-    wrong topology."""
+    ``organization`` and the three a build never reads, or any
+    ``ScenarioSpec`` field but ``probe`` and the homed
+    ``impairment_seed``, changes the signature. A new field must be
+    added here, and then fails unless the signature reads it: a
+    topology-shaping field it left out would reuse the wrong topology."""
     base = ScenarioSpec(make_spec(ORGANIZATIONS[0]))
     probe_altered = {
-        "organization": ORGANIZATIONS[1],
         "firmware": xb6_profile(),
         "isp": IspBehavior(resolver_outside_as=True),
         "external_policies": (intercept_all(),),
         "has_ipv6": True,
     }
+    probe_homed = {"probe_id": 2, "organization": ORGANIZATIONS[1]}
     probe_unread = {
-        "probe_id": 2,
         "online": False,
         "responds_v4": (False, True, True, True),
         "responds_v6": (True, False, True, True),
@@ -177,7 +176,7 @@ def test_scenario_signature_covers_every_field_a_build_reads():
     }
     spec_homed = {"impairment_seed": 3}
     names = {field.name for field in dataclasses.fields(ProbeSpec)}
-    assert names == set(probe_altered) | set(probe_unread)
+    assert names == set(probe_altered) | set(probe_homed) | set(probe_unread)
     names = {field.name for field in dataclasses.fields(ScenarioSpec)}
     assert names == set(spec_altered) | set(spec_homed) | {"probe"}
     signature = scenario_signature(base)
@@ -188,7 +187,7 @@ def test_scenario_signature_covers_every_field_a_build_reads():
     for name, value in spec_altered.items():
         altered = dataclasses.replace(base, **{name: value})
         assert scenario_signature(altered) != signature, name
-    probe = dataclasses.replace(base.probe, **probe_unread)
+    probe = dataclasses.replace(base.probe, **probe_homed, **probe_unread)
     unread = dataclasses.replace(base, probe=probe, **spec_homed)
     assert scenario_signature(unread) == signature
 
@@ -197,4 +196,4 @@ def test_unhashable_spec_has_no_key():
     spec = dataclasses.replace(
         make_spec(ORGANIZATIONS[0]), external_policies=[intercept_all()]
     )
-    assert _dedup_key(spec) is None
+    assert _key_number(spec, {}) is None

@@ -9,9 +9,11 @@ patching ``repro.atlas.scenario.build_scenario`` and ``reset_scenario``
 ``repro.core.study.measure_probe``.
 
 The serial tests check that every repeat of a signature is still a
-reset, that the cache never holds more than the signatures both already
-seen and still to come (the *live set*), and that it is empty once the
-call returns. The pool test checks that no worker builds one signature
+reset, also across organizations (the signature leaves the organization
+to :func:`~repro.atlas.scenario._home`), that the builds and resets are
+the counts pinned below, that the cache never holds more than the
+signatures both already seen and still to come (the *live set*), and
+that it is empty once the call returns. The pool test checks that no worker builds one signature
 twice within a call, which is what planning per shard, not per call,
 would break.
 """
@@ -44,11 +46,13 @@ def _residential(**kwargs) -> StudyConfig:
     )
 
 
-#: (fleet size, config): one clean fleet (dedup on) and one impaired
-#: fleet with retries (dedup off, every online probe measured).
+#: (fleet size, config, builds, resets): one clean fleet (dedup on) and
+#: one impaired fleet with retries (dedup off, every online probe
+#: measured). With the organization in the signature they took 70 / 4
+#: and 103 / 46.
 SERIAL_CASES = {
-    "clean": (600, StudyConfig(workers=1, seed=SEED)),
-    "residential": (150, _residential(workers=1)),
+    "clean": (600, StudyConfig(workers=1, seed=SEED), 54, 20),
+    "residential": (150, _residential(workers=1), 41, 108),
 }
 
 
@@ -89,7 +93,7 @@ def _count_calls(monkeypatch, log):
 
 @pytest.mark.parametrize("case", SERIAL_CASES.values(), ids=list(SERIAL_CASES))
 def test_serial_cache_keeps_only_the_live_set(case, monkeypatch):
-    size, config = case
+    size, config, build_count, reset_count = case
     fleet = generate_population(size, SEED)
     position = {spec.probe_id: index for index, spec in enumerate(fleet)}
     assert len(position) == len(fleet)
@@ -111,7 +115,9 @@ def test_serial_cache_keeps_only_the_live_set(case, monkeypatch):
     resets = [signature for kind, signature in log if kind == "reset"]
     assert len(builds) == len(set(signatures)) == len(set(builds))
     assert len(resets) == len(signatures) - len(set(signatures))
-    assert resets, "the fleet should repeat a signature"
+    assert (len(builds), len(resets)) == (build_count, reset_count)
+    homes = {(spec.organization, s) for spec, s in zip(measured, signatures)}
+    assert len(builds) < len(homes), "reuse should cross organizations"
 
     # The live set after the first ``done`` probes of the fleet: the
     # signatures measured among them that a later measured probe needs.

@@ -12,10 +12,14 @@ every table, every counter) must be equal. Without them, the record
 measured through a real ``ScenarioCache`` (answer templates on) must
 equal the fresh one.
 
-Pairs are the first two online probes of each signature in a generated
-fleet with dense interceptors, measured under a clean config,
-residential impairment with retries, and every extra pass (both
-detectors, fingerprint, DoQ evasion).
+Every pair crosses organizations, so B's scenario is re-homed from A's
+prefixes, ASN and resolver to its own. Pairs are each signature's first
+online probe and its first later one in another organization, in a
+generated fleet with dense interceptors, plus hand-made pairs for what
+the generator never makes (an XB6 unit leaving an ISP that rents them,
+ISP resolvers hosted outside the client AS). They are measured under a
+clean config, residential impairment with retries, and every extra pass
+(both detectors, fingerprint, DoQ evasion).
 """
 
 import dataclasses
@@ -24,6 +28,8 @@ from itertools import zip_longest
 
 import pytest
 
+from repro.atlas.geo import organization_by_name
+from repro.atlas.measurement import MeasurementClient
 from repro.atlas.population import PopulationConfig, generate_population
 from repro.atlas.probe import InterceptorLocation
 from repro.atlas.retry import ExponentialBackoffRetry
@@ -36,8 +42,14 @@ from repro.atlas.scenario import (
 )
 from repro.core.metrics import MetricsRegistry, use_registry
 from repro.core.study import StudyConfig, classification_to_record, measure_probe
+from repro.cpe.firmware import xb6_profile
+from repro.dnswire import QType, make_query
+from repro.interceptors.policy import intercept_all
 from repro.net.impairment import impairment_profile
 from repro.resolvers import build_default_directory
+from repro.resolvers.directory import AKAMAI_WHOAMI
+
+from tests.conftest import make_spec
 
 SEED = 7
 #: Interceptor counts (at the reference size 9,800) raised so that the
@@ -45,7 +57,8 @@ SEED = 7
 FLEET = PopulationConfig(
     size=400, seed=SEED, cpe_true_count=1500, isp_all_four=3000, ext_all_four=1000
 )
-#: Pairs measured per config, taken in turn from each location.
+#: Pairs measured per config: drawn from the fleet, taken in turn from
+#: each location, and then the hand-made ones.
 PAIRS = 24
 
 CONFIGS = {
@@ -61,19 +74,51 @@ CONFIGS = {
 }
 
 
+def _homed_pair(first, second, **fields):
+    """Two probes of one signature, homed in organizations ``first`` and
+    ``second``."""
+    return (
+        make_spec(organization_by_name(first), probe_id=7001, **fields),
+        make_spec(organization_by_name(second), probe_id=7002, **fields),
+    )
+
+
+HAND_MADE = [
+    _homed_pair("Comcast", "Deutsche Telekom", firmware=xb6_profile(), has_ipv6=True),
+    _homed_pair(
+        "Telstra",
+        "Comcast",
+        middlebox_policies=[intercept_all()],
+        resolver_outside_as=True,
+    ),
+    _homed_pair("Deutsche Telekom", "Telstra", resolver_outside_as=True),
+    # Port 853 redirected to the in-AS resolver, which presents its
+    # per-AS TLS identity.
+    _homed_pair(
+        "Telstra",
+        "Deutsche Telekom",
+        middlebox_policies=[dataclasses.replace(intercept_all(), intercept_dot=True)],
+    ),
+]
+
+
 def _pairs():
-    """``(A, B)``: each signature's first two online probes, at most
-    ``PAIRS`` of them, taken from each interceptor location in turn."""
+    """``(A, B)``: each signature's first online probe and the first later
+    one in another organization, taken from each interceptor location in
+    turn, then :data:`HAND_MADE`; ``PAIRS`` in all."""
     groups = defaultdict(list)
     for spec in generate_population(config=FLEET):
         if spec.online:
             groups[scenario_signature(ScenarioSpec(spec))].append(spec)
     by_location = defaultdict(list)
-    for specs in groups.values():
-        if len(specs) > 1:
-            by_location[specs[0].true_location()].append(tuple(specs[:2]))
+    for first, *later in groups.values():
+        for second in later:
+            if second.organization != first.organization:
+                by_location[first.true_location()].append((first, second))
+                break
     turns = zip_longest(*by_location.values())
-    return [pair for turn in turns for pair in turn if pair is not None][:PAIRS]
+    drawn = [pair for turn in turns for pair in turn if pair is not None]
+    return drawn[: PAIRS - len(HAND_MADE)] + HAND_MADE
 
 
 PAIR_LIST = _pairs()
@@ -154,6 +199,16 @@ def test_fleet_has_pairs_of_every_kind():
     locations = {pair[0].true_location() for pair in PAIR_LIST}
     assert len(PAIR_LIST) == PAIRS
     assert set(InterceptorLocation) <= locations
+    for first, second in PAIR_LIST:
+        assert first.organization != second.organization
+        assert scenario_signature(ScenarioSpec(first)) == scenario_signature(
+            ScenarioSpec(second)
+        )
+    assert any(
+        first.organization.deploys_xb6 and first.firmware.model == "XB6"
+        for first, _second in PAIR_LIST
+    )
+    assert any(first.isp.resolver_outside_as for first, _second in PAIR_LIST)
 
 
 @pytest.mark.parametrize("config", CONFIGS.values(), ids=list(CONFIGS))
@@ -188,3 +243,21 @@ def test_cached_record_matches_fresh_build(config, directory):
             first.probe_id,
             second.probe_id,
         )
+
+
+def test_reused_resolver_answers_from_its_new_address(directory):
+    """The ISP resolver's whoami answer embeds its own address, which a
+    re-home changes: a reused scenario's answer templates must not
+    replay the last organization's address."""
+    cache = ScenarioCache(directory)
+    answers = {}
+    for spec in _homed_pair("Comcast", "Deutsche Telekom"):
+        cache.keep_next = True
+        scenario = cache.get(ScenarioSpec(spec))
+        resolver = scenario.isp_resolver.egress_address(4)
+        client = MeasurementClient(scenario.network, scenario.host)
+        query = make_query(AKAMAI_WHOAMI, QType.A, msg_id=7)
+        answers[str(resolver)] = client.exchange(resolver, query).response
+    assert len(answers) == 2
+    for resolver, response in answers.items():
+        assert response.a_addresses() == [resolver]
