@@ -562,19 +562,6 @@ def reset_scenario(scenario: Scenario, sspec: ScenarioSpec) -> Scenario:
     return scenario
 
 
-def _answer_templates_on(scenario: Scenario) -> Scenario:
-    """Switch on the answer-template caches of ``scenario``'s resolvers.
-
-    Only the pure responders: resolver answers are functions of (query
-    wire minus id, response signature), audited per class. The embedded
-    forwarder and the middleboxes are stateful relays and stay uncached.
-    """
-    for node in scenario.network.nodes.values():
-        if isinstance(node, DnsServerNode):
-            node.response_cache_enabled = True
-    return scenario
-
-
 class ScenarioCache:
     """Scenarios built over one directory, each kept only while a later
     probe will ask for its signature, then reset and reused.
@@ -588,13 +575,22 @@ class ScenarioCache:
     holds only the scenarios a later probe of the same call still needs.
     ``get`` on an unhashable signature builds fresh and keeps nothing.
 
-    Every scenario it hands out has the answer-template caches of its
-    resolvers switched on; :func:`build_scenario` alone leaves them off.
+    Every scenario it builds has its resolvers serve from answer
+    templates the cache owns, one table per server identity
+    (:meth:`~repro.resolvers.base.DnsServerNode.answer_identity`), so a
+    new scenario's resolvers start with what earlier scenarios' equal
+    resolvers learnt; :func:`build_scenario` alone leaves templates off.
+    Only the pure responders are lent templates: resolver answers are
+    functions of (query wire minus id, response signature, identity),
+    audited per class. The embedded forwarder and the middleboxes are
+    stateful relays and stay uncached.
     """
 
     def __init__(self, directory: NameDirectory) -> None:
         self.directory = directory
         self._cache: "dict[tuple, Scenario]" = {}
+        #: Answer identity -> that identity's answer templates.
+        self._answer_templates: "dict[tuple, dict]" = {}
         #: Whether the next :meth:`get` keeps its scenario for a later
         #: probe of the same signature; every ``get`` clears it.
         self.keep_next = False
@@ -603,14 +599,21 @@ class ScenarioCache:
         keep, self.keep_next = self.keep_next, False
         signature = scenario_signature(sspec)
         if signature is None:
-            return _answer_templates_on(build_scenario(sspec, self.directory))
+            return self._build(sspec)
         scenario = self._cache.pop(signature, None)
         if scenario is None:
-            scenario = _answer_templates_on(build_scenario(sspec, self.directory))
+            scenario = self._build(sspec)
         else:
             reset_scenario(scenario, sspec)
         if keep:
             self._cache[signature] = scenario
+        return scenario
+
+    def _build(self, sspec: ScenarioSpec) -> Scenario:
+        scenario = build_scenario(sspec, self.directory)
+        for node in scenario.network.nodes.values():
+            if isinstance(node, DnsServerNode):
+                node.share_answer_templates(self._answer_templates)
         return scenario
 
     def clear(self) -> None:

@@ -154,12 +154,13 @@ def shard_fleet(
 
 def _dedup_sound(config: "StudyConfig") -> bool:
     """Whether nothing per-probe beyond the dedup key can influence a
-    record: impairment streams and retry jitter are probe_id-seeded, and
+    record: impairment streams and retry jitter are probe_id-seeded
+    (a null impairment profile never draws from its streams), and
     metrics runs must emit every probe's pipeline events for snapshot
     determinism."""
     return (
         config.engine == "fast"
-        and config.impairment is None
+        and (config.impairment is None or config.impairment.is_null)
         and config.retry is None
         and not config.metrics
     )

@@ -8,10 +8,11 @@ compare by value, so two runs of one probe record equal trace events.
 
 Packets are built on every hop, so the builders (``make_udp``,
 ``make_reply``, ``make_icmp_time_exceeded``) and the rewrite helpers
-fill a new packet's fields directly instead of going through the
-dataclass ``__init__`` or ``dataclasses.replace``. They run the same
-consistency check ``__post_init__`` runs (:func:`_check`), so a packet
-built either way is accepted or refused alike.
+fill a new packet's fields, and its UDP data's, directly instead of
+going through the dataclass ``__init__`` or ``dataclasses.replace``.
+They run the same checks ``__post_init__`` runs (:func:`_check`,
+:func:`_check_ports`), so a packet built either way is accepted or
+refused alike.
 """
 
 from __future__ import annotations
@@ -46,9 +47,25 @@ class UdpData:
     payload: bytes
 
     def __post_init__(self) -> None:
-        for port in (self.sport, self.dport):
-            if not 0 < port <= 0xFFFF:
-                raise ValueError(f"bad port: {port}")
+        _check_ports(self.sport, self.dport)
+
+
+def _check_ports(sport: int, dport: int) -> None:
+    for port in (sport, dport):
+        if not 0 < port <= 0xFFFF:
+            raise ValueError(f"bad port: {port}")
+
+
+def _udp(sport: int, dport: int, payload: bytes) -> UdpData:
+    """New UDP data without the dataclass ``__init__``, after the same
+    port check ``__post_init__`` runs."""
+    _check_ports(sport, dport)
+    udp = object.__new__(UdpData)
+    state = udp.__dict__
+    state["sport"] = sport
+    state["dport"] = dport
+    state["payload"] = payload
+    return udp
 
 
 @dataclass(frozen=True)
@@ -110,14 +127,14 @@ class Packet:
         """DNAT rewrite: new destination address (and optionally port)."""
         udp = self.udp
         if dport is not None and udp is not None:
-            udp = UdpData(udp.sport, dport, udp.payload)
+            udp = _udp(udp.sport, dport, udp.payload)
         return self._rewrite(self.src, parse_ip(dst), udp, self.icmp)
 
     def with_src(self, src: "str | IPAddress", sport: int | None = None) -> "Packet":
         """SNAT rewrite: new source address (and optionally port)."""
         udp = self.udp
         if sport is not None and udp is not None:
-            udp = UdpData(sport, udp.dport, udp.payload)
+            udp = _udp(sport, udp.dport, udp.payload)
         return self._rewrite(parse_ip(src), self.dst, udp, self.icmp)
 
     def with_quoted(self, dst: "str | IPAddress", quoted: "Packet") -> "Packet":
@@ -134,7 +151,7 @@ class Packet:
         udp = self.udp
         if udp is None:
             raise ValueError("only UDP packets can be truncated")
-        udp = UdpData(udp.sport, udp.dport, udp.payload[:length])
+        udp = _udp(udp.sport, udp.dport, udp.payload[:length])
         return self._rewrite(self.src, self.dst, udp, self.icmp)
 
     def _rewrite(
@@ -191,7 +208,7 @@ def make_udp(
 ) -> Packet:
     """Build a UDP packet."""
     src, dst = parse_ip(src), parse_ip(dst)
-    udp = UdpData(sport, dport, payload)
+    udp = _udp(sport, dport, payload)
     return _build(src, dst, Protocol.UDP, udp, None, ttl)
 
 
@@ -205,7 +222,7 @@ def make_reply(request: Packet, payload: bytes, src: "str | IPAddress | None" = 
     """
     assert request.udp is not None
     reply_src = parse_ip(src) if src is not None else request.dst
-    udp = UdpData(request.udp.dport, request.udp.sport, payload)
+    udp = _udp(request.udp.dport, request.udp.sport, payload)
     return _build(reply_src, request.src, Protocol.UDP, udp, None, DEFAULT_TTL)
 
 

@@ -31,7 +31,7 @@ import pytest
 from repro.atlas.geo import organization_by_name
 from repro.atlas.measurement import MeasurementClient
 from repro.atlas.population import PopulationConfig, generate_population
-from repro.atlas.probe import InterceptorLocation
+from repro.atlas.probe import InterceptorLocation, isp_behavior
 from repro.atlas.retry import ExponentialBackoffRetry
 from repro.atlas.scenario import (
     ScenarioCache,
@@ -46,10 +46,12 @@ from repro.cpe.firmware import xb6_profile
 from repro.dnswire import QType, make_query
 from repro.interceptors.policy import intercept_all
 from repro.net.impairment import impairment_profile
-from repro.resolvers import build_default_directory
+from repro.resolvers import RecursiveResolverNode, build_default_directory
 from repro.resolvers.directory import AKAMAI_WHOAMI
+from repro.resolvers.software import unbound
 
 from tests.conftest import make_spec
+from tests.resolvers.harness import wire_up
 
 SEED = 7
 #: Interceptor counts (at the reference size 9,800) raised so that the
@@ -261,3 +263,97 @@ def test_reused_resolver_answers_from_its_new_address(directory):
     assert len(answers) == 2
     for resolver, response in answers.items():
         assert response.a_addresses() == [resolver]
+
+
+# -- answer templates shared across scenarios -----------------------------------
+#
+# A ScenarioCache lends every resolver it builds one template table per
+# answer identity, and keeps the tables across scenarios. Each pair asks
+# a resolver of one organization, then a resolver of another that
+# differs only in what its answer reads (its address, its wildcard
+# target, its egress, its blocklist): answered from the shared
+# templates, the second must say what it says with fresh ones.
+
+
+def _wildcarding(organization, target):
+    """A probe whose ISP resolver, hosted outside the AS (so at the same
+    address for every organization), forges NXDOMAIN answers to
+    ``target``."""
+    spec = make_spec(organization_by_name(organization), resolver_outside_as=True)
+    return dataclasses.replace(
+        spec,
+        isp=isp_behavior(resolver_outside_as=True, nxdomain_wildcard_to=target),
+    )
+
+
+def _ask_isp_resolver(scenario, query):
+    resolver = scenario.isp_resolver.egress_address(4)
+    client = MeasurementClient(scenario.network, scenario.host)
+    return client.exchange(resolver, query).response
+
+
+@pytest.mark.parametrize(
+    "first, second, query",
+    [
+        # The whoami answer embeds the in-AS resolver's own address.
+        (
+            *_homed_pair("Comcast", "Deutsche Telekom"),
+            make_query(AKAMAI_WHOAMI, QType.A, msg_id=7),
+        ),
+        (
+            _wildcarding("Comcast", "203.0.113.80"),
+            _wildcarding("Deutsche Telekom", "203.0.113.81"),
+            make_query("missing.invalid.", QType.A, msg_id=8),
+        ),
+    ],
+    ids=["whoami", "nxdomain-wildcard"],
+)
+def test_scenario_resolvers_share_templates_by_identity(first, second, query, directory):
+    cache = ScenarioCache(directory)
+    before = _ask_isp_resolver(cache.get(ScenarioSpec(first)), query)
+    shared = _ask_isp_resolver(cache.get(ScenarioSpec(second)), query)
+    fresh = _ask_isp_resolver(ScenarioCache(directory).get(ScenarioSpec(second)), query)
+    assert shared == fresh
+    assert shared != before
+
+
+def _isp_resolver(directory, asn, **fields):
+    return RecursiveResolverNode(
+        "isp-resolver",
+        ["24.0.0.53"],
+        directory,
+        software=unbound(),
+        asn=asn,
+        **fields,
+    )
+
+
+@pytest.mark.parametrize(
+    "first, second, query",
+    [
+        (
+            {"egress": "24.0.0.98"},
+            {"egress": "24.0.0.99"},
+            make_query(AKAMAI_WHOAMI, QType.A, msg_id=9),
+        ),
+        (
+            {},
+            {"blocked_names": {"www.example.com"}},
+            make_query("www.example.com.", QType.A, msg_id=10),
+        ),
+    ],
+    ids=["egress", "blocked-name"],
+)
+def test_resolvers_share_templates_by_identity(first, second, query, directory):
+    """Resolvers of two organizations (ASNs) at one address, lent one
+    pool as a ScenarioCache lends it."""
+    pool = {}
+    answers = []
+    for asn, fields in ((7922, first), (3320, second)):
+        resolver = _isp_resolver(directory, asn, **fields)
+        resolver.share_answer_templates(pool)
+        answers.append(wire_up(resolver).exchange("24.0.0.53", query).response)
+    fresh = _isp_resolver(directory, 3320, **second)
+    fresh.share_answer_templates({})
+    assert answers[1] == wire_up(fresh).exchange("24.0.0.53", query).response
+    assert answers[1] != answers[0]

@@ -22,6 +22,7 @@ from repro.dnswire import (
     Question,
     RCode,
     decode_or_none,
+    make_query,
     txt_record,
     a_record,
     aaaa_record,
@@ -176,3 +177,50 @@ def test_parent_chain_terminates(name):
         current = current.parent()
         steps += 1
         assert steps <= len(name)
+
+
+# -- query templates ----------------------------------------------------------
+
+#: Hostname-shaped labels in both cases, so spellings that differ only in
+#: case (equal DnsNames, different wire bytes) come up often.
+mixed_case_labels = st.text(
+    alphabet="aAbBxXyY09-", min_size=1, max_size=10
+)
+mixed_case_names = st.lists(mixed_case_labels, min_size=1, max_size=4).map(DnsName)
+
+
+@settings(max_examples=300)
+@given(
+    mixed_case_names,
+    st.sampled_from(list(QType)),
+    st.sampled_from(list(QClass)),
+    st.booleans(),
+    st.lists(st.integers(0, 0xFFFF), min_size=2, max_size=2),
+    st.booleans(),
+)
+def test_templated_query_matches_dataclass_build(qname, qtype, qclass, rd, ids, as_text):
+    """``make_query`` stamps a shared template with the id; the query it
+    returns, its wire and the message decoded from that wire equal those
+    of the same message built the dataclass way, for each spelling of a
+    name (the same name in another case is another template)."""
+    for spelling in (DnsName([label.swapcase() for label in qname.labels]), qname):
+        for msg_id in ids:
+            query = make_query(
+                spelling.to_text() if as_text else spelling,
+                qtype,
+                qclass,
+                msg_id=msg_id,
+                recursion_desired=rd,
+            )
+            built = Message(
+                msg_id=msg_id,
+                flags=Flags(qr=False, rd=rd),
+                questions=(Question(spelling, qtype, qclass),),
+            )
+            assert query == built
+            assert repr(query) == repr(built)
+            assert query.question.qname.labels == spelling.labels
+            wire = query.encode()
+            assert wire == built.encode()
+            assert Message.decode(wire) == Message.decode(built.encode()) == built
+            assert decode_or_none(wire).question.qname.labels == spelling.labels

@@ -47,6 +47,93 @@ def test_lpm_matches_bruteforce(prefixes, address):
         assert prefixes[chosen].prefixlen == best_len
 
 
+# -- RoutingTable: edits keep the order a stable sort gives ------------------
+
+#: A small pool, so adds, removals and replacements hit the same prefixes
+#: (host routes and default routes included) and equal lengths tie.
+route_prefixes = st.sampled_from(
+    [
+        ipaddress.ip_network(text)
+        for text in (
+            "0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.2.0.0/16",
+            "10.1.2.0/24", "10.1.2.3/32", "192.0.2.0/24", "::/0",
+            "2001:db8::/32", "2001:db8:1::/48", "2001:db8:1::1/128",
+        )
+    ]
+)
+route_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "replace"]),
+        route_prefixes,
+        st.sampled_from(["a", "b", "c"]),
+    ),
+    max_size=30,
+)
+probe_addresses = [
+    ipaddress.ip_address(text)
+    for text in (
+        "10.1.2.3", "10.1.2.4", "10.1.9.9", "10.2.0.1", "10.9.9.9",
+        "192.0.2.7", "203.0.113.1", "2001:db8:1::1", "2001:db8:1::2",
+        "2001:db8:2::1", "2001:db9::1",
+    )
+]
+
+
+class _SortedReference:
+    """The table's contract, kept the slow way: non-host routes in
+    insertion order, stable-sorted longest prefix first on every read."""
+
+    def __init__(self):
+        self.host = {}
+        self.routes = []
+
+    def add(self, prefix, next_hop):
+        if prefix.prefixlen == prefix.max_prefixlen:
+            self.host[prefix.network_address] = (prefix, next_hop)
+        else:
+            self.routes.append((prefix, next_hop))
+
+    def remove(self, prefix):
+        if prefix.prefixlen == prefix.max_prefixlen:
+            self.host.pop(prefix.network_address, None)
+        else:
+            self.routes = [route for route in self.routes if route[0] != prefix]
+
+    def ordered(self):
+        return list(self.host.values()) + sorted(
+            self.routes, key=lambda route: route[0].prefixlen, reverse=True
+        )
+
+    def lookup(self, address):
+        if address in self.host:
+            return self.host[address][1]
+        for prefix, next_hop in self.ordered()[len(self.host):]:
+            if prefix.version == address.version and address in prefix:
+                return next_hop
+        return None
+
+
+@settings(max_examples=200)
+@given(route_edits)
+def test_route_edits_keep_stable_sorted_order(edits):
+    table = RoutingTable()
+    reference = _SortedReference()
+    for action, prefix, next_hop in edits:
+        if action == "add":
+            table.add(prefix, next_hop)
+            reference.add(prefix, next_hop)
+        elif action == "remove":
+            table.remove(prefix)
+            reference.remove(prefix)
+        else:
+            table.replace(prefix, next_hop)
+            reference.remove(prefix)
+            reference.add(prefix, next_hop)
+        assert [(r.prefix, r.next_hop) for r in table] == reference.ordered()
+        for address in probe_addresses:
+            assert table.lookup(address) == reference.lookup(address), address
+
+
 # -- NAT: allocated ports are unique, flows are stable, reversal exact -------
 
 flows = st.tuples(
