@@ -34,7 +34,6 @@ from repro.cpe.firmware import (
     honest_router,
     open_wan_forwarder,
     pihole_profile,
-    shared_profile,
 )
 from repro.interceptors.encrypted import (
     EncryptedAction,
@@ -67,6 +66,7 @@ from repro.resolvers.software import (
     windows_ns,
     xdns,
 )
+from repro.values import shared
 
 from .geo import ORGANIZATIONS, Organization, organization_by_name
 from .probe import IspBehavior, ProbeSpec, isp_behavior
@@ -323,7 +323,7 @@ class PopulationGenerator:
         drafts = []
         for _ in range(self._scale(self.config.cpe_misclassified_count)):
             org = self._sample_org(by_interception=True)
-            firmware = shared_profile(
+            firmware = shared(
                 FirmwareProfile(
                     model="open-forwarder",
                     software=silent_forwarder(),
@@ -514,7 +514,7 @@ class PopulationGenerator:
                     posture = pihole_profile().encrypted_dns
                 else:
                     posture = dnat_interceptor().encrypted_dns
-                draft.firmware = shared_profile(
+                draft.firmware = shared(
                     dataclasses.replace(firmware, encrypted_dns=posture)
                 )
                 continue

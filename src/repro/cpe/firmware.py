@@ -8,9 +8,8 @@ Profiles are the unit the RIPE-Atlas-style fleet is sampled over.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.interceptors.encrypted import (
     EncryptedAction,
@@ -33,7 +32,7 @@ from repro.resolvers.software import (
     windows_ns,
     xdns,
 )
-from repro.values import hash_once
+from repro.values import hash_once, shared_factory
 
 
 @hash_once
@@ -59,34 +58,13 @@ class FirmwareProfile:
         return self.intercepts_v4 or self.intercepts_v6
 
 
-#: One instance per profile value handed out by :func:`shared_profile`.
-_SHARED: dict[FirmwareProfile, FirmwareProfile] = {}
-
-
-def shared_profile(profile: FirmwareProfile) -> FirmwareProfile:
-    """The one instance of ``profile``'s value: the first equal profile
-    passed here. Every factory below returns through it, so a fleet
-    holds one instance per distinct profile (and hashes it once)."""
-    return _SHARED.setdefault(profile, profile)
-
-
-def _shared(factory: Callable[..., FirmwareProfile]) -> Callable[..., FirmwareProfile]:
-    """``factory``, returning :func:`shared_profile` of what it builds."""
-
-    @functools.wraps(factory)
-    def shared(*args, **kwargs) -> FirmwareProfile:
-        return shared_profile(factory(*args, **kwargs))
-
-    return shared
-
-
-@_shared
+@shared_factory
 def honest_router(model: str = "plain-router") -> FirmwareProfile:
     """A gateway with no DNS service at all — the common good citizen."""
     return FirmwareProfile(model=model, software=None)
 
 
-@_shared
+@shared_factory
 def honest_forwarder(
     software: Optional[ServerSoftware] = None,
     model: str = "lan-forwarder",
@@ -102,7 +80,7 @@ def honest_forwarder(
     )
 
 
-@_shared
+@shared_factory
 def open_wan_forwarder(
     software: Optional[ServerSoftware] = None, model: str = "open-forwarder"
 ) -> FirmwareProfile:
@@ -111,7 +89,7 @@ def open_wan_forwarder(
     return honest_forwarder(software=software, model=model, wan_open=True)
 
 
-@_shared
+@shared_factory
 def dnat_interceptor(
     software: Optional[ServerSoftware] = None,
     model: str = "dnat-interceptor",
@@ -138,7 +116,7 @@ def dnat_interceptor(
     )
 
 
-@_shared
+@shared_factory
 def xb6_profile(buggy: bool = True) -> FirmwareProfile:
     """The Arris/Technicolor XB6 running RDK-B with XDNS (§5).
 
@@ -173,7 +151,7 @@ PUBLIC_RESOLVER_SNIS: frozenset[str] = frozenset(
 )
 
 
-@_shared
+@shared_factory
 def pihole_profile(version: str = "2.81") -> FirmwareProfile:
     """A home network whose owner deliberately intercepts DNS with a
     Pi-hole (the paper saw eight of these among the 49 CPE interceptors).

@@ -2,14 +2,47 @@
 
 A generated fleet holds thousands of probe specs but only a few dozen
 distinct firmware profiles and ISP behaviours, and the generator hands
-every spec that uses one the same instance. Probe dedup and scenario
-reuse hash those values for every probe; :func:`hash_once` makes each
-instance hash its fields the first time only.
+every spec that uses one the same instance (:func:`shared`,
+:func:`shared_factory`). Probe dedup and scenario reuse hash those
+values for every probe; :func:`hash_once` makes each instance hash its
+fields the first time only.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+from typing import Callable, TypeVar
+
+_V = TypeVar("_V")
+
+#: One instance per value handed out by :func:`shared`.
+_SHARED: dict = {}
+
+
+def shared(value: _V) -> _V:
+    """The one instance of ``value``'s value: the first equal value
+    passed here. Frozen dataclasses compare equal only within their own
+    class, so one table serves every type."""
+    return _SHARED.setdefault(value, value)
+
+
+def shared_factory(factory: Callable[..., _V]) -> Callable[..., _V]:
+    """``factory``, building once per distinct call (its arguments must
+    hash) and returning :func:`shared` of what it builds, so a fleet or
+    a scenario holds each value once however often it is asked for."""
+    built: dict = {}
+
+    @functools.wraps(factory)
+    def wrapper(*args, **kwargs):
+        key = (args, tuple(kwargs.items()))
+        try:
+            return built[key]
+        except KeyError:
+            value = built[key] = shared(factory(*args, **kwargs))
+            return value
+
+    return wrapper
 
 #: The ``__dict__`` slot that holds a cached hash.
 _HASH = "_hash"
