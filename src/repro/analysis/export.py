@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Optional
+from typing import Any
 
 from repro.atlas.retry import (
     ExponentialBackoffRetry,
@@ -88,71 +88,59 @@ def record_from_dict(data: dict[str, Any]) -> ProbeRecord:
     return ProbeRecord(**payload)
 
 
+#: The :class:`StudyConfig` fields exports and store fingerprints carry,
+#: in declaration order: every axis but ``workers`` and ``engine``, which
+#: change how the fleet is measured, never what is measured. Each is a
+#: plain value of its default's type except ``impairment`` and ``retry``.
+_CONFIG_FIELDS: tuple[dataclasses.Field, ...] = tuple(
+    field
+    for field in dataclasses.fields(StudyConfig)
+    if field.name not in ("workers", "engine")
+)
+
+
 def config_to_dict(config: StudyConfig) -> dict[str, Any]:
     """The *semantic* study configuration as plain JSON data.
 
-    ``workers`` is deliberately omitted: it changes how the fleet is
-    measured, never what is measured, and both exports and the result
-    store's input fingerprint must stay identical across worker counts.
+    ``workers`` and ``engine`` are deliberately omitted: both exports
+    and the result store's input fingerprint must stay identical across
+    worker counts and engines.
     """
-    return {
-        "seed": config.seed,
-        "run_transparency": config.run_transparency,
-        "metrics": config.metrics,
-        "trace": config.trace,
-        "impairment": (
-            None
-            if config.impairment is None
-            else dataclasses.asdict(config.impairment)
-        ),
-        "impairment_seed": config.impairment_seed,
-        "retry": (
-            None
-            if config.retry is None
-            else {
-                "type": type(config.retry).__name__,
-                **dataclasses.asdict(config.retry),
-            }
-        ),
-        # The evasion and detector axes change *what* is measured, so
-        # unlike workers/engine they belong in exports and store
-        # fingerprints.
-        "transport": config.transport,
-        "evasion": config.evasion,
-        "detector": config.detector,
-        "fingerprint": config.fingerprint,
-    }
+    data = {field.name: getattr(config, field.name) for field in _CONFIG_FIELDS}
+    if config.impairment is not None:
+        data["impairment"] = dataclasses.asdict(config.impairment)
+    if config.retry is not None:
+        data["retry"] = {
+            "type": type(config.retry).__name__,
+            **dataclasses.asdict(config.retry),
+        }
+    return data
 
 
 def config_from_dict(data: dict[str, Any]) -> StudyConfig:
-    """Rebuild a :class:`StudyConfig` from :func:`config_to_dict` output.
+    """Rebuild a :class:`StudyConfig` from :func:`config_to_dict` output,
+    coercing each plain value to its default's type.
 
     ``workers`` is not serialized, so loaded configs come back with the
     default (in-process) worker count.
     """
+    kwargs: dict[str, Any] = {
+        field.name: type(field.default)(data.get(field.name, field.default))
+        for field in _CONFIG_FIELDS
+        if field.name not in ("impairment", "retry")
+    }
     impairment = data.get("impairment")
+    if impairment is not None:
+        kwargs["impairment"] = LinkProfile(**impairment)
     retry = data.get("retry")
-    retry_policy: Optional[RetryPolicy] = None
     if retry is not None:
         payload = dict(retry)
         type_name = payload.pop("type", None)
         cls = _RETRY_TYPES.get(str(type_name))
         if cls is None:
             raise ValueError(f"unknown retry policy type: {type_name!r}")
-        retry_policy = cls(**payload)
-    return StudyConfig(
-        seed=int(data.get("seed", 0)),
-        run_transparency=bool(data.get("run_transparency", True)),
-        metrics=bool(data.get("metrics", False)),
-        trace=str(data.get("trace", "probe")),
-        impairment=None if impairment is None else LinkProfile(**impairment),
-        impairment_seed=int(data.get("impairment_seed", 0)),
-        retry=retry_policy,
-        transport=str(data.get("transport", "udp53")),
-        evasion=bool(data.get("evasion", False)),
-        detector=str(data.get("detector", "heuristic")),
-        fingerprint=bool(data.get("fingerprint", False)),
-    )
+        kwargs["retry"] = cls(**payload)
+    return StudyConfig(**kwargs)
 
 
 def study_to_json(study: StudyResult, indent: "int | None" = None) -> str:

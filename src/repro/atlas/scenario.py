@@ -566,7 +566,7 @@ class ScenarioCache:
     """Scenarios built over one directory, each kept only while a later
     probe will ask for its signature, then reset and reused.
 
-    One cache per worker (or per serial path) of a fast-engine
+    One cache per worker (or for in-process measuring) of a fast-engine
     :class:`~repro.core.parallel.FleetSession`. It caches scenarios, not
     records: the probe-dedup memo lives on the session, in the parent
     process. The caller says, through :attr:`keep_next`, whether the

@@ -44,6 +44,16 @@ _STUDY_KEYS = (
     "run_transparency",
 )
 
+_TYPE_NAMES = {str: "a string", bool: "a boolean"}
+
+#: The study keys that set a :class:`StudyConfig` field of the same name
+#: to a plain string or boolean, by the type of the field's default.
+_PLAIN_STUDY_KEYS = {
+    field.name: type(field.default)
+    for field in dataclasses.fields(StudyConfig)
+    if field.name in _STUDY_KEYS and type(field.default) in _TYPE_NAMES
+}
+
 
 class ScenarioError(Exception):
     """A scenario file is missing, malformed, or fails validation."""
@@ -136,17 +146,11 @@ def _parse_study(data: dict, seed: int, where: str) -> StudyConfig:
         # Longitudinal journals hold records only (no metrics segments).
         "metrics": False,
     }
-    for key in ("detector", "transport"):
+    for key, kind in _PLAIN_STUDY_KEYS.items():
         if key in data:
             value = data[key]
-            if not isinstance(value, str):
-                raise ScenarioError(f"{where}.{key} must be a string")
-            kwargs[key] = value
-    for key in ("evasion", "fingerprint", "run_transparency"):
-        if key in data:
-            value = data[key]
-            if not isinstance(value, bool):
-                raise ScenarioError(f"{where}.{key} must be a boolean")
+            if not isinstance(value, kind):
+                raise ScenarioError(f"{where}.{key} must be {_TYPE_NAMES[kind]}")
             kwargs[key] = value
     if "impairment" in data:
         name = data["impairment"]

@@ -1,41 +1,55 @@
-"""Sharded, multi-process fleet execution for the pilot study.
+"""Fleet execution for the pilot study: one driver for every worker count.
 
 Every probe's scenario is an independent simulation — its own network,
 its own clock, its own per-probe RNG seeded from ``probe_id`` — which is
 exactly the per-vantage-point parallelism real measurement platforms
 exploit (the paper's RIPE Atlas pilot ran ~10k probes concurrently).
-This module chunks a fleet of :class:`~repro.atlas.probe.ProbeSpec`\\ s
-into :class:`FleetShard`\\ s, measures each shard in-process or in a
-pool of worker processes, and hands every finished shard to one sink:
-memory (records merged back in fleet order) or a
+This module cuts the pending fleet of
+:class:`~repro.atlas.probe.ProbeSpec`\\ s into fleet-order *segments*
+of :data:`SEGMENT_PROBES` probes, measures the probes the segments need
+in-process or in a pool of worker processes, and hands the segments,
+strictly in fleet order, to one sink: memory or a
 :class:`~repro.store.ResultStore` journal. A :class:`FleetSession`
 holds what a run of fleet measurements under one config shares — the
-probe-dedup memo, the serial path's directory and scenario cache, and
-the worker pool — so a campaign's epochs dedup against earlier epochs.
-Dedup happens in the parent process: a pool is sent only the
-measurements nobody in the session has made yet. The same walk plans
-scenario reuse: it marks each measurement whose scenario signature a
-later one of the same call asks for, and a scenario cache keeps only
-what is marked.
+probe-dedup memo, the in-process directory and scenario cache, and the
+worker pool — so a campaign's epochs dedup against earlier epochs.
+Dedup happens in the parent process: only a probe whose measurement
+nobody in the session has made yet (a *leader*) is measured, and every
+other probe (a *follower*) is filled from the memo as its segment is
+sunk. The same walk plans scenario reuse: it marks each leader whose
+scenario signature a later leader of the same call asks for, and a
+scenario cache keeps only what is marked.
+
+Leaders are measured in *pieces*, a piece being the leaders one segment
+shares with one job. In-process, a segment's leaders are one job; a
+pool gets ``workers × SHARDS_PER_WORKER`` contiguous slices of the
+call's leaders, each cut at segment boundaries. Both executors measure a
+piece the same way, into its own
+:class:`~repro.core.metrics.MetricsRegistry` when metrics are on, and a
+segment's snapshot is its pieces' snapshots merged in fleet order.
 
 Determinism guarantee: because each worker builds the same read-only
 :class:`~repro.resolvers.directory.NameDirectory`, and every probe is
-measured by a pure function of its spec, the merged record list is
-byte-identical to a serial run regardless of worker count, shard count,
-or shard completion order. The same holds for metrics: each shard
-collects into its own :class:`~repro.core.metrics.MetricsRegistry`, and
-the driver merges the snapshots in *shard order* (= fleet order), so
-counters, histograms and the event log are identical for any worker
-count (wall-clock timings, the one intentionally non-deterministic
-section, are summed).
+measured by a pure function of its spec, records are byte-identical to
+a serial run regardless of worker count. Snapshots merge exactly
+(integer counters and histograms, events in fleet order), so a
+segment's snapshot does not depend on how its leaders were split among
+jobs (wall-clock timings, the one intentionally non-deterministic
+section, are summed). Segments do not depend on the worker count
+either, so a store journals the same bytes, records and metrics
+segments alike, at any worker count.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from bisect import bisect_right
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, groupby
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from repro.atlas.probe import ProbeSpec
@@ -46,15 +60,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study imports us)
     from repro.core.study import ProbeRecord, StudyConfig
     from repro.store import ResultStore
 
-#: Shards handed out per worker; >1 smooths load imbalance (an offline
-#: probe is ~free, an intercepted dual-stack probe is ~20 exchanges) and
-#: gives the progress callback finer granularity.
+#: Jobs handed out per worker; >1 smooths load imbalance (an offline
+#: probe is ~free, an intercepted dual-stack probe is ~20 exchanges).
 SHARDS_PER_WORKER = 4
 
-#: Segment size for the in-process (``workers=1``) path: small enough
-#: that an interruption of a journaled run loses little work, large
-#: enough that fsync batching stays off the hot path.
-SERIAL_SEGMENT_PROBES = 32
+#: Probes per segment, the unit a store journals (and a metrics run
+#: snapshots) at any worker count: small enough that an interruption of
+#: a journaled run loses little work, large enough that fsync batching
+#: stays off the hot path.
+SEGMENT_PROBES = 32
 
 
 @dataclass(frozen=True)
@@ -100,9 +114,8 @@ def shard_fleet(
     in ``specs``); a resumed study's remaining work need not be
     contiguous. Order is preserved: concatenating the shards' specs
     reproduces the input, and each shard remembers the fleet index of
-    every spec so :func:`merge_shard_records` can restore fleet order
-    exactly. Each shard carries the part of ``retain`` (fleet indices)
-    that falls in it.
+    every spec. Each shard carries the part of ``retain`` (fleet
+    indices) that falls in it.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -148,8 +161,8 @@ def shard_fleet(
 # A fleet shares each distinct firmware profile and ISP behaviour among
 # its specs, and those cache their hash, so a key hashes cheaply. The
 # session numbers every distinct key once (:func:`_key_number`); the
-# walk, the memo and the pool's waiting lists then use the number, so
-# each probe's key is hashed once per call.
+# walk and the memo then use the number, so each probe's key is hashed
+# once per call.
 
 
 def _dedup_sound(config: "StudyConfig") -> bool:
@@ -211,17 +224,15 @@ def _as_sibling(record: "ProbeRecord", spec: ProbeSpec) -> "ProbeRecord":
 
 def _walk(
     indices: Sequence[int], specs: Sequence[ProbeSpec], session: "FleetSession"
-) -> tuple[list, list, dict]:
+) -> tuple[list, dict]:
     """Walk one call's pending probes in fleet order.
 
     A probe whose dedup key is memoised, or is the key of an earlier
     probe of the walk, *follows*; every other probe *leads* (every
-    probe, with dedup off). Returns the leaders and the followers as
-    ``(index, spec)`` pairs, and each probe's key number
-    (:func:`_key_number`) by fleet index (probes without one left
-    out)."""
+    probe, with dedup off). Returns the leaders as ``(index, spec)``
+    pairs, and each probe's key number (:func:`_key_number`) by fleet
+    index (probes without one left out)."""
     leaders: list[tuple[int, ProbeSpec]] = []
-    followers: list[tuple[int, ProbeSpec]] = []
     keys: dict[int, int] = {}
     memo, numbers = session.memo, session.key_numbers
     led: set[int] = set()
@@ -230,11 +241,10 @@ def _walk(
         if key is not None:
             keys[index] = key
             if key in memo or key in led:
-                followers.append((index, spec))
                 continue
             led.add(key)
         leaders.append((index, spec))
-    return leaders, followers, keys
+    return leaders, keys
 
 
 def _recurring(
@@ -261,7 +271,7 @@ def _recurring(
     return frozenset(recurring)
 
 
-# -- worker side -----------------------------------------------------------
+# -- measuring --------------------------------------------------------------
 
 #: Per-process state: the shared read-only NameDirectory is built once
 #: per worker (not once per probe — zone construction dominates small
@@ -288,85 +298,35 @@ def _init_worker(config: "StudyConfig") -> None:
     _worker_state.update(
         directory=directory,
         config=config,
-        # One scenario cache per worker process: the shards it takes,
-        # in submission order, reuse the scenarios their marks keep.
+        # One scenario cache per worker process: the jobs it takes, in
+        # submission order, reuse the scenarios their marks keep.
         scenario_cache=_scenario_cache(config, directory),
         call=None,
     )
 
 
-def measure_shard(
-    shard: FleetShard,
-    directory=None,
-    config: Optional["StudyConfig"] = None,
-    scenario_cache=None,
-) -> list[tuple[int, "ProbeRecord"]]:
-    """Measure one shard as ``config`` says (default
-    :class:`~repro.core.study.StudyConfig`); returns
-    ``(original_index, record)`` pairs. Study-level metrics report into
-    the ambient registry (see :func:`repro.core.metrics.use_registry`).
-
-    ``directory`` and ``scenario_cache`` default to a fresh directory
-    and, under the fast engine, a cache local to this call; a worker
-    process passes its own, built once by its initializer. The cache
-    keeps the scenario of each probe in ``shard.retain`` for the later
-    probe that asks for its signature, in this shard or in a later one
-    the same worker takes; records are byte-identical either way.
-
-    Every probe of the shard is measured: probe dedup happens in the
-    parent process (:class:`FleetSession`), which sends a pool only the
-    measurements nobody in the session has made yet.
-    """
-    if config is None:
-        from repro.core.study import StudyConfig
-
-        config = StudyConfig()
-    if directory is None:
-        from repro.resolvers.directory import build_default_directory
-
-        directory = build_default_directory()
-    if scenario_cache is None:
-        scenario_cache = _scenario_cache(config, directory)
-    return list(_measure_pairs(shard, directory, config, scenario_cache))
-
-
-def _measure_pairs(
-    shard: FleetShard,
-    directory,
-    config: "StudyConfig",
-    scenario_cache,
-    memo: Optional[dict] = None,
-    keys: Optional[dict] = None,
+def _measured(
+    piece: FleetShard, directory, config: "StudyConfig", scenario_cache
 ) -> Iterator[tuple[int, "ProbeRecord"]]:
-    """:func:`measure_shard`'s loop, one ``(index, record)`` at a time.
-
-    With ``memo`` (the serial path's :attr:`FleetSession.memo`) and
-    ``keys`` (each probe's key number by fleet index, from
-    :func:`_walk`), a probe whose key is memoised becomes a sibling of
-    that record instead of a measurement, and every new measurement is
-    memoised, in fleet order."""
+    """Measure ``piece``'s probes one at a time, yielding ``(fleet
+    index, record)``; study-level metrics report into the ambient
+    registry. The cache keeps the scenario of each probe in
+    ``piece.retain`` for the later probe that asks for its signature,
+    in this piece or in a later one measured with the same cache;
+    records are byte-identical either way."""
     from repro.core.study import classification_to_record, measure_probe
 
     registry = active_registry()
-    retain = shard.retain
-    for index, spec in zip(shard.indices, shard.specs):
-        key = record = None
-        if memo is not None:
-            key = keys.get(index)
-            cached = memo.get(key) if key is not None else None
-            if cached is not None:
-                record = _as_sibling(cached, spec)
-        if record is None:
-            if scenario_cache is not None:
-                scenario_cache.keep_next = index in retain
-            classification = measure_probe(
-                spec, config, directory=directory, scenario_cache=scenario_cache
-            )
-            record = classification_to_record(
-                spec, classification, detector=config.detector
-            )
-            if key is not None:
-                memo[key] = record
+    retain = piece.retain
+    for index, spec in zip(piece.indices, piece.specs):
+        if scenario_cache is not None:
+            scenario_cache.keep_next = index in retain
+        classification = measure_probe(
+            spec, config, directory=directory, scenario_cache=scenario_cache
+        )
+        record = classification_to_record(
+            spec, classification, detector=config.detector
+        )
         registry.inc("study.probes.measured")
         if not record.online:
             registry.inc("study.probes.offline")
@@ -382,52 +342,73 @@ def _measure_pairs(
         yield index, record
 
 
-def _measure_shard_job(
-    shard: FleetShard, call: int
-) -> tuple[list[tuple[int, "ProbeRecord"]], Optional[MetricsSnapshot]]:
-    """Pool entry point: measure a shard of the session's ``call``-th
-    pool call, optionally under a fresh per-shard registry, and ship the
-    snapshot home with the records. The first shard of a new call drops
-    what the worker kept for the last one: its marks covered only that
-    call."""
+def _measure_piece(
+    piece: FleetShard,
+    directory,
+    config: "StudyConfig",
+    scenario_cache,
+    consume: Callable = list,
+) -> tuple:
+    """Measure ``piece`` into a registry of its own when metrics are on,
+    handing :func:`_measured`'s pairs to ``consume`` as they are
+    measured. Returns what ``consume`` returns and the piece's snapshot
+    (None with metrics off). Both executors measure every piece here."""
+    registry = MetricsRegistry(trace=config.trace) if config.metrics else None
+    with use_registry(registry) if registry is not None else nullcontext():
+        consumed = consume(_measured(piece, directory, config, scenario_cache))
+    return consumed, None if registry is None else registry.snapshot()
+
+
+def _measure_job(
+    job: FleetShard, starts: Sequence[int], call: int
+) -> list[tuple[list[tuple[int, "ProbeRecord"]], Optional[MetricsSnapshot]]]:
+    """Pool entry point: measure one job of the session's ``call``-th
+    pool call piece by piece, cutting it at the segment ``starts``
+    (:func:`_pieces`), and ship one ``(pairs, snapshot)`` per piece
+    home. The first job of a new call drops what the worker kept for
+    the last one: its marks covered only that call."""
     state = _worker_state
     config, scenario_cache = state["config"], state["scenario_cache"]
     if state["call"] != call:
         state["call"] = call
         if scenario_cache is not None:
             scenario_cache.clear()
-    args = (shard, state["directory"], config, scenario_cache)
-    if not config.metrics:
-        return measure_shard(*args), None
-    registry = MetricsRegistry(trace=config.trace)
-    with use_registry(registry):
-        pairs = measure_shard(*args)
-    return pairs, registry.snapshot()
+    return [
+        _measure_piece(piece, state["directory"], config, scenario_cache)
+        for _number, piece in _pieces(job, starts)
+    ]
+
+
+def _pieces(
+    shard: FleetShard, starts: Sequence[int]
+) -> Iterator[tuple[int, FleetShard]]:
+    """``shard`` cut at the segments' first fleet indices ``starts``:
+    one ``(segment number, piece)`` per segment it shares probes with,
+    in fleet order, each piece carrying its part of ``shard.retain``."""
+    start = 0
+    for number, group in groupby(
+        shard.indices, key=lambda index: bisect_right(starts, index) - 1
+    ):
+        indices = tuple(group)
+        stop = start + len(indices)
+        piece = FleetShard(
+            indices=indices,
+            specs=shard.specs[start:stop],
+            retain=shard.retain.intersection(indices),
+        )
+        yield number, piece
+        start = stop
 
 
 # -- driver side ------------------------------------------------------------
 
 
-def merge_shard_records(
-    shard_results: Sequence[Sequence[tuple[int, "ProbeRecord"]]],
-) -> list["ProbeRecord"]:
-    """Flatten shard outputs back into original fleet order.
-
-    Shards complete in whatever order the pool finishes them; sorting on
-    the original index restores exactly the record order a serial run
-    produces (for generated fleets this is also ascending ``probe_id``).
-    """
-    flat = [pair for result in shard_results for pair in result]
-    flat.sort(key=lambda pair: pair[0])
-    return [record for _index, record in flat]
-
-
 class FleetSession:
     """The measurement state shared by :func:`measure_fleet` calls under
     one :class:`~repro.core.study.StudyConfig`: the probe-dedup
-    :attr:`memo`, the serial path's directory and scenario cache, and
-    the pool path's worker processes, each built on first use and closed
-    on exit. On an error exit, queued shards are cancelled.
+    :attr:`memo`, the in-process directory and scenario cache, and the
+    pool's worker processes, each built on first use and closed on
+    exit. On an error exit, queued jobs are cancelled.
 
     A study is one session; a campaign run is one session across all
     its epochs, so later epochs reuse the memoised records of earlier
@@ -441,13 +422,13 @@ class FleetSession:
     def __init__(self, config: "StudyConfig") -> None:
         self.config = config
         #: Records by dedup key number (:func:`_key_number`), for both
-        #: paths; None when dedup is unsound under ``config``.
+        #: executors; None when dedup is unsound under ``config``.
         self.memo: Optional[dict] = {} if _dedup_sound(config) else None
         #: Number of every dedup key seen in the session, by key.
         self.key_numbers: dict[tuple, int] = {}
         self._serial: Optional[tuple] = None
         self._pool: Optional[ProcessPoolExecutor] = None
-        #: Pool calls made so far; numbers each call's shards.
+        #: Pool calls made so far; numbers each call's jobs.
         self.pool_calls = 0
 
     def __enter__(self) -> "FleetSession":
@@ -457,15 +438,15 @@ class FleetSession:
         self.close(cancel=exc_type is not None)
 
     def close(self, cancel: bool = False) -> None:
-        """Drop the serial state and shut the pool down, cancelling any
-        queued shards when ``cancel``."""
+        """Drop the in-process state and shut the pool down, cancelling
+        any queued jobs when ``cancel``."""
         pool, self._pool = self._pool, None
         self._serial = None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=cancel)
 
     def serial_state(self) -> tuple:
-        """The serial path's :class:`~repro.resolvers.directory.NameDirectory`
+        """The in-process :class:`~repro.resolvers.directory.NameDirectory`
         and scenario cache (None under the reference engine)."""
         if self._serial is None:
             from repro.resolvers.directory import build_default_directory
@@ -486,118 +467,90 @@ class FleetSession:
         return self._pool
 
 
-def _measure_serial(
+def _measure(
     indices: Sequence[int],
     specs: Sequence[ProbeSpec],
     session: FleetSession,
+    workers: int,
     sink: Callable,
-    advance: Callable[[int], None],
+    advance: Callable[[], None],
 ) -> None:
-    """Measure in-process, one segment (and metrics registry) per
-    :data:`SERIAL_SEGMENT_PROBES` probes, advancing progress after every
-    probe.
+    """Measure the pending probes ``specs`` (at fleet ``indices``) and
+    hand ``sink`` one segment of :data:`SEGMENT_PROBES` probes at a
+    time, with its snapshot, strictly in fleet order.
 
-    :func:`_walk` finds the leaders the memo will not resolve, and the
-    scenario cache keeps a leader's scenario only when a later leader
-    asks for its signature (:func:`_recurring`), so it holds nothing
-    once the call returns."""
+    :func:`_walk` picks the leaders, and :func:`_recurring` marks those
+    whose scenario a later leader needs. With ``workers == 1``, each
+    segment's leaders are one piece, measured in-process when the
+    driver reaches the segment, so progress advances as each probe is
+    measured and the scenario cache holds nothing once the call returns.
+    Otherwise the session's pool gets ``workers * SHARDS_PER_WORKER``
+    contiguous slices of the leaders (a worker takes them in submission
+    order, so it reuses every same-call repeat it runs), each cut into
+    pieces at segment boundaries; a segment's snapshot is its pieces'
+    snapshots merged in fleet order.
+
+    Followers are filled from the memo as their segment is sunk: a
+    leader always precedes its followers, so the memo holds it by then.
+    """
     if not specs:
         return
-    config = session.config
-    leaders, _followers, keys = _walk(indices, specs, session)
-    shards = shard_fleet(
-        specs,
-        max(1, len(specs) // SERIAL_SEGMENT_PROBES),
-        indices,
-        _recurring(leaders, config),
+    config, memo = session.config, session.memo
+    leaders, keys = _walk(indices, specs, session)
+    led = FleetShard(
+        indices=tuple(index for index, _spec in leaders),
+        specs=tuple(spec for _index, spec in leaders),
+        retain=_recurring(leaders, config),
     )
-    # One cache across all segments: reused scenarios re-capture the
-    # ambient registry per probe, so each segment's metrics still land
-    # in that segment's own snapshot.
-    directory, scenario_cache = session.serial_state()
-    for shard in shards:
-        registry = MetricsRegistry(trace=config.trace) if config.metrics else None
+    segments = shard_fleet(specs, max(1, len(specs) // SEGMENT_PROBES), indices)
+    starts = [segment.indices[0] for segment in segments]
+
+    def fill(segment: FleetShard, measured) -> list[tuple[int, "ProbeRecord"]]:
+        # The segment's pairs in fleet order: a probe whose key the memo
+        # holds is a follower, any other takes the next measured record
+        # (in-process, measuring it only now) and memoises it.
+        measured = iter(measured)
         pairs = []
-        with use_registry(registry) if registry is not None else nullcontext():
-            for pair in _measure_pairs(
-                shard, directory, config, scenario_cache, session.memo, keys
-            ):
-                pairs.append(pair)
-                advance(1)
-        sink(pairs, registry.snapshot() if registry is not None else None)
-
-
-def _measure_pool(
-    indices: Sequence[int],
-    specs: Sequence[ProbeSpec],
-    session: FleetSession,
-    shards: int,
-    sink: Callable,
-    advance: Callable[[int], None],
-) -> None:
-    """Measure in the session's process pool, sinking shards in the
-    order they were submitted.
-
-    Of :func:`_walk`'s followers, one whose dedup key is memoised
-    resolves at once and the rest wait for their leader. Only leaders go
-    to the pool, with the marks of :func:`_recurring`; a worker takes
-    shards in submission order, so it reuses every same-call repeat it
-    runs. A finished shard memoises its leaders' records and sinks them
-    together with their siblings. A shard that finishes early is held
-    until every earlier one is sunk, so a store journals the same bytes
-    on every run; progress advances as each shard finishes."""
-    memo = session.memo
-    leaders, followers, keys = _walk(indices, specs, session)
-    #: key number -> the probes waiting for that key's leader.
-    waiting: dict[int, list[tuple[int, ProbeSpec]]] = {
-        keys[index]: [] for index, _spec in leaders if index in keys
-    }
-    resolved: list[tuple[int, "ProbeRecord"]] = []
-    for index, spec in followers:
-        siblings = waiting.get(keys[index])
-        if siblings is not None:
-            siblings.append((index, spec))
-        else:
-            resolved.append((index, _as_sibling(memo[keys[index]], spec)))
-
-    submitted = []
-    if leaders:
-        pool = session.pool()
-        session.pool_calls += 1
-        submitted = [
-            pool.submit(_measure_shard_job, shard, session.pool_calls)
-            for shard in shard_fleet(
-                [spec for _index, spec in leaders],
-                shards,
-                [index for index, _spec in leaders],
-                _recurring(leaders, session.config),
-            )
-        ]
-    if resolved:
-        sink(resolved, None)
-        advance(len(resolved))
-    finished: dict = {}
-    next_to_sink = 0
-    pending = set(submitted)
-    while pending:
-        completed, pending = wait(pending, return_when=FIRST_COMPLETED)
-        for future in completed:
-            pairs, snapshot = future.result()
-            siblings = []
-            for index, record in pairs:
-                key = keys.get(index)
+        for index, spec in zip(segment.indices, segment.specs):
+            key = keys.get(index)
+            cached = None if key is None else memo.get(key)
+            if cached is None:
+                _index, record = next(measured)
                 if key is not None:
                     memo[key] = record
-                    siblings.extend(
-                        (sibling, _as_sibling(record, spec))
-                        for sibling, spec in waiting.pop(key)
-                    )
-            pairs += siblings
-            finished[future] = (pairs, snapshot)
-            advance(len(pairs))
-        while next_to_sink < len(submitted) and submitted[next_to_sink] in finished:
-            sink(*finished.pop(submitted[next_to_sink]))
-            next_to_sink += 1
+            else:
+                record = _as_sibling(cached, spec)
+            pairs.append((index, record))
+            advance()
+        return pairs
+
+    if workers == 1:
+        directory, scenario_cache = session.serial_state()
+        pieces = dict(_pieces(led, starts))
+        no_leaders = FleetShard(indices=(), specs=())
+        for number, segment in enumerate(segments):
+            piece = pieces.get(number, no_leaders)
+            consume = partial(fill, segment)
+            sink(*_measure_piece(piece, directory, config, scenario_cache, consume))
+        return
+
+    jobs = shard_fleet(led.specs, workers * SHARDS_PER_WORKER, led.indices, led.retain)
+    futures = []
+    if jobs:
+        pool = session.pool()
+        session.pool_calls += 1
+        futures = [
+            pool.submit(_measure_job, job, starts, session.pool_calls) for job in jobs
+        ]
+    counts = Counter(number for job in jobs for number, _piece in _pieces(job, starts))
+    results = (result for future in futures for result in future.result())
+    for number, segment in enumerate(segments):
+        measured = [next(results) for _ in range(counts[number])]
+        pairs = fill(segment, chain.from_iterable(pairs for pairs, _ in measured))
+        snapshot = None
+        if config.metrics:
+            snapshot = MetricsSnapshot.merge_all(part for _, part in measured)
+        sink(pairs, snapshot)
 
 
 def measure_fleet(
@@ -619,16 +572,15 @@ def measure_fleet(
     measured under.
 
     ``config.workers=None`` uses one worker per available core;
-    ``workers=1`` measures in-process (no pool, no pickling) and calls
-    ``progress(done, total)`` after every probe; a pool calls it in the
-    parent process once for the probes the memo resolves and then each
-    time a shard completes, with ``done`` counting probes (not shards)
-    measured so far.
+    ``workers=1`` measures in-process (no pool, no pickling). Either
+    way ``progress(done, total)`` is called once per probe, in fleet
+    order, with ``done`` counting probes: in-process as each probe is
+    measured, with a pool as each segment is sunk.
 
-    With a :class:`~repro.store.ResultStore`, completed segments stream
-    into its journal in submission order (so its bytes do not depend on
-    which shard finishes first), already-journaled probes are skipped,
-    and the returned result is reconstructed *from the journal* —
+    With a :class:`~repro.store.ResultStore`, segments stream into its
+    journal in fleet order (the same segments, so the same bytes, for
+    any worker count), already-journaled probes are skipped, and the
+    returned result is reconstructed *from the journal* —
     byte-identical to a store-less run for any worker count and any
     interruption point (see :mod:`repro.store`). Raises
     :class:`~repro.store.StoreInterrupted` when the store's probe budget
@@ -663,9 +615,9 @@ def measure_fleet(
         if progress is not None and indices:
             progress(done, total)
 
-    def advance(count: int) -> None:
+    def advance() -> None:
         nonlocal done
-        done += count
+        done += 1
         if progress is not None:
             progress(done, total)
 
@@ -675,35 +627,21 @@ def measure_fleet(
     def measure(sink: Callable) -> None:
         scope = FleetSession(config) if session is None else nullcontext(session)
         with scope as active:
-            if workers == 1:
-                _measure_serial(indices, pending, active, sink, advance)
-            else:
-                _measure_pool(
-                    indices,
-                    pending,
-                    active,
-                    workers * SHARDS_PER_WORKER,
-                    sink,
-                    advance,
-                )
+            _measure(indices, pending, active, workers, sink, advance)
 
     if store is None:
-        shard_records: list[list[tuple[int, "ProbeRecord"]]] = []
-        #: first fleet index -> snapshot, merged in fleet order at the end.
-        snapshots: dict[int, MetricsSnapshot] = {}
+        segments: list[list[tuple[int, "ProbeRecord"]]] = []
+        snapshots: list[MetricsSnapshot] = []
 
         def collect(pairs, snapshot) -> None:
-            shard_records.append(pairs)
+            segments.append(pairs)
             if snapshot is not None:
-                snapshots[pairs[0][0]] = snapshot
+                snapshots.append(snapshot)
 
         measure(collect)
-        metrics = None
-        if config.metrics:
-            metrics = MetricsSnapshot.merge_all(
-                snapshots[first] for first in sorted(snapshots)
-            )
-        return FleetResult(records=merge_shard_records(shard_records), metrics=metrics)
+        records = [record for pairs in segments for _index, record in pairs]
+        metrics = MetricsSnapshot.merge_all(snapshots) if config.metrics else None
+        return FleetResult(records=records, metrics=metrics)
 
     try:
         measure(store.append)

@@ -214,11 +214,12 @@ class ResultStore:
 
         A study's entries carry no epoch (``{"i":…,"record":…}``); a
         longitudinal run's carry the ``epoch`` they were measured in.
-        Segments may land in any order (a pooled study appends them as
-        they finish); :meth:`collect` restores fleet order. The campaign
-        engine appends in fleet order, so its line sequence is a pure
-        function of the bundle and the interruption points —
-        byte-identical for any worker count.
+        The fleet driver (:mod:`repro.core.parallel`) appends a study's
+        segments in fleet order, cut the same at any worker count, and
+        the campaign engine appends each epoch in fleet order. So the
+        line sequence is a pure function of the study or bundle and the
+        interruption points — byte-identical for any worker count.
+        :meth:`collect` orders by fleet index and does not rely on it.
         """
         from repro.analysis.export import record_to_dict
 

@@ -4,17 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.atlas.geo import organization_by_name
 from repro.atlas.population import generate_population
-from repro.core.parallel import (
-    FleetSession,
-    measure_fleet,
-    merge_shard_records,
-    shard_fleet,
-)
+from repro.core.parallel import FleetSession, measure_fleet, shard_fleet
 from repro.core.study import StudyConfig, run_pilot_study
-
-from tests.conftest import make_spec
 
 
 @pytest.fixture(scope="module")
@@ -60,19 +52,6 @@ class TestShardFleet:
     def test_invalid_shard_count(self, fleet):
         with pytest.raises(ValueError):
             shard_fleet(fleet, 0)
-
-
-class TestMerge:
-    def test_restores_fleet_order(self):
-        org = organization_by_name("Comcast")
-        from repro.core.parallel import measure_shard
-
-        specs = [make_spec(org, probe_id=600 + i) for i in range(4)]
-        shards = shard_fleet(specs, 2)
-        # Complete shards out of order, as a pool would.
-        results = [measure_shard(s) for s in reversed(shards)]
-        records = merge_shard_records(results)
-        assert [r.probe_id for r in records] == [s.probe_id for s in specs]
 
 
 def _records(specs, workers, **kwargs):
@@ -198,37 +177,59 @@ class TestStoredFleet:
         assert calls == [(done, len(specs)) for done in range(len(specs) + 1)]
 
 
-class TestPooledJournalOrder:
-    """A pooled study journals its shards in submission order, however
-    the pool happens to finish them."""
+class TestJournalBytes:
+    """A study's store holds the same bytes at any worker count: the
+    journal is cut into the same fleet-order segments, records and
+    metrics segments alike, however the leaders were shared among
+    jobs. 100 probes make three segments, which the jobs of two and
+    three workers cut across."""
 
-    @staticmethod
-    def run_study(tmp_path, monkeypatch, capsys, pick) -> dict:
-        from concurrent.futures import wait as real_wait
+    ARGV = ["study", "--size", "100", "--seed", "2021"]
 
+    @classmethod
+    def run_study(cls, store, capsys, *runs) -> dict:
+        """Run the study into ``store`` once per ``(workers, extra
+        arguments, exit code)`` of ``runs``; return the bytes of every
+        file of the store by path."""
         from repro.cli import main
 
-        def scripted_wait(pending, return_when=None):
-            # Let every shard finish, then report one whose turn ``pick``
-            # chooses, so completion order differs from run to run.
-            real_wait(pending)
-            chosen = pick(pending, key=id)
-            return {chosen}, set(pending) - {chosen}
-
-        monkeypatch.setattr("repro.core.parallel.wait", scripted_wait)
-        store = tmp_path / pick.__name__
-        argv = ["study", "--size", "40", "--seed", "2021", "--workers", "2"]
-        assert main([*argv, "--store", str(store)]) == 0
+        for workers, extra, code in runs:
+            argv = [*cls.ARGV, "--workers", str(workers), "--store", str(store)]
+            assert main([*argv, *extra]) == code
         capsys.readouterr()
         return {
-            path.name: path.read_bytes()
-            for path in sorted((store / "journal").iterdir())
+            str(path.relative_to(store)): path.read_bytes()
+            for path in sorted(store.rglob("*"))
+            if path.is_file()
         }
 
-    def test_out_of_order_completion_journals_identical_bytes(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        first = self.run_study(tmp_path, monkeypatch, capsys, min)
-        second = self.run_study(tmp_path, monkeypatch, capsys, max)
-        assert list(first) == ["records-0000.jsonl"]
-        assert first == second
+    @pytest.mark.parametrize("metrics", [False, True], ids=["records", "metrics"])
+    def test_same_bytes_at_any_worker_count(self, metrics, tmp_path, capsys):
+        extra = ["--metrics", str(tmp_path / "metrics.json")] if metrics else []
+        stores = {
+            workers: self.run_study(
+                tmp_path / f"w{workers}", capsys, (workers, extra, 0)
+            )
+            for workers in (1, 2, 3)
+        }
+        names = ["journal/records-0000.jsonl", "manifest.json", "study.json"]
+        if metrics:
+            names.insert(0, "journal/metrics-0000.jsonl")
+        assert sorted(stores[1]) == names
+        assert stores[2] == stores[1]
+        assert stores[3] == stores[1]
+
+        # Interrupted by the budget, then resumed: the resumed session
+        # opens new journal files, so the reference is the same cut made
+        # in-process, and the export matches the uninterrupted run's.
+        budget = (["--probe-budget", "45", *extra], 3)
+        resume = (["--resume", *extra], 0)
+        serial = self.run_study(
+            tmp_path / "serial", capsys, (1, *budget), (1, *resume)
+        )
+        pooled = self.run_study(
+            tmp_path / "pooled", capsys, (2, *budget), (1, *resume)
+        )
+        assert pooled == serial
+        assert serial["manifest.json"] == stores[1]["manifest.json"]
+        assert serial["study.json"] == stores[1]["study.json"]
