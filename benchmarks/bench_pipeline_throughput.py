@@ -115,77 +115,37 @@ def compare_fleet_throughput(fleet: int, seed: int, workers: int) -> dict:
     }
 
 
-def measure_metrics_overhead(fleet: int, seed: int, repeats: int = 3) -> dict:
-    """Time the same serial fleet with metrics off and on.
-
-    With metrics off the pipeline reports into the no-op registry, so
-    the "off" time *includes* every disabled instrumentation hook; the
-    enabled run is a strict upper bound on what those hooks can cost.
-    The off/on runs are interleaved and timed best-of-``repeats`` so
-    scheduler drift on a busy machine hits both variants alike.
-    """
-    specs = generate_population(size=fleet, seed=seed)
-
-    def run_once(metrics_enabled: bool) -> float:
-        config = StudyConfig(workers=1, seed=seed, metrics=metrics_enabled)
-        started = time.perf_counter()
-        study = run_pilot_study(specs, config)
-        elapsed = time.perf_counter() - started
-        assert (study.metrics is not None) == metrics_enabled
-        return elapsed
-
-    run_once(False)  # warm-up: zone build, imports, branch caches
-    disabled_s = min(run_once(False) for _ in range(repeats))
-    enabled_s = min(run_once(True) for _ in range(repeats))
-    for _ in range(repeats):
-        disabled_s = min(disabled_s, run_once(False))
-        enabled_s = min(enabled_s, run_once(True))
-    return {
-        "fleet": fleet,
-        "disabled_s": disabled_s,
-        "enabled_s": enabled_s,
-        "overhead_pct": (enabled_s / disabled_s - 1.0) * 100.0,
-    }
-
-
-def measure_impairment_overhead(fleet: int, seed: int, repeats: int = 3) -> dict:
-    """Time the same serial fleet with no impairment vs the null profile.
-
-    The null :class:`LinkProfile` installs the per-link impairment hooks
-    on every link (``transmit`` takes the impaired path) but never draws
-    a single random number, so this isolates the cost of *having* the
-    subsystem from the cost of *using* it. Both runs of every pair must
-    also produce identical records — a null profile is behaviourally
-    invisible.
+def _paired_overhead(fleet: int, seed: int, repeats: int, **on) -> dict:
+    """Time the same serial fleet with the default :class:`StudyConfig`
+    and with the fields ``on`` set, and read the overhead of ``on`` as
+    the median of per-pair time ratios.
 
     One run takes tens of milliseconds, so a best-of reading swings by
     more than the limit it is held to. The runs come instead in
-    ``2 * repeats + 1`` off/on pairs whose order alternates, and the
-    overhead is the median of the per-pair time ratios: drift that hits
-    both runs of a pair cancels in its ratio, and no single pair moves
-    the median.
+    ``2 * repeats + 1`` off/on pairs whose order alternates: drift that
+    hits both runs of a pair cancels in its ratio, and no single pair
+    moves the median. Both runs of every pair must produce identical
+    records.
     """
     specs = generate_population(size=fleet, seed=seed)
 
-    def run_once(profile) -> "tuple[float, list]":
-        config = StudyConfig(workers=1, seed=seed, impairment=profile)
+    def run_once(fields: dict) -> "tuple[float, list]":
+        config = StudyConfig(workers=1, seed=seed, **fields)
         started = time.perf_counter()
         study = run_pilot_study(specs, config)
         return time.perf_counter() - started, study.records
 
-    run_once(None)  # warm-up
+    run_once({})  # warm-up: zone build, imports, branch caches
     disabled, enabled, ratios = [], [], []
     for pair in range(2 * repeats + 1):
         if pair % 2 == 0:
-            disabled_s, baseline = run_once(None)
-            enabled_s, hooked = run_once(LinkProfile())
+            disabled_s, baseline = run_once({})
+            enabled_s, changed = run_once(on)
         else:
-            enabled_s, hooked = run_once(LinkProfile())
-            disabled_s, baseline = run_once(None)
-        if hooked != baseline:
-            raise AssertionError(
-                "null impairment profile changed study records — it must be inert"
-            )
+            enabled_s, changed = run_once(on)
+            disabled_s, baseline = run_once({})
+        if changed != baseline:
+            raise AssertionError(f"{on} changed study records — it must not")
         disabled.append(disabled_s)
         enabled.append(enabled_s)
         ratios.append(enabled_s / disabled_s)
@@ -196,6 +156,30 @@ def measure_impairment_overhead(fleet: int, seed: int, repeats: int = 3) -> dict
         "enabled_s": statistics.median(enabled),
         "overhead_pct": (statistics.median(ratios) - 1.0) * 100.0,
     }
+
+
+def measure_metrics_overhead(fleet: int, seed: int, repeats: int = 3) -> dict:
+    """Time the same serial fleet with metrics off and on.
+
+    With metrics off the pipeline reports into the no-op registry, so
+    the "off" time *includes* every disabled instrumentation hook; the
+    enabled run prices what collecting costs on the path both take
+    (dedup and answer templates included). Read as in
+    :func:`_paired_overhead`; records must match in every pair.
+    """
+    return _paired_overhead(fleet, seed, repeats, metrics=True)
+
+
+def measure_impairment_overhead(fleet: int, seed: int, repeats: int = 3) -> dict:
+    """Time the same serial fleet with no impairment vs the null profile.
+
+    A null :class:`LinkProfile` cannot affect a packet, so the network
+    installs nothing for it (``transmit`` keeps its unimpaired path);
+    this prices what is left of *selecting* the subsystem without
+    *using* it. Read as in :func:`_paired_overhead`; records must match
+    in every pair — a null profile is behaviourally invisible.
+    """
+    return _paired_overhead(fleet, seed, repeats, impairment=LinkProfile())
 
 
 #: Serial throughput of the pipeline before the hot-path work (integer-µs
@@ -304,7 +288,8 @@ def _run_engines(args) -> int:
 
 def _run_overhead(args) -> int:
     stats = measure_metrics_overhead(args.fleet, args.seed, repeats=args.repeats)
-    print(f"fleet={stats['fleet']} probes  (best of {2 * args.repeats} interleaved)")
+    print(f"fleet={stats['fleet']} probes  "
+          f"(median of {stats['pairs']} alternating off/on pairs)")
     print(f"metrics off : {stats['disabled_s']:7.2f}s  (no-op registry)")
     print(f"metrics on  : {stats['enabled_s']:7.2f}s  (full collection)")
     print(f"overhead    : {stats['overhead_pct']:+.2f}%  "
@@ -320,7 +305,7 @@ def _run_overhead(args) -> int:
     print()
     print(f"median of {impair['pairs']} alternating off/on pairs")
     print(f"impairment off  : {impair['disabled_s']:7.2f}s  (fast transmit path)")
-    print(f"null profile on : {impair['enabled_s']:7.2f}s  (hooks installed)")
+    print(f"null profile on : {impair['enabled_s']:7.2f}s  (nothing installed)")
     print(f"overhead        : {impair['overhead_pct']:+.2f}%  "
           f"(limit {args.max_overhead_pct:.1f}%, records verified identical)")
     if impair["overhead_pct"] > args.max_overhead_pct:
@@ -675,8 +660,8 @@ def main(argv=None) -> int:
         type=int,
         default=3,
         metavar="N",
-        help="--overhead: best-of-2N interleaved timing for metrics, "
-        "median ratio of 2N+1 alternating pairs for impairment (default 3)",
+        help="--overhead: median ratio of 2N+1 alternating off/on pairs "
+        "(default 3)",
     )
     args = parser.parse_args(argv)
 
@@ -700,7 +685,7 @@ def test_parallel_fleet_matches_serial():
 
 
 def test_null_impairment_profile_is_inert():
-    """Hooks installed, zero draws: records must be unchanged."""
+    """A null profile installs nothing: records must be unchanged."""
     stats = measure_impairment_overhead(fleet=20, seed=2021, repeats=0)
     assert stats["enabled_s"] > 0  # records equality checked inside
 

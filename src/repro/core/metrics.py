@@ -168,13 +168,14 @@ class MetricsSnapshot:
         Merging is exact for counters/histograms (integer state) and
         order-preserving for events, so folding shard snapshots in
         fleet order reproduces a serial run's snapshot field for field.
+        ``other`` is left as it was: a snapshot may be merged again.
         """
         for name, value in other.counters.items():
             self.counters[name] = self.counters.get(name, 0) + value
         for name, hist in other.histograms.items():
             mine = self.histograms.get(name)
             if mine is None:
-                self.histograms[name] = hist
+                self.histograms[name] = hist.copy()
             else:
                 mine.merge(hist)
         self.events.extend(other.events)

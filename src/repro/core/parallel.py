@@ -20,13 +20,13 @@ sunk. The same walk plans scenario reuse: it marks each leader whose
 scenario signature a later leader of the same call asks for, and a
 scenario cache keeps only what is marked.
 
-Leaders are measured in *pieces*, a piece being the leaders one segment
-shares with one job. In-process, a segment's leaders are one job; a
-pool gets ``workers × SHARDS_PER_WORKER`` contiguous slices of the
-call's leaders, each cut at segment boundaries. Both executors measure a
-piece the same way, into its own
-:class:`~repro.core.metrics.MetricsRegistry` when metrics are on, and a
-segment's snapshot is its pieces' snapshots merged in fleet order.
+In-process, the leaders are measured lazily as the driver walks the
+segments; a pool gets ``workers × SHARDS_PER_WORKER`` contiguous slices
+of the call's leaders. Both executors measure a leader the same way,
+into a :class:`~repro.core.metrics.MetricsRegistry` of its own when
+metrics are on, and a segment's snapshot is its probes' snapshots
+merged in fleet order: a follower replays its leader's, so a watched
+run dedups exactly as an unwatched one does.
 
 Determinism guarantee: because each worker builds the same read-only
 :class:`~repro.resolvers.directory.NameDirectory`, and every probe is
@@ -35,26 +35,22 @@ a serial run regardless of worker count. Snapshots merge exactly
 (integer counters and histograms, events in fleet order), so a
 segment's snapshot does not depend on how its leaders were split among
 jobs (wall-clock timings, the one intentionally non-deterministic
-section, are summed). Segments do not depend on the worker count
-either, so a store journals the same bytes, records and metrics
-segments alike, at any worker count.
+section, are summed, and only measured probes have any). Segments do
+not depend on the worker count either, so a store journals the same
+bytes, records and metrics segments alike, at any worker count.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain, groupby
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from repro.atlas.probe import ProbeSpec
 
-from .metrics import MetricsRegistry, MetricsSnapshot, active_registry, use_registry
+from .metrics import MetricsRegistry, MetricsSnapshot, use_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study imports us)
     from repro.core.study import ProbeRecord, StudyConfig
@@ -151,7 +147,11 @@ def shard_fleet(
 # :func:`_dedup_sound`. Two probes with the same key are therefore *the
 # same measurement*: the parent process has each distinct key measured
 # once per session and gives its siblings copies with their own identity
-# fields (:func:`_as_sibling`). The scenario signature is the key's
+# fields (:func:`_as_sibling`). With metrics on, a sibling also replays
+# its leader's snapshot (:func:`_replay`): every counter and histogram
+# is a function of the key, and the probe event is rebuilt from the
+# sibling's record. Exchange events are not: they name the probe's own
+# CPE WAN address. The scenario signature is the key's
 # scenario fields plus those constant slots: it leaves the organization
 # out too, since :func:`~repro.atlas.scenario.reset_scenario` re-homes
 # prefixes, ASNs and the ISP resolver along with ``probe_id``-derived
@@ -167,15 +167,15 @@ def shard_fleet(
 
 def _dedup_sound(config: "StudyConfig") -> bool:
     """Whether nothing per-probe beyond the dedup key can influence a
-    record: impairment streams and retry jitter are probe_id-seeded
-    (a null impairment profile never draws from its streams), and
-    metrics runs must emit every probe's pipeline events for snapshot
-    determinism."""
+    record or its metrics: impairment streams and retry jitter are
+    probe_id-seeded (a null impairment profile installs no streams), and
+    an exchange-level event log names each probe's own CPE WAN address.
+    Counters, histograms and probe events replay (:func:`_replay`)."""
     return (
         config.engine == "fast"
         and (config.impairment is None or config.impairment.is_null)
         and config.retry is None
-        and not config.metrics
+        and not (config.metrics and config.trace == "exchange")
     )
 
 
@@ -306,98 +306,73 @@ def _init_worker(config: "StudyConfig") -> None:
 
 
 def _measured(
-    piece: FleetShard, directory, config: "StudyConfig", scenario_cache
-) -> Iterator[tuple[int, "ProbeRecord"]]:
-    """Measure ``piece``'s probes one at a time, yielding ``(fleet
-    index, record)``; study-level metrics report into the ambient
-    registry. The cache keeps the scenario of each probe in
-    ``piece.retain`` for the later probe that asks for its signature,
-    in this piece or in a later one measured with the same cache;
-    records are byte-identical either way."""
+    shard: FleetShard, directory, config: "StudyConfig", scenario_cache
+) -> Iterator[tuple[int, "ProbeRecord", Optional[MetricsSnapshot]]]:
+    """Measure ``shard``'s probes one at a time, yielding ``(fleet
+    index, record, snapshot)``: with metrics on, the snapshot of a
+    registry the probe alone reported into (None with metrics off). The
+    cache keeps the scenario of each probe in ``shard.retain`` for the
+    later probe that asks for its signature, in this shard or in a later
+    one measured with the same cache; records are byte-identical either
+    way."""
     from repro.core.study import classification_to_record, measure_probe
 
-    registry = active_registry()
-    retain = piece.retain
-    for index, spec in zip(piece.indices, piece.specs):
+    retain = shard.retain
+    for index, spec in zip(shard.indices, shard.specs):
         if scenario_cache is not None:
             scenario_cache.keep_next = index in retain
-        classification = measure_probe(
-            spec, config, directory=directory, scenario_cache=scenario_cache
-        )
-        record = classification_to_record(
-            spec, classification, detector=config.detector
-        )
-        registry.inc("study.probes.measured")
-        if not record.online:
-            registry.inc("study.probes.offline")
-        if registry.probe_events:
-            registry.event(
-                "probe",
-                probe_id=record.probe_id,
-                online=record.online,
-                verdict=record.verdict,
-                transparency=record.transparency,
-                replication_seen=record.replication_seen,
+        registry = MetricsRegistry(trace=config.trace) if config.metrics else None
+        with use_registry(registry) if registry is not None else nullcontext():
+            classification = measure_probe(
+                spec, config, directory=directory, scenario_cache=scenario_cache
             )
-        yield index, record
+            record = classification_to_record(
+                spec, classification, detector=config.detector
+            )
+        snapshot = None
+        if registry is not None:
+            registry.inc("study.probes.measured")
+            if not record.online:
+                registry.inc("study.probes.offline")
+            if registry.probe_events:
+                registry.event(
+                    "probe",
+                    probe_id=record.probe_id,
+                    online=record.online,
+                    verdict=record.verdict,
+                    transparency=record.transparency,
+                    replication_seen=record.replication_seen,
+                )
+            snapshot = registry.snapshot()
+        yield index, record, snapshot
 
 
-def _measure_piece(
-    piece: FleetShard,
-    directory,
-    config: "StudyConfig",
-    scenario_cache,
-    consume: Callable = list,
-) -> tuple:
-    """Measure ``piece`` into a registry of its own when metrics are on,
-    handing :func:`_measured`'s pairs to ``consume`` as they are
-    measured. Returns what ``consume`` returns and the piece's snapshot
-    (None with metrics off). Both executors measure every piece here."""
-    registry = MetricsRegistry(trace=config.trace) if config.metrics else None
-    with use_registry(registry) if registry is not None else nullcontext():
-        consumed = consume(_measured(piece, directory, config, scenario_cache))
-    return consumed, None if registry is None else registry.snapshot()
+def _replay(snapshot: MetricsSnapshot, record: "ProbeRecord") -> MetricsSnapshot:
+    """A follower's share of its segment's snapshot: its leader's
+    ``snapshot`` without wall-clock time, each event (under
+    :func:`_dedup_sound`, the probe event alone) naming ``record``'s
+    probe. The event's other fields are record fields siblings share."""
+    return MetricsSnapshot(
+        counters=snapshot.counters,
+        histograms=snapshot.histograms,
+        events=[{**event, "probe_id": record.probe_id} for event in snapshot.events],
+    )
 
 
 def _measure_job(
-    job: FleetShard, starts: Sequence[int], call: int
-) -> list[tuple[list[tuple[int, "ProbeRecord"]], Optional[MetricsSnapshot]]]:
+    job: FleetShard, call: int
+) -> list[tuple[int, "ProbeRecord", Optional[MetricsSnapshot]]]:
     """Pool entry point: measure one job of the session's ``call``-th
-    pool call piece by piece, cutting it at the segment ``starts``
-    (:func:`_pieces`), and ship one ``(pairs, snapshot)`` per piece
-    home. The first job of a new call drops what the worker kept for
-    the last one: its marks covered only that call."""
+    pool call and ship :func:`_measured`'s triples home. The first job
+    of a new call drops what the worker kept for the last one: its
+    marks covered only that call."""
     state = _worker_state
-    config, scenario_cache = state["config"], state["scenario_cache"]
+    scenario_cache = state["scenario_cache"]
     if state["call"] != call:
         state["call"] = call
         if scenario_cache is not None:
             scenario_cache.clear()
-    return [
-        _measure_piece(piece, state["directory"], config, scenario_cache)
-        for _number, piece in _pieces(job, starts)
-    ]
-
-
-def _pieces(
-    shard: FleetShard, starts: Sequence[int]
-) -> Iterator[tuple[int, FleetShard]]:
-    """``shard`` cut at the segments' first fleet indices ``starts``:
-    one ``(segment number, piece)`` per segment it shares probes with,
-    in fleet order, each piece carrying its part of ``shard.retain``."""
-    start = 0
-    for number, group in groupby(
-        shard.indices, key=lambda index: bisect_right(starts, index) - 1
-    ):
-        indices = tuple(group)
-        stop = start + len(indices)
-        piece = FleetShard(
-            indices=indices,
-            specs=shard.specs[start:stop],
-            retain=shard.retain.intersection(indices),
-        )
-        yield number, piece
-        start = stop
+    return list(_measured(job, state["directory"], state["config"], scenario_cache))
 
 
 # -- driver side ------------------------------------------------------------
@@ -424,6 +399,8 @@ class FleetSession:
         #: Records by dedup key number (:func:`_key_number`), for both
         #: executors; None when dedup is unsound under ``config``.
         self.memo: Optional[dict] = {} if _dedup_sound(config) else None
+        #: The leaders' snapshots by key number, with metrics on.
+        self.replays: dict[int, MetricsSnapshot] = {}
         #: Number of every dedup key seen in the session, by key.
         self.key_numbers: dict[tuple, int] = {}
         self._serial: Optional[tuple] = None
@@ -480,77 +457,82 @@ def _measure(
     time, with its snapshot, strictly in fleet order.
 
     :func:`_walk` picks the leaders, and :func:`_recurring` marks those
-    whose scenario a later leader needs. With ``workers == 1``, each
-    segment's leaders are one piece, measured in-process when the
-    driver reaches the segment, so progress advances as each probe is
-    measured and the scenario cache holds nothing once the call returns.
-    Otherwise the session's pool gets ``workers * SHARDS_PER_WORKER``
-    contiguous slices of the leaders (a worker takes them in submission
-    order, so it reuses every same-call repeat it runs), each cut into
-    pieces at segment boundaries; a segment's snapshot is its pieces'
-    snapshots merged in fleet order.
+    whose scenario a later leader needs. With ``workers == 1``, the
+    leaders are measured in-process as the driver reaches them, so
+    progress advances as each probe is measured and the scenario cache
+    holds nothing once the call returns. Otherwise the session's pool
+    gets ``workers * SHARDS_PER_WORKER`` contiguous slices of the
+    leaders (a worker takes them in submission order, so it reuses
+    every same-call repeat it runs), read back in submission order.
 
     Followers are filled from the memo as their segment is sunk: a
     leader always precedes its followers, so the memo holds it by then.
     """
     if not specs:
         return
-    config, memo = session.config, session.memo
+    config, memo, replays = session.config, session.memo, session.replays
     leaders, keys = _walk(indices, specs, session)
     led = FleetShard(
         indices=tuple(index for index, _spec in leaders),
         specs=tuple(spec for _index, spec in leaders),
         retain=_recurring(leaders, config),
     )
-    segments = shard_fleet(specs, max(1, len(specs) // SEGMENT_PROBES), indices)
-    starts = [segment.indices[0] for segment in segments]
+    fresh: dict[int, MetricsSnapshot] = {}
 
-    def fill(segment: FleetShard, measured) -> list[tuple[int, "ProbeRecord"]]:
+    def fill(segment: FleetShard) -> list[tuple[int, "ProbeRecord"]]:
         # The segment's pairs in fleet order: a probe whose key the memo
         # holds is a follower, any other takes the next measured record
         # (in-process, measuring it only now) and memoises it.
-        measured = iter(measured)
         pairs = []
         for index, spec in zip(segment.indices, segment.specs):
             key = keys.get(index)
             cached = None if key is None else memo.get(key)
             if cached is None:
-                _index, record = next(measured)
+                _index, record, snapshot = next(measured)
                 if key is not None:
                     memo[key] = record
+                if snapshot is not None:
+                    fresh[index] = snapshot
             else:
                 record = _as_sibling(cached, spec)
             pairs.append((index, record))
             advance()
         return pairs
 
+    def segment_metrics(pairs: list[tuple[int, "ProbeRecord"]]) -> MetricsSnapshot:
+        # Each probe's snapshot in fleet order: a leader's own, which
+        # the session keeps for its key's later followers, or a replay.
+        merged = MetricsSnapshot()
+        for index, record in pairs:
+            key = keys.get(index)
+            snapshot = fresh.pop(index, None)
+            if snapshot is None:
+                snapshot = _replay(replays[key], record)
+            elif key is not None:
+                replays[key] = snapshot
+            merged.merge(snapshot)
+        return merged
+
     if workers == 1:
         directory, scenario_cache = session.serial_state()
-        pieces = dict(_pieces(led, starts))
-        no_leaders = FleetShard(indices=(), specs=())
-        for number, segment in enumerate(segments):
-            piece = pieces.get(number, no_leaders)
-            consume = partial(fill, segment)
-            sink(*_measure_piece(piece, directory, config, scenario_cache, consume))
-        return
-
-    jobs = shard_fleet(led.specs, workers * SHARDS_PER_WORKER, led.indices, led.retain)
-    futures = []
-    if jobs:
-        pool = session.pool()
-        session.pool_calls += 1
-        futures = [
-            pool.submit(_measure_job, job, starts, session.pool_calls) for job in jobs
-        ]
-    counts = Counter(number for job in jobs for number, _piece in _pieces(job, starts))
-    results = (result for future in futures for result in future.result())
-    for number, segment in enumerate(segments):
-        measured = [next(results) for _ in range(counts[number])]
-        pairs = fill(segment, chain.from_iterable(pairs for pairs, _ in measured))
-        snapshot = None
-        if config.metrics:
-            snapshot = MetricsSnapshot.merge_all(part for _, part in measured)
-        sink(pairs, snapshot)
+        measured = _measured(led, directory, config, scenario_cache)
+    else:
+        jobs = shard_fleet(
+            led.specs, workers * SHARDS_PER_WORKER, led.indices, led.retain
+        )
+        futures = []
+        if jobs:
+            pool = session.pool()
+            session.pool_calls += 1
+            futures = [
+                pool.submit(_measure_job, job, session.pool_calls) for job in jobs
+            ]
+        measured = (triple for future in futures for triple in future.result())
+    for segment in shard_fleet(
+        specs, max(1, len(specs) // SEGMENT_PROBES), indices
+    ):
+        pairs = fill(segment)
+        sink(pairs, segment_metrics(pairs) if config.metrics else None)
 
 
 def measure_fleet(

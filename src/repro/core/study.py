@@ -54,7 +54,11 @@ class StudyConfig:
     ``metrics``
         Collect pipeline instrumentation into ``StudyResult.metrics``.
         Off by default: the disabled path reports into the no-op
-        registry and pays near zero.
+        registry and pays near zero. On, the run takes the path an
+        unwatched one takes — probe dedup and answer templates
+        included; a dedup follower replays its leader's snapshot —
+        unless ``trace`` is ``"exchange"``, whose events name each
+        probe's own CPE WAN address, so every probe is measured.
     ``trace``
         Event-log verbosity when metrics are on: ``"off"`` (aggregates
         only), ``"probe"`` (one structured event per probe) or

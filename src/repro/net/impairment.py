@@ -121,8 +121,8 @@ class ImpairedLink:
     ``rng`` is the direction's own stream (see :func:`link_stream`);
     every impairment draw for packets crossing this direction comes
     from it. It is built on first use, from the token and endpoints
-    fixed at install, so a direction that never draws (a null profile,
-    or a link no packet crosses) never pays for seeding it. Tests
+    fixed at install, so a direction no packet crosses never pays for
+    seeding it. Tests
     script a link's decisions by replacing it.
     """
 
@@ -171,9 +171,9 @@ def duplicate_spacing_ms() -> float:
 #: calibrated to a typical cable/DSL last mile (a couple percent loss,
 #: occasional duplication and reordering, moderate jitter, rare
 #: mangling); ``wifi`` is a congested in-home wireless hop; ``satellite``
-#: is long-delay-variance with heavy reordering. ``null`` installs the
-#: impairment hooks with every rate at zero — used by the overhead
-#: benchmark to price the hook itself.
+#: is long-delay-variance with heavy reordering. ``null`` has every rate
+#: at zero, so it installs nothing — the overhead benchmark checks that
+#: selecting it costs nothing and changes no record.
 IMPAIRMENT_PROFILES: dict[str, LinkProfile] = {
     "residential": LinkProfile(
         loss=0.02,

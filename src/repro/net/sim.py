@@ -170,12 +170,10 @@ class Network:
         #: fast path (parallel to ``_links``, which stays in float ms as
         #: the public unit).
         self._latency_us: dict[tuple[str, str], int] = {}
-        #: Per-direction impairment state, null profiles included.
+        #: Per-direction impairment state. A null profile installs
+        #: nothing, so on unimpaired and null-profile networks it is
+        #: empty and the ``transmit`` fast path is one falsy-dict check.
         self._impaired: dict[tuple[str, str], ImpairedLink] = {}
-        #: The directions of ``_impaired`` whose profile can draw; empty
-        #: on unimpaired and null-profile networks, so the ``transmit``
-        #: fast path is one falsy-dict check.
-        self._drawing: dict[tuple[str, str], ImpairedLink] = {}
         #: (a, b, profile) in install order, for deterministic stream
         #: re-derivation by ``reset_events``.
         self._profile_installs: list[tuple[str, str, LinkProfile]] = []
@@ -252,7 +250,8 @@ class Network:
         when omitted, the network-wide default passed to
         ``Network(impairment=...)`` applies. Each direction gets its own
         RNG stream derived from the network's seeded ``loss_rng`` so
-        runs stay reproducible.
+        runs stay reproducible. A null profile, which cannot affect a
+        packet, installs nothing.
         """
         for name in (a, b):
             if name not in self.nodes:
@@ -263,28 +262,28 @@ class Network:
         self._latency_us[(a, b)] = latency_us
         self._latency_us[(b, a)] = latency_us
         effective = profile if profile is not None else self.default_impairment
-        if effective is not None:
+        if effective is not None and not effective.is_null:
             self._install_profile(a, b, effective)
 
     def set_link_profile(
         self, a: str, b: str, profile: Optional[LinkProfile]
     ) -> None:
         """Attach ``profile`` to an existing link (both directions), or
-        clear its impairments with ``None``: fault injection after
-        topology build. Either endpoint order names the same link.
+        clear its impairments with ``None`` or a null profile: fault
+        injection after topology build. Either endpoint order names the
+        same link.
         """
         if (a, b) not in self._links:
             raise SimulationError(f"no link {a} <-> {b}")
-        if profile is None:
-            for direction in ((a, b), (b, a)):
-                self._impaired.pop(direction, None)
-                self._drawing.pop(direction, None)
-            self._forget_installs(a, b)
-            return
-        if not isinstance(profile, LinkProfile):
+        if profile is not None and not isinstance(profile, LinkProfile):
             raise SimulationError(
                 f"profile must be a LinkProfile, got {type(profile).__name__}"
             )
+        if profile is None or profile.is_null:
+            self._impaired.pop((a, b), None)
+            self._impaired.pop((b, a), None)
+            self._forget_installs(a, b)
+            return
         self._install_profile(a, b, profile)
 
     def _install_profile(self, a: str, b: str, profile: LinkProfile) -> None:
@@ -310,13 +309,8 @@ class Network:
         """Give both directions of ``a <-> b`` their own stream, derived
         from one fresh ``loss_rng`` token."""
         token = self.loss_rng.getrandbits(64)
-        drawing = not profile.is_null
         for direction in ((a, b), (b, a)):
-            link = self._impaired[direction] = ImpairedLink(profile, token, *direction)
-            if drawing:
-                self._drawing[direction] = link
-            else:
-                self._drawing.pop(direction, None)
+            self._impaired[direction] = ImpairedLink(profile, token, *direction)
 
     def latency(self, a: str, b: str) -> float:
         try:
@@ -353,8 +347,8 @@ class Network:
 
     def transmit(self, sender: str, receiver: str, packet: Packet) -> None:
         """Move ``packet`` from ``sender`` to adjacent ``receiver``."""
-        if self._drawing:
-            state = self._drawing.get((sender, receiver))
+        if self._impaired:
+            state = self._impaired.get((sender, receiver))
             if state is not None:
                 self._transmit_impaired(
                     sender, receiver, packet, self.latency(sender, receiver), state
@@ -497,6 +491,5 @@ class Network:
         self.loss_rng = random.Random(loss_seed)
         if self._profile_installs:
             self._impaired.clear()
-            self._drawing.clear()
             for a, b, profile in self._profile_installs:
                 self._derive_streams(a, b, profile)

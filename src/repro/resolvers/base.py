@@ -82,11 +82,6 @@ def chaos_respond(
     return ChaosOutcome.IGNORE
 
 
-#: Cached-serve outcome kinds (see ``DnsServerNode._serve``).
-_CACHE_INVALID = 0  # payload is not a DNS query: dropped, not counted
-_CACHE_NO_ANSWER = 1  # counted as a query, server chose not to answer
-_CACHE_ANSWER = 2  # counted, reply wire is query id + cached tail
-
 #: Bound on each server's answer-template cache; cleared when full.
 _RESPONSE_CACHE_MAX = 4096
 
@@ -240,52 +235,47 @@ class DnsServerNode(Node):
     def _serve(self, packet: Packet, payload: bytes, wrap=None, label: str = "") -> None:
         """Serve one decoded query. ``wrap`` re-frames the response wire
         for encrypted transports (DoT/DoH/DoQ reply framing); None means
-        plaintext UDP/53. Encrypted serving never uses the
-        answer-template cache — session framing varies per query (DoQ
-        stream ids) and encrypted volume is too small to matter."""
+        plaintext UDP/53. A lent answer-template cache serves plaintext
+        repeats: a template is the reply wire after its id (bytes) or
+        the drop's trace detail (str), and a hit traces exactly what the
+        uncached path traces, so observed and unobserved runs take this
+        same path. Encrypted serving never uses the cache — session
+        framing varies per query (DoQ stream ids) and encrypted volume
+        is too small to matter."""
         cache = None
         key = None
-        if (
-            self.response_cache_enabled
-            and wrap is None
-            and len(payload) >= 2
-            # The cached path emits no trace/metric events, so it only
-            # runs when nobody is watching; an observed run takes the
-            # reference path below and records everything.
-            and (self.network is None or not self.network.observing)
-        ):
+        if self.response_cache_enabled and wrap is None and len(payload) >= 2:
             cache = self._response_cache
             key = (payload[2:], self.response_signature(packet))
-            hit = cache.get(key)
-            if hit is not None:
-                kind, tail = hit
-                if kind == _CACHE_INVALID:
-                    return
-                if kind == _CACHE_NO_ANSWER:
-                    return
-                self.emit(make_reply(packet, payload[:2] + tail))
+            template = cache.get(key)
+            if template is not None:
+                if type(template) is str:
+                    self.trace("drop", packet, template)
+                else:
+                    self._reply(packet, payload[:2] + template, label)
                 return
         query = decode_or_none(payload)
         if query is None or query.is_response or query.question is None:
-            self.trace("drop", packet, "not a DNS query")
-            if cache is not None:
-                self._cache_store(key, (_CACHE_INVALID, b""))
-            return
-        response = self.respond(query, packet)
-        if response is None:
-            self.trace("drop", packet, "server chose not to answer")
-            if cache is not None:
-                self._cache_store(key, (_CACHE_NO_ANSWER, b""))
-            return
-        wire = response.encode()
-        # Cache only when the reply id echoes the query id, so a hit can
-        # rebuild the exact wire from the incoming payload's first two
-        # bytes (it always does — reply() preserves msg_id — but the
-        # check keeps a future exotic responder from poisoning the cache).
-        if cache is not None and wire[:2] == payload[:2]:
-            self._cache_store(key, (_CACHE_ANSWER, wire[2:]))
-        if wrap is not None:
-            wire = wrap(wire)
+            detail = "not a DNS query"
+        else:
+            response = self.respond(query, packet)
+            if response is not None:
+                wire = response.encode()
+                # Cache only when the reply id echoes the query id, so a
+                # hit can rebuild the exact wire from the incoming
+                # payload's first two bytes (it always does — reply()
+                # preserves msg_id — but the check keeps a future exotic
+                # responder from poisoning the cache).
+                if cache is not None and wire[:2] == payload[:2]:
+                    self._cache_store(key, wire[2:])
+                self._reply(packet, wire if wrap is None else wrap(wire), label)
+                return
+            detail = "server chose not to answer"
+        self.trace("drop", packet, detail)
+        if cache is not None:
+            self._cache_store(key, detail)
+
+    def _reply(self, packet: Packet, wire: bytes, label: str) -> None:
         reply = make_reply(packet, wire)
         if self.observing:
             self.trace(

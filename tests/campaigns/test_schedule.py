@@ -391,7 +391,9 @@ def _dedup_off_configs():
     from repro.net.impairment import impairment_profile
 
     return {
-        "metrics": {"metrics": True},
+        # Exchange events name each probe's own CPE WAN address; the
+        # other trace levels dedup (tests/core/test_parallel.py).
+        "metrics": {"metrics": True, "trace": "exchange"},
         "impairment": {
             "impairment": impairment_profile("residential"),
             "impairment_seed": 5,

@@ -84,14 +84,17 @@ class TestRecordEquivalence:
 
 
 class TestMetricsEquivalence:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("trace", ["off", "probe", "exchange"])
     @pytest.mark.parametrize("impair", [None, "residential"])
-    def test_snapshots_identical_modulo_wall_clock(self, fleet, impair):
+    def test_snapshots_identical_modulo_wall_clock(self, fleet, impair, trace, workers):
         """``to_dict()`` omits wall-clock timings — everything else
-        (counters, histograms, event log) must match exactly. Metrics
-        runs disable the answer-template caches and probe dedup, so this
-        also proves those gates work."""
-        fast = run(fleet, "fast", impair=impair, metrics=True)
-        reference = run(fleet, "reference", impair=impair, metrics=True)
+        (counters, histograms, event log) must match exactly. A watched
+        fast run serves repeat queries from answer templates, and below
+        an exchange-level event log a follower replays its leader's
+        snapshot, so this certifies both against the reference."""
+        fast = run(fleet, "fast", workers, impair, metrics=True, trace=trace)
+        reference = run(fleet, "reference", 1, impair, metrics=True, trace=trace)
         assert fast.records == reference.records
         assert fast.metrics.to_dict() == reference.metrics.to_dict()
 

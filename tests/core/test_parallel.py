@@ -118,6 +118,36 @@ class TestFleetSession:
         assert records == _records(fleet, 1)
 
 
+class TestWatchedRunDedups:
+    """Metrics take the path an unwatched run takes: a follower replays
+    its leader's snapshot, so only an exchange-level event log (which
+    names each probe's own CPE WAN address) measures every probe."""
+
+    @pytest.mark.parametrize("trace", ["off", "probe", "exchange"])
+    def test_measures_what_an_unwatched_run_measures(self, trace, monkeypatch):
+        from repro.core import study
+
+        measured = []
+        measure_probe = study.measure_probe
+
+        def counting(spec, *args, **kwargs):
+            measured.append(spec.probe_id)
+            return measure_probe(spec, *args, **kwargs)
+
+        monkeypatch.setattr(study, "measure_probe", counting)
+        specs = generate_population(size=100, seed=2021)
+        plain = measure_fleet(specs, StudyConfig()).records
+        unwatched = len(measured)
+        measured.clear()
+        watched = measure_fleet(specs, StudyConfig(metrics=True, trace=trace))
+        assert watched.records == plain
+        assert watched.metrics.counters["study.probes.measured"] == len(specs)
+        if trace == "exchange":
+            assert len(measured) == len(specs) > unwatched
+        else:
+            assert len(measured) == unwatched < len(specs)
+
+
 class TestStudyDispatch:
     def test_parallel_study_identical_to_serial(self, fleet):
         serial = run_pilot_study(fleet, StudyConfig(workers=1, seed=77))

@@ -1,6 +1,12 @@
 """DnsServerNode plumbing and CHAOS dispatch."""
 
+from contextlib import nullcontext
+from dataclasses import replace
+
+import pytest
+
 from repro.atlas.measurement import ExchangeStatus
+from repro.core.metrics import MetricsRegistry, use_registry
 from repro.dnswire import (
     Message,
     QClass,
@@ -13,8 +19,9 @@ from repro.dnswire.chaosnames import (
     make_version_bind_query,
 )
 from repro.net.dot import DOT_PORT, wrap_dot
+from repro.resolvers import base
 from repro.resolvers.base import ChaosOutcome, DnsServerNode, chaos_respond
-from repro.resolvers.software import dnsmasq, mute, silent_forwarder
+from repro.resolvers.software import ChaosBehavior, dnsmasq, mute, silent_forwarder
 
 from tests.simstate import make_id_server_query, trace_events
 
@@ -161,3 +168,57 @@ class TestServerNode:
             "198.51.100.53", make_query("example.com.", QType.A, msg_id=1)
         )
         assert result.response.rcode == RCode.REFUSED
+
+
+class TestObservedTemplates:
+    """A server lent answer templates serves from them on an observed
+    network too: a hit traces what the uncached path traces, so events
+    and ``sim.drops.*`` counters are the same with or without templates."""
+
+    def _serve_twice(self, watch, lend, monkeypatch):
+        decoded = []
+        decode = base.decode_or_none
+
+        def counting(payload):
+            decoded.append(payload)
+            return decode(payload)
+
+        monkeypatch.setattr(base, "decode_or_none", counting)
+        software = replace(dnsmasq(), id_server=ChaosBehavior.ignore())
+        server = DnsServerNode("server", ["198.51.100.53"], software=software)
+        if lend:
+            server.share_answer_templates({})
+        registry = MetricsRegistry()
+        with use_registry(registry) if watch == "metrics" else nullcontext():
+            client = wire_up(server)
+        client.network.recorder.enabled = watch == "trace"
+        sock = client.host.open_socket()
+        for msg_id in (1, 2):
+            client.exchange("198.51.100.53", make_version_bind_query(msg_id=msg_id))
+            client.exchange("198.51.100.53", make_id_server_query(msg_id=msg_id))
+            sock.sendto(b"definitely not dns", "198.51.100.53", 53)
+            client.network.run()
+        events = [
+            (e.time, e.node, e.action, e.packet, e.detail)
+            for e in client.network.recorder.events
+        ]
+        return len(decoded), events, registry.snapshot().to_dict()
+
+    @pytest.mark.parametrize("watch", ["metrics", "trace"])
+    def test_hits_trace_what_the_uncached_path_traces(self, watch, monkeypatch):
+        decoded, events, metrics = self._serve_twice(watch, True, monkeypatch)
+        plain_decoded, plain_events, plain_metrics = self._serve_twice(
+            watch, False, monkeypatch
+        )
+        # Three distinct payloads (answered, not answered, not DNS), each
+        # decoded once: the repeats are template hits.
+        assert (decoded, plain_decoded) == (3, 6)
+        assert events == plain_events
+        assert metrics == plain_metrics
+        if watch == "trace":
+            assert [e[4] for e in events if e[2] == "drop"] == [
+                "server chose not to answer", "not a DNS query"
+            ] * 2
+        else:
+            assert metrics["counters"]["sim.drops.not-a-DNS-query"] == 2
+            assert metrics["counters"]["sim.drops.server-chose-not-to-answer"] == 2

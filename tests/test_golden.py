@@ -1,14 +1,16 @@
 """Packet behaviour and store bytes pinned across commits.
 
 Each ``*.metrics.json`` snapshot under ``tests/golden/`` is what
-``repro study --metrics`` writes with the exchange-level event log:
-events dispatched, link transits, drops by reason and the
-per-transmission RTT histogram. Two are 60-probe studies at seed 2021,
-clean and impaired; the 300-probe study at seed 7 has CPE, within-ISP
-and unknown-location interceptors, so the interception paths are pinned
-too. A change to how packets are built, rewritten or forwarded that
-moves any event shows up here as a diff. A change that means to move
-them regenerates the files with::
+``repro study --metrics`` writes: events dispatched, link transits,
+drops by reason and the per-transmission RTT histogram. Two are
+60-probe studies at seed 2021, clean and impaired; the 300-probe study
+at seed 7 has CPE, within-ISP and unknown-location interceptors, so the
+interception paths are pinned too. Those three log every exchange, so
+every probe is measured; ``study-seed7-probe`` logs one event per probe,
+so dedup followers replay their leaders' snapshots. A change to how
+packets are built, rewritten or forwarded that moves any event shows up
+here as a diff. A change that means to move them regenerates the files
+with::
 
     PYTHONPATH=src python -m repro study --size 60 --seed 2021 \\
         --metrics tests/golden/study-clean.metrics.json --trace exchange
@@ -17,6 +19,8 @@ them regenerates the files with::
         --impair residential
     PYTHONPATH=src python -m repro study --size 300 --seed 7 \\
         --metrics tests/golden/study-seed7.metrics.json --trace exchange
+    PYTHONPATH=src python -m repro study --size 300 --seed 7 \\
+        --metrics tests/golden/study-seed7-probe.metrics.json --trace probe
 
 ``store-study/`` and ``store-campaign/`` pin the result store's bytes:
 the manifest and journal shards (plus the ``study.json`` export) that a
@@ -51,11 +55,19 @@ GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 SNAPSHOTS = {
-    "study-clean.metrics.json": ["--size", "60", "--seed", "2021"],
+    "study-clean.metrics.json": [
+        "--size", "60", "--seed", "2021", "--trace", "exchange",
+    ],
     "study-residential.metrics.json": [
         "--size", "60", "--seed", "2021", "--impair", "residential",
+        "--trace", "exchange",
     ],
-    "study-seed7.metrics.json": ["--size", "300", "--seed", "7"],
+    "study-seed7.metrics.json": [
+        "--size", "300", "--seed", "7", "--trace", "exchange",
+    ],
+    "study-seed7-probe.metrics.json": [
+        "--size", "300", "--seed", "7", "--trace", "probe",
+    ],
 }
 
 STORES = {
@@ -74,7 +86,6 @@ STORES = {
 def test_metrics_snapshot_is_byte_identical(name, tmp_path, capsys):
     produced = tmp_path / name
     argv = ["study", *SNAPSHOTS[name], "--metrics", str(produced)]
-    argv += ["--trace", "exchange"]
     assert main(argv) == 0
     capsys.readouterr()
     assert produced.read_text() == (GOLDEN / name).read_text()

@@ -9,62 +9,12 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.ioutil import canonical_json
 
 
 def stdlib(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-# -- strategies -------------------------------------------------------------
-
-# Every code point, lone surrogates and control characters included, plus
-# the characters the escaper treats specially.
-characters = st.characters(exclude_categories=())
-special_text = st.sampled_from(
-    ["", "\x00", "\x1f", "\x7f", '"', "\\", "/", " ", "é", "😀", "\ud800", "\udfff"]
-)
-texts = st.one_of(st.text(characters, max_size=12), special_text)
-
-special_floats = st.sampled_from(
-    [0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308]
-    + [math.nan, math.inf, -math.inf]
-)
-special_ints = st.sampled_from([0, -1, 2**53 + 1, 2**63, -(2**64), 10**100])
-
-scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    special_ints,
-    st.floats(),
-    special_floats,
-    texts,
-)
-
-json_values = st.recursive(
-    scalars,
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(texts, children, max_size=5),
-    ),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=400)
-@given(json_values)
-def test_matches_stdlib(payload):
-    assert canonical_json(payload) == stdlib(payload)
-
-
-@settings(max_examples=100)
-@given(st.dictionaries(texts, json_values, max_size=6))
-def test_matches_stdlib_for_tables(payload):
-    assert canonical_json(payload) == stdlib(payload)
 
 
 @pytest.mark.parametrize(
