@@ -46,6 +46,7 @@ from repro.store import (
     read_journal_at,
     read_journal_tail,
 )
+from repro.store.result_store import MANIFEST_NAME
 
 #: Subdirectory of a store holding persisted aggregation output.
 TABLES_DIR = "tables"
@@ -160,6 +161,9 @@ class StoreAggregator:
         self._shard_numbers: dict[str, int] = {}
         self._dirty: set[int] = set()
         self._manifest: Optional[dict] = None
+        #: ``(st_ino, st_size, st_mtime_ns)`` of the manifest file the
+        #: last refresh read.
+        self._manifest_stamp: Optional[tuple] = None
         self._loaded = False
         #: Moves whenever a refresh loads a different manifest or folds
         #: an entry: every table and page is a pure function of the two,
@@ -250,6 +254,14 @@ class StoreAggregator:
         compared before the journal is read, so a refresh that raises
         after loading a new manifest still moves the version.
 
+        Work unchanged since the last refresh is skipped by stat alone:
+        ``manifest.json`` is re-read only when its ``(st_ino, st_size,
+        st_mtime_ns)`` stamp moved, which every store rewrite does (it
+        replaces the file atomically, so the new one is a new inode).
+        The journal directory is listed once and every shard's size is
+        checked on each refresh; only the bytes past the cursor are
+        read.
+
         Raises :class:`~repro.store.StoreCorruptError` on mid-file
         journal damage, or when a shard already read has shrunk or
         vanished — callers (the serve layer) map that to 503, not a
@@ -257,10 +269,20 @@ class StoreAggregator:
         """
         if not self._loaded:
             self._load_state()
-        manifest = load_manifest(self.path)
-        if manifest != self._manifest:
-            self._manifest = manifest
-            self.version += 1
+        try:
+            info = os.stat(os.path.join(self.path, MANIFEST_NAME))
+        except OSError:
+            stamp = None  # load_manifest says what is wrong
+        else:
+            stamp = (info.st_ino, info.st_size, info.st_mtime_ns)
+        if stamp is None or stamp != self._manifest_stamp:
+            # Stat first, read second: the bytes read are at least as
+            # new as the stamp kept for them.
+            manifest = load_manifest(self.path)
+            self._manifest_stamp = stamp
+            if manifest != self._manifest:
+                self._manifest = manifest
+                self.version += 1
         positions: list = []
         entries, self._cursor = read_journal_tail(
             self.journal_path, RECORDS_PREFIX, self._cursor, positions=positions

@@ -11,22 +11,32 @@ to: each request refreshes the aggregator through
 :func:`~repro.store.read_journal_tail`, which only ever consumes byte
 ranges ending in a newline — a partially-flushed final line is left for
 the next refresh, so responses always reflect whole fsync'd segments
-and never a torn row. Every aggregator-derived body, ``/probes`` pages
-included, is built and encoded under the same lock as the refresh, so
-one response never mixes two folds, and a page counts exactly the lines
-``/epochs/<n>`` counts.
+and never a torn row. Every aggregator-derived body, ``/manifest`` and
+``/probes`` pages included, is built and encoded under the same lock as
+the refresh, so one response never mixes two folds, and a page counts
+exactly the lines ``/epochs/<n>`` counts.
 
-Between journal appends those bodies are a pure function of the
-manifest and the fold, and a dashboard keeps asking for the same ones.
-So the encoded bytes are kept, keyed by the validated query, until the
-aggregator's :attr:`~repro.campaigns.StoreAggregator.version` moves (a
-new manifest or a folded entry); the cache is cleared when an insert
-would take it past :data:`BODY_CACHE_MAX_BYTES`. Error bodies and the
-fold-free ``/`` and ``/manifest`` are never cached. A cached body cannot
-go stale without the journal being damaged, and the refresh before every
+A refresh revalidates by stat: it re-reads ``manifest.json`` only when
+the file's inode, size or mtime moved (the manifest is replaced
+atomically, so every rewrite is a new inode), and lists the journal
+directory once to size each shard. Between journal appends every body
+is then a pure function of the manifest and the fold, and a dashboard
+keeps asking for the same ones. So the encoded bytes are kept, keyed by
+the validated query, until the aggregator's
+:attr:`~repro.campaigns.StoreAggregator.version` moves (a new manifest
+or a folded entry); the cache is cleared when an insert would take it
+past :data:`BODY_CACHE_MAX_BYTES`. Error bodies are never cached, and
+the fold-free ``/`` is built once per server. A cached body cannot go
+stale without the journal being damaged, and the refresh before every
 lookup turns damage — a mid-file bad line, or a shard already read that
 has shrunk or vanished — into a **503** with the offending shard named,
 matching ``repro results``' one-line error; the server itself stays up.
+
+Each request arrives on its own connection (HTTP/1.0). The server hands
+the connection to an idle handler thread, which stays alive for the
+next one, and starts a new thread only when none is idle: a repeat
+request costs no thread start, and a stalled connection never holds up
+another. :meth:`StoreServer.close` stops every handler thread.
 
 Endpoints (all GET):
 
@@ -40,16 +50,18 @@ Endpoints (all GET):
 
 from __future__ import annotations
 
+import queue
 import re
+import socket
 import threading
 from collections.abc import Hashable
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Any, Callable, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.campaigns.aggregate import StoreAggregator, load_epoch_page
 from repro.ioutil import canonical_json
-from repro.store import StoreError, load_manifest
+from repro.store import StoreError
 
 _EPOCH_ROUTE = re.compile(r"^/epochs/(\d+)$")
 
@@ -110,10 +122,13 @@ def _epoch_index(aggregator: StoreAggregator) -> dict:
 
 class _StoreRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
-    #: Set by StoreServer on the handler class.
+    #: Set by :func:`_bound_handler` on the handler class.
     store_path: str = ""
     aggregator: Optional[StoreAggregator] = None
     refresh_lock: threading.Lock = threading.Lock()
+    #: The encoded ``/`` body: it names only the store, so it is built
+    #: once.
+    index_body: bytes = b""
     #: Encoded bodies by query key, built at aggregator version
     #: ``bodies_version`` and ``bodies_size`` bytes in all. Replaced,
     #: never mutated, on the first request, so handler classes never
@@ -145,8 +160,8 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         ``build(aggregator)``, from the cache when ``key`` is there.
 
         All of it runs under the refresh lock. The aggregator's cursor,
-        counters and positions are shared across the threading server's
-        request threads: a payload built after releasing the lock could
+        counters and positions are shared across the server's handler
+        threads: a payload built after releasing the lock could
         see another request's fold half-way. A miss therefore builds and
         encodes under the lock too; a ``build`` that raises caches
         nothing.
@@ -191,10 +206,10 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
 
     def _route(self, path: str, params: dict) -> None:
         if path == "/":
-            self._reply(200, {"store": type(self).store_path, "endpoints": ENDPOINTS})
+            self._reply(200, type(self).index_body)
             return
         if path == "/manifest":
-            self._reply(200, load_manifest(type(self).store_path))
+            self._reply(200, self._body(path, lambda aggregator: aggregator.manifest()))
             return
         if path == "/trend":
             self._reply(200, self._body(path, lambda aggregator: aggregator.trend()))
@@ -229,28 +244,103 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         self._reply(404, {"error": f"unknown path: {path}", "endpoints": ENDPOINTS})
 
 
+def _bound_handler(store_path: str) -> type:
+    """A handler class of its own for one store: its aggregator, lock,
+    body cache and ``/`` body are shared by that store's requests only."""
+    index = {"store": store_path, "endpoints": ENDPOINTS}
+    return type(
+        "BoundStoreRequestHandler",
+        (_StoreRequestHandler,),
+        {
+            "store_path": store_path,
+            "aggregator": StoreAggregator(store_path, persist=False),
+            "refresh_lock": threading.Lock(),
+            "index_body": canonical_json(index).encode("utf-8"),
+        },
+    )
+
+
+class _ReusedThreadHTTPServer(HTTPServer):
+    """An :class:`HTTPServer` whose handler threads outlive a connection.
+
+    :meth:`process_request` queues each accepted connection for an idle
+    handler thread, and starts a new one only when none is idle. There
+    is no upper bound: a stalled or slow connection occupies its own
+    thread and never delays another. :meth:`server_close` cuts the
+    connections still open and stops every handler thread.
+    """
+
+    def __init__(self, address: tuple, handler: type) -> None:
+        super().__init__(address, handler)
+        self._connections: queue.SimpleQueue = queue.SimpleQueue()
+        #: Handler threads done with their connection, less the
+        #: connections already queued for them.
+        self._idle = 0
+        #: Connections a handler thread is serving.
+        self._open: set = set()
+        self._lock = threading.Lock()
+        self._threads: list[threading.Thread] = []
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            start = self._idle == 0
+            if not start:
+                self._idle -= 1
+        self._connections.put((request, client_address))
+        if start:
+            thread = threading.Thread(target=self._handle_connections, daemon=True)
+            self._threads.append(thread)
+            thread.start()
+
+    def _handle_connections(self) -> None:
+        while True:
+            item = self._connections.get()
+            if item is None:
+                return
+            request, client_address = item
+            with self._lock:
+                self._open.add(request)
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                # Idle before the close, which cannot block: a client that
+                # waits for the close finds this thread free.
+                with self._lock:
+                    self._open.discard(request)
+                    self._idle += 1
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the client already hung up
+        for _thread in self._threads:
+            self._connections.put(None)
+        for thread in self._threads:
+            thread.join(timeout=5)
+        self._threads = []
+
+
 class StoreServer:
     """The serve runtime: one store directory, one HTTP listener.
 
-    ``port=0`` binds an ephemeral port (tests); :attr:`address` reports
-    the bound ``(host, port)``. Use as a context manager or call
-    :meth:`serve_forever` (blocking) / :meth:`start` (background
-    thread, for tests) and :meth:`close`.
+    Requests are answered on handler threads that are reused from one
+    connection to the next (see the module docstring); :meth:`close`
+    stops them. ``port=0`` binds an ephemeral port (tests);
+    :attr:`address` reports the bound ``(host, port)``. Use as a context
+    manager or call :meth:`serve_forever` (blocking) / :meth:`start`
+    (background thread, for tests) and :meth:`close`.
     """
 
     def __init__(self, store_path: str, host: str = "127.0.0.1", port: int = 0):
         self.store_path = store_path
-        handler = type(
-            "BoundStoreRequestHandler",
-            (_StoreRequestHandler,),
-            {
-                "store_path": store_path,
-                "aggregator": StoreAggregator(store_path, persist=False),
-                "refresh_lock": threading.Lock(),
-            },
-        )
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _ReusedThreadHTTPServer((host, port), _bound_handler(store_path))
         self._thread: Optional[threading.Thread] = None
 
     @property

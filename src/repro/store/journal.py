@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import glob
 import hashlib
 import json
 import os
@@ -147,14 +146,21 @@ def study_fingerprint(config: Any, specs: Iterable[Any]) -> str:
 # -- the sharded JSONL journal ----------------------------------------------
 
 
-def _shard_pattern(prefix: str) -> str:
+def _shard_paths(directory: str, prefix: str) -> list[str]:
+    """Every ``<prefix>-*.jsonl`` path in ``directory``, sorted; one
+    directory listing, and none if the directory cannot be listed."""
     # Deliberately loose: a foreign "records-*.jsonl" name must surface
     # as StoreCorruptError in _scan_next_shard, not be silently skipped.
-    return f"{prefix}-*.jsonl"
-
-
-def _shard_paths(directory: str, prefix: str) -> list[str]:
-    return sorted(glob.glob(os.path.join(directory, _shard_pattern(prefix))))
+    head = f"{prefix}-"
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    return sorted(
+        os.path.join(directory, name)
+        for name in names
+        if name.startswith(head) and name.endswith(".jsonl")
+    )
 
 
 class JournalWriter:

@@ -3,8 +3,10 @@
 import json
 import os
 import shutil
+import socket
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -19,8 +21,10 @@ from repro.campaigns import (
     find_bundle,
     load_epoch_page,
 )
+from repro.campaigns import aggregate
+from repro.ioutil import atomic_write_text
 from repro.serve import StoreServer, app
-from repro.serve.app import ENDPOINTS, _StoreRequestHandler
+from repro.serve.app import ENDPOINTS, _bound_handler, _StoreRequestHandler
 from repro.store import ResultStore, epoch_manifest, load_manifest
 
 from ..campaigns.conftest import bundle_data, full_scan_page, page_grid
@@ -197,15 +201,7 @@ class TestClientGone:
     @pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])
     @pytest.mark.parametrize("path", ["/", "/trend", "/probes?epoch=0&limit=5"])
     def test_no_reply_after_the_client_hangs_up(self, store_path, error, path):
-        handler_class = type(
-            "Handler",
-            (_StoreRequestHandler,),
-            {
-                "store_path": store_path,
-                "aggregator": StoreAggregator(store_path, persist=False),
-                "refresh_lock": threading.Lock(),
-            },
-        )
+        handler_class = _bound_handler(store_path)
         handler = handler_class.__new__(handler_class)
         handler.path = path
         handler.command = "GET"
@@ -258,6 +254,27 @@ class TestDamagedStore:
                 with excinfo.value as response:
                     assert response.code == 503, request
                     assert shard in json.loads(response.read())["error"]
+            assert get(server, "/")[0] == 200
+
+    def test_vanished_shard_is_503_even_for_cached_bodies(self, store_path, tmp_path):
+        """A shard removed after the server read it is damage too, though
+        the manifest and every cached body are unchanged."""
+        damaged = str(tmp_path / "vanished")
+        shutil.copytree(store_path, damaged)
+        journal = os.path.join(damaged, "journal")
+        (shard,) = os.listdir(journal)
+        requests = ("/trend", "/manifest", "/probes?epoch=0&offset=0&limit=5")
+        with StoreServer(damaged) as server:
+            for request in requests:
+                assert get(server, request)[0] == 200
+            os.remove(os.path.join(journal, shard))
+            for request in requests:
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    get(server, request)
+                with excinfo.value as response:
+                    assert response.code == 503, request
+                    error = json.loads(response.read())["error"]
+                    assert shard in error and "vanished" in error, request
             assert get(server, "/")[0] == 200
 
 
@@ -555,6 +572,39 @@ class TestBodyCache:
             assert get_json(server, "/trend")[1]["complete"] is False
             store.finalize()  # the manifest only: no new entries
             assert get_json(server, "/trend")[1]["complete"] is True
+            # An atomic rewrite of the same size right after a served
+            # request: its mtime may fall in the same clock tick as the
+            # last read, so the new inode is what marks the change.
+            manifest = get_json(server, "/manifest")[1]
+            fingerprint = manifest["fingerprint"]
+            manifest["fingerprint"] = fingerprint[:-1] + (
+                "0" if fingerprint[-1] != "0" else "1"
+            )
+            manifest_path = os.path.join(path, "manifest.json")
+            size = os.path.getsize(manifest_path)
+            atomic_write_text(manifest_path, canonical_json(manifest))
+            assert os.path.getsize(manifest_path) == size
+            assert get_json(server, "/manifest")[1] == manifest
+            trend = get_json(server, "/trend")[1]
+            assert trend["fingerprint"] == manifest["fingerprint"]
+
+    def test_a_resumed_session_shard_is_folded(self, page_stores, tmp_path):
+        path = str(tmp_path / "resumed")
+        store, rest = self.half_store(page_stores, path)
+        store.close()
+        campaign = page_stores.campaign
+        with StoreServer(path) as server:
+            half = get_json(server, "/epochs/0")[1]["measured"]
+            resumed = ResultStore(path, resume=True)
+            resumed.begin("longitudinal", campaign.fingerprint(),
+                          epoch_manifest(campaign.epoch_sizes()))
+            resumed.append(rest, epoch=0)
+            resumed.close()
+            assert len(os.listdir(os.path.join(path, "journal"))) == 2
+            table = get_json(server, "/epochs/0")[1]
+        assert table["measured"] == half + len(rest)
+        expected = TestBodiesMatchStdlib().expected(path)
+        assert stdlib_json(table) == expected["/epochs/0"]
 
     def test_repeats_build_nothing_until_an_append(
         self, page_stores, tmp_path, monkeypatch
@@ -610,3 +660,63 @@ class TestBodyCache:
             assert body == TestBodiesMatchStdlib().expected(path)[request]
             assert server._httpd.RequestHandlerClass.bodies == {}
             assert get(server, request)[1] == body
+
+
+class TestRepeatRequests:
+    """A repeat request costs neither a thread start nor a store re-read,
+    and no connection waits on another."""
+
+    def test_an_unchanged_manifest_is_read_at_most_once(
+        self, store_path, monkeypatch
+    ):
+        reads = []
+
+        def counted(path, *args, **kwargs):
+            reads.append(path)
+            return load_manifest(path, *args, **kwargs)
+
+        monkeypatch.setattr(aggregate, "load_manifest", counted)
+        with StoreServer(store_path) as server:
+            for request in ("/trend", "/manifest", "/epochs/0") * 3 + ("/trend",):
+                assert get(server, request)[0] == 200
+        assert len(reads) <= 1
+
+    def test_sequential_requests_share_one_handler_thread(
+        self, store_path, monkeypatch
+    ):
+        # Thread objects, kept alive, not idents: the OS reuses an ident
+        # once its thread has exited.
+        threads = []
+        do_get = _StoreRequestHandler.do_GET
+
+        def recorded(handler):
+            threads.append(threading.current_thread())
+            do_get(handler)
+
+        monkeypatch.setattr(_StoreRequestHandler, "do_GET", recorded)
+        with StoreServer(store_path) as server:
+            for request in ("/", "/trend", "/epochs", "/manifest", "/trend"):
+                # Sequential: the next request goes out once the server
+                # has closed this connection, not once the body is in.
+                with socket.create_connection(server.address) as connection:
+                    connection.sendall(f"GET {request} HTTP/1.0\r\n\r\n".encode())
+                    with connection.makefile("rb") as reply:
+                        assert reply.read().startswith(b"HTTP/1.0 200 "), request
+        assert len(threads) == 5
+        assert all(thread is threads[0] for thread in threads)
+
+    def test_stalled_connections_block_nothing(self, store_path):
+        before = set(threading.enumerate())
+        server = StoreServer(store_path).start()
+        host, port = server.address
+        stalled = [socket.create_connection((host, port)) for _ in range(16)]
+        try:
+            assert get(server, "/trend")[0] == 200
+            server.close()
+        finally:
+            for connection in stalled:
+                connection.close()
+        deadline = time.monotonic() + 10
+        while set(threading.enumerate()) - before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not set(threading.enumerate()) - before

@@ -136,6 +136,7 @@ DEFINITION_EXEMPT = (
     # stdlib hooks: http.server calls them by name
     ("repro.serve.app", "_StoreRequestHandler.do_GET"),
     ("repro.serve.app", "_StoreRequestHandler.log_message"),
+    ("repro.serve.app", "_ReusedThreadHTTPServer.process_request"),
     # the impairment tests' fault-injection hook
     ("repro.net.sim", "Network.set_link_profile"),
 )
